@@ -33,7 +33,7 @@ import numpy as np
 
 from . import model
 from .energy import free_energy, vhls_ratio
-from .errors import ConvergenceError
+from .errors import ConvergenceError, GridMismatchError
 from .extremal import blowup_initial_data, el_fixed_point, find_critical_mass
 from .field import (
     DensityField,
@@ -121,6 +121,8 @@ _SCHEMA = [
     ("experiment.t_end_diffusive_times", _NUMBER, lambda v: v > 0.0, "positive real"),
     ("experiment.mass_target", str, lambda v: v in ("closed_form", "measured"),
      "'closed_form' or 'measured'"),
+    ("experiment.fault", (str, type(None)), lambda v: v in (None, "asymmetric_kernel"),
+     "null or 'asymmetric_kernel'"),
     ("experiment.fixed_point.tol", _NUMBER, lambda v: v > 0.0, "positive real"),
     ("experiment.fixed_point.max_iter", int, lambda v: v >= 1, "integer >= 1"),
     ("experiment.fixed_point.support_radius", _NUMBER, lambda v: v > 0.0,
@@ -129,11 +131,14 @@ _SCHEMA = [
 ]
 
 
+_MISSING = object()
+
+
 def _get_path(tree, dotted):
     node = tree
     for part in dotted.split("."):
         if not isinstance(node, dict) or part not in node:
-            return None
+            return _MISSING
         node = node[part]
     return node
 
@@ -201,7 +206,7 @@ def load_config(path: str | None, overrides) -> dict:
 def validate_config(cfg: dict) -> None:
     for path, types, pred, desc in _SCHEMA:
         value = _get_path(cfg, path)
-        if value is None:
+        if value is _MISSING:
             raise ConfigError(f"config field '{path}' is missing")
         if isinstance(value, bool) or not isinstance(value, types):
             raise ConfigError(f"config field '{path}' must be {desc}, got {value!r}")
@@ -265,13 +270,22 @@ def _solver_config(cfg: dict, t_end: float | None = None, **overrides) -> Solver
 
 
 def _load_profile(path: str, d: int):
+    """Field, sidecar metadata and input hashes of a profile CSV.  A sidecar
+    that records the uniform grid (``n_cells``, ``r_max``) rebuilds it
+    exactly; without one the edges come from the stored volumes."""
     csv_path = Path(path)
     sidecar = csv_path.with_suffix(".json")
     meta = {}
+    grid = None
     if sidecar.exists():
         meta = json.loads(sidecar.read_text())
         d = int(meta.get("d", d))
-    field = read_field_csv(csv_path, d=d)
+        if "n_cells" in meta and "r_max" in meta:
+            grid = RadialGrid.uniform(int(meta["n_cells"]), float(meta["r_max"]), d=d)
+    try:
+        field = read_field_csv(csv_path, d=d, grid=grid)
+    except GridMismatchError as exc:
+        raise ConfigError(str(exc)) from exc
     hashes = {str(csv_path): _sha256_bytes(csv_path.read_bytes())}
     if sidecar.exists():
         hashes[str(sidecar)] = _sha256_bytes(sidecar.read_bytes())
@@ -339,6 +353,8 @@ def cmd_extremal(cfg: dict) -> int:
     sidecar = {
         "d": params.d,
         "s": params.s,
+        "n_cells": grid.n_cells,
+        "r_max": grid.r_max,
         "J_value": result.J_value,
         "lambda_bar": result.lambda_bar,
         "el_residual": result.el_residual,

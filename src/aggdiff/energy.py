@@ -18,18 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import DensityField, RadialGrid, lp_norm, mass, require_same_grid
+from .field import (DensityField, RadialGrid, face_gradient, lp_norm, mass,
+                    require_same_grid)
 from .model import ModelParams
-from .riesz import RieszKernel, interaction_energy, potential
+from .riesz import RieszKernel, interaction_energy, potential_values
 from .special import ball_volume
-
-
-def face_gradient(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """Central difference across adjacent cell centers at the N+1 faces;
-    zero at r = 0 (symmetry) and at the outer wall."""
-    grad = np.zeros(grid.n_cells + 1)
-    grad[1:-1] = np.diff(values) / np.diff(grid.centers)
-    return grad
 
 
 def upwind_face_values(cell_values: np.ndarray, velocity: np.ndarray) -> np.ndarray:
@@ -45,16 +38,21 @@ def chemical_potential(u: DensityField, kernel: RieszKernel,
     require_same_grid(u.grid, kernel.grid, "field and kernel")
     if c_ds is None:
         c_ds = params.c_ds
-    m = params.m
-    phi = potential(kernel, u, c_ds)
-    return m / (m - 1.0) * u.values ** (m - 1.0) - phi
+    return mu_values(u.values, kernel, params.m, c_ds)
+
+
+def mu_values(values: np.ndarray, kernel: RieszKernel, m: float,
+              c_ds: float) -> np.ndarray:
+    """Chemical potential of raw cell values on the kernel's grid (unchecked)."""
+    phi = potential_values(kernel, values, c_ds)
+    return m / (m - 1.0) * values ** (m - 1.0) - phi
 
 
 def dissipation(u: DensityField, mu: np.ndarray, grid: RadialGrid) -> float:
     """D = int u |grad mu|^2, with upwind face densities on the solver stencil."""
     w = -face_gradient(mu, grid)
     u_up = upwind_face_values(u.values, w)
-    face_measure = grid.face_areas[1:-1] * np.diff(grid.centers)
+    face_measure = grid.face_areas[1:-1] * grid.center_spacing
     return float(np.sum(u_up * w[1:-1] ** 2 * face_measure))
 
 
@@ -69,29 +67,26 @@ class EnergyReport:
     J: float
 
 
+def _entropy_and_interaction(u: DensityField, kernel: RieszKernel,
+                             params: ModelParams, c_ds: float | None):
+    """The two parts (S, W) of F = S - W."""
+    require_same_grid(u.grid, kernel.grid, "field and kernel")
+    c_ds = params.c_ds if c_ds is None else c_ds
+    S = np.dot(u.values ** params.m, u.grid.shell_volumes) / (params.m - 1.0)
+    return float(S), float(0.5 * c_ds * interaction_energy(kernel, u))
+
+
 def free_energy(u: DensityField, kernel: RieszKernel, params: ModelParams,
                 c_ds: float | None = None) -> float:
-    require_same_grid(u.grid, kernel.grid, "field and kernel")
-    if c_ds is None:
-        c_ds = params.c_ds
-    m = params.m
-    S = np.dot(u.values ** m, u.grid.shell_volumes) / (m - 1.0)
-    W = 0.5 * c_ds * interaction_energy(kernel, u)
-    return float(S - W)
+    S, W = _entropy_and_interaction(u, kernel, params, c_ds)
+    return S - W
 
 
 def energy_report(u: DensityField, kernel: RieszKernel, params: ModelParams,
                   c_ds: float | None = None) -> EnergyReport:
-    require_same_grid(u.grid, kernel.grid, "field and kernel")
-    if c_ds is None:
-        c_ds = params.c_ds
-    m = params.m
-    S = float(np.dot(u.values ** m, u.grid.shell_volumes) / (m - 1.0))
-    W = float(0.5 * c_ds * interaction_energy(kernel, u))
-    mu = chemical_potential(u, kernel, params, c_ds=c_ds)
-    D = dissipation(u, mu, u.grid)
-    M = mass(u)
-    J = vhls_ratio(u, kernel, params) if M > 0.0 else 0.0
+    S, W = _entropy_and_interaction(u, kernel, params, c_ds)
+    D = dissipation(u, chemical_potential(u, kernel, params, c_ds=c_ds), u.grid)
+    J = vhls_ratio(u, kernel, params) if mass(u) > 0.0 else 0.0
     return EnergyReport(F=S - W, S=S, W=W, D=D, J=J)
 
 

@@ -14,7 +14,8 @@ and second moments use the exact shell average of |x|^2 per cell.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,15 +23,21 @@ from .errors import GridMismatchError
 from .special import sphere_surface
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing edges 0 = r_0 < ... < r_N = R_max in R^d."""
+    """Strictly increasing edges 0 = r_0 < ... < r_N = R_max in R^d.  The
+    edges are copied and, like the cached geometry, read-only."""
 
     d: int
     r_edges: np.ndarray
 
     def __post_init__(self):
-        edges = np.asarray(self.r_edges, dtype=float)
+        edges = _read_only(np.array(self.r_edges, dtype=float))
         object.__setattr__(self, "r_edges", edges)
         if edges.ndim != 1 or edges.size < 2:
             raise ValueError("r_edges must be a 1-d array with at least two entries")
@@ -53,47 +60,48 @@ class RadialGrid:
     def r_max(self) -> float:
         return float(self.r_edges[-1])
 
-    @property
+    @cached_property
     def widths(self) -> np.ndarray:
-        return np.diff(self.r_edges)
+        return _read_only(np.diff(self.r_edges))
 
-    @property
+    @cached_property
     def shell_volumes(self) -> np.ndarray:
         """v_i = omega_d (r_{i+1}^d - r_i^d) / d, the full shell volume."""
         rd = self.r_edges ** self.d
-        return sphere_surface(self.d) / self.d * np.diff(rd)
+        return _read_only(sphere_surface(self.d) / self.d * np.diff(rd))
 
-    @property
+    @cached_property
     def centers(self) -> np.ndarray:
         """Volume centroids of the shells."""
         d = self.d
         num = np.diff(self.r_edges ** (d + 1))
         den = np.diff(self.r_edges ** d)
-        return d * num / ((d + 1) * den)
+        return _read_only(d * num / ((d + 1) * den))
 
-    @property
+    @cached_property
+    def center_spacing(self) -> np.ndarray:
+        """Distances between adjacent cell centers (the N-1 interior faces)."""
+        return _read_only(np.diff(self.centers))
+
+    @cached_property
     def mean_r2(self) -> np.ndarray:
         """Exact shell averages of |x|^2."""
         d = self.d
         num = np.diff(self.r_edges ** (d + 2))
         den = np.diff(self.r_edges ** d)
-        return d * num / ((d + 2) * den)
+        return _read_only(d * num / ((d + 2) * den))
 
-    @property
+    @cached_property
     def face_areas(self) -> np.ndarray:
         """omega_d r^{d-1} at every edge (zero at r = 0)."""
-        return sphere_surface(self.d) * self.r_edges ** (self.d - 1)
+        return _read_only(sphere_surface(self.d) * self.r_edges ** (self.d - 1))
 
-    @property
+    @cached_property
     def total_volume(self) -> float:
         return float(np.sum(self.shell_volumes))
 
     def same_as(self, other: "RadialGrid") -> bool:
-        return (
-            self.d == other.d
-            and self.r_edges.size == other.r_edges.size
-            and bool(np.array_equal(self.r_edges, other.r_edges))
-        )
+        return self.d == other.d and bool(np.array_equal(self.r_edges, other.r_edges))
 
 
 @dataclass(frozen=True)
@@ -111,16 +119,29 @@ class DensityField:
                 f"values shape {vals.shape} does not match grid with "
                 f"{self.grid.n_cells} cells"
             )
-        if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
-            raise ValueError("density values must be finite and non-negative")
+        check_density(vals)
 
     def with_values(self, values: np.ndarray) -> "DensityField":
         return DensityField(grid=self.grid, values=values)
 
 
+def check_density(values: np.ndarray) -> None:
+    # NaN fails both comparisons, so this also rejects it
+    if not (values.min() >= 0.0 and values.max() < np.inf):
+        raise ValueError("density values must be finite and non-negative")
+
+
 def require_same_grid(a: RadialGrid, b: RadialGrid, what: str = "operands"):
     if not a.same_as(b):
         raise GridMismatchError(f"{what} live on different radial grids")
+
+
+def face_gradient(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """Central difference across adjacent cell centers at the N+1 faces;
+    zero at r = 0 (symmetry) and at the outer wall."""
+    grad = np.zeros(grid.n_cells + 1)
+    grad[1:-1] = (values[1:] - values[:-1]) / grid.center_spacing
+    return grad
 
 
 def mass(u: DensityField) -> float:
@@ -264,11 +285,12 @@ def write_field_csv(u: DensityField, path) -> None:
             writer.writerow([repr(float(c)), repr(float(v)), repr(float(x))])
 
 
-def read_field_csv(path, d: int = 3) -> DensityField:
+def read_field_csv(path, d: int = 3, grid: RadialGrid | None = None) -> DensityField:
     """Rebuild a field from the ``r_center,volume,value`` format.
 
-    Edges are recovered from the cumulative shell volumes (the dimension
-    is not stored in the CSV and must be supplied).
+    The values go on ``grid`` if given (its shell volumes must match the
+    stored ones to 1e-12 relative); otherwise edges are recovered, to
+    roundoff, from the cumulative volumes in dimension ``d``.
     """
     vols = []
     vals = []
@@ -281,7 +303,11 @@ def read_field_csv(path, d: int = 3) -> DensityField:
             vols.append(float(row[1]))
             vals.append(float(row[2]))
     vols_arr = np.asarray(vols)
-    cum = np.concatenate(([0.0], np.cumsum(vols_arr)))
-    edges = (d * cum / sphere_surface(d)) ** (1.0 / d)
-    grid = RadialGrid(d=d, r_edges=edges)
+    if grid is None:
+        cum = np.concatenate(([0.0], np.cumsum(vols_arr)))
+        edges = (d * cum / sphere_surface(d)) ** (1.0 / d)
+        grid = RadialGrid(d=d, r_edges=edges)
+    elif (vols_arr.shape != grid.shell_volumes.shape
+          or not np.allclose(vols_arr, grid.shell_volumes, rtol=1e-12, atol=0.0)):
+        raise GridMismatchError(f"{path}: stored cell volumes do not match the grid")
     return DensityField(grid, np.asarray(vals))

@@ -24,13 +24,12 @@ by construction.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, ParameterDomainError
-from .field import DensityField, RadialGrid, require_same_grid
+from .errors import ParameterDomainError
+from .field import DensityField, RadialGrid, face_gradient, require_same_grid
 from .special import sphere_surface
 
 _CHUNK_ROWS = 1024  # node rows per evaluation block, caps peak memory
@@ -153,7 +152,12 @@ def build_kernel(grid: RadialGrid, s: float, epsilon: float = 0.0,
 def potential(kernel: RieszKernel, u: DensityField, c_ds: float) -> np.ndarray:
     """phi at cell centers: phi = c_ds * K @ (u v)."""
     require_same_grid(kernel.grid, u.grid, "kernel and field")
-    return c_ds * (kernel.K @ (u.values * u.grid.shell_volumes))
+    return potential_values(kernel, u.values, c_ds)
+
+
+def potential_values(kernel: RieszKernel, values: np.ndarray, c_ds: float) -> np.ndarray:
+    """phi of raw cell values on the kernel's own grid (unchecked)."""
+    return c_ds * (kernel.K @ (values * kernel.grid.shell_volumes))
 
 
 def interaction_energy(kernel: RieszKernel, u: DensityField) -> float:
@@ -165,11 +169,7 @@ def interaction_energy(kernel: RieszKernel, u: DensityField) -> float:
 
 def potential_gradient(kernel: RieszKernel, u: DensityField, c_ds: float) -> np.ndarray:
     """d(phi)/dr at the N+1 faces; zero at r = 0 (symmetry) and at R_max."""
-    phi = potential(kernel, u, c_ds)
-    centers = kernel.grid.centers
-    grad = np.zeros(kernel.grid.n_cells + 1)
-    grad[1:-1] = np.diff(phi) / np.diff(centers)
-    return grad
+    return face_gradient(potential(kernel, u, c_ds), kernel.grid)
 
 
 def build_weak_interaction_kernel(grid: RadialGrid, s: float, dpsi,
@@ -215,16 +215,6 @@ def build_weak_interaction_kernel(grid: RadialGrid, s: float, dpsi,
 
     M = _pair_average(grid, gauss_order, fn)
     return 0.5 * (M + M.T)
-
-
-def kernel_cache_key(grid: RadialGrid, s: float, epsilon: float,
-                     gauss_order: int = 2) -> str:
-    """Content hash identifying a kernel build (d, s, eps, N, R_max, rule)."""
-    payload = (
-        f"d={grid.d};s={s!r};eps={epsilon!r};n={grid.n_cells};"
-        f"rmax={grid.r_max!r};order={gauss_order}"
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def save_kernel(kernel: RieszKernel, path) -> None:

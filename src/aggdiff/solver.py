@@ -21,16 +21,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .energy import (
-    chemical_potential,
-    energy_report,
-    free_energy,
-    upwind_face_values,
-)
-from .field import DensityField, lp_norm, mass, second_moment
+from .energy import energy_report, free_energy, mu_values, upwind_face_values
+from .field import (DensityField, check_density, face_gradient, lp_norm, mass,
+                    require_same_grid, second_moment)
 from .model import ModelParams
 from .riesz import RieszKernel, build_kernel, build_weak_interaction_kernel
-from .errors import GridMismatchError
 
 
 @dataclass(frozen=True)
@@ -113,73 +108,68 @@ class RunOutcome:
     fields: list = field(default_factory=list)
 
 
-def _fluxes(u_vals: np.ndarray, mu: np.ndarray, grid, epsilon: float):
-    """Face velocities and total face fluxes (advective + eps diffusion)."""
-    dr = np.diff(grid.centers)
-    w_int = -(mu[1:] - mu[:-1]) / dr
-    w = np.zeros(grid.n_cells + 1)
-    w[1:-1] = w_int
-    flux = np.zeros(grid.n_cells + 1)
-    flux[1:-1] = upwind_face_values(u_vals, w) * w_int
-    if epsilon > 0.0:
-        flux[1:-1] -= epsilon * (u_vals[1:] - u_vals[:-1]) / dr
-    return w, flux
+class _Stepper:
+    """Explicit steps on raw cell values with the kernel grid's geometry
+    looked up once: built per :func:`run` and per :func:`step` call."""
 
+    def __init__(self, kernel: RieszKernel, params: ModelParams,
+                 config: SolverConfig, c_ds: float):
+        grid = kernel.grid
+        self.grid, self.kernel, self.m, self.c_ds = grid, kernel, params.m, c_ds
+        self.cfl, self.epsilon, self.dt_max = config.cfl, config.epsilon, config.dt_max
+        self.dr = grid.center_spacing
+        self.min_width2 = np.min(grid.widths) ** 2
+        self.areas = grid.face_areas
+        # boundary faces carry no flux; pad their spacing to keep it finite
+        self.eps_rate = config.epsilon / np.concatenate(([1.0], self.dr, [1.0]))
+        self.vols = grid.shell_volumes
+        self.band_face = int(np.searchsorted(grid.r_edges, 0.95 * grid.r_max))
 
-def _stable_dt(u_vals: np.ndarray, w: np.ndarray, grid, params: ModelParams,
-               cfl: float, epsilon: float) -> float:
-    """CFL step: advective face limit, nonlinear-diffusion limit, and a
-    volumetric donor-cell positivity limit (binding near the origin)."""
-    dr = np.diff(grid.centers)
-    widths = grid.widths
-    speeds = np.abs(w[1:-1])
-    with np.errstate(divide="ignore"):
-        dt_adv = np.min(np.where(speeds > 0.0, dr / speeds, np.inf))
-    u_max = float(np.max(u_vals, initial=0.0))
-    diff_coeff = 2.0 * params.m * u_max ** (params.m - 1.0) + 2.0 * epsilon
-    dt_diff = np.min(widths) ** 2 / diff_coeff if diff_coeff > 0.0 else np.inf
-    areas = grid.face_areas
-    dr_pad = np.concatenate(([1.0], dr, [1.0]))  # boundary faces carry no flux
-    face_rate = areas * (np.abs(w) + epsilon / dr_pad)
-    outflow = face_rate[:-1] + face_rate[1:]
-    with np.errstate(divide="ignore"):
-        dt_vol = np.min(np.where(outflow > 0.0, grid.shell_volumes / outflow, np.inf))
-    return cfl * min(dt_adv, dt_diff, dt_vol)
-
-
-def _advance(u_vals: np.ndarray, kernel: RieszKernel, params: ModelParams,
-             config: SolverConfig, c_ds: float, t_left: float):
-    """One explicit step.  Returns (new values, dt taken, stable dt,
-    clipped mass, outward flux rate at the 95% R_max face)."""
-    grid = kernel.grid
-    u = DensityField(grid, u_vals)
-    mu = chemical_potential(u, kernel, params, c_ds=c_ds)
-    w, flux = _fluxes(u_vals, mu, grid, config.epsilon)
-    dt_stab = _stable_dt(u_vals, w, grid, params, config.cfl, config.epsilon)
-    dt = min(dt_stab, config.dt_max, t_left)
-    areas = grid.face_areas
-    div = areas[1:] * flux[1:] - areas[:-1] * flux[:-1]
-    new_vals = u_vals - dt * div / grid.shell_volumes
-    clipped = 0.0
-    if np.any(new_vals < 0.0):
+    def advance(self, u_vals: np.ndarray, t_left: float):
+        """Returns (new values, dt taken, stable dt, clipped mass, outward
+        flux rate at the 95% R_max face)."""
+        check_density(u_vals)
+        eps, dr, areas, vols = self.epsilon, self.dr, self.areas, self.vols
+        # face velocity w = -dmu/dr, donor-cell flux, plus eps diffusion
+        w = -face_gradient(mu_values(u_vals, self.kernel, self.m, self.c_ds), self.grid)
+        flux = np.zeros(w.size)
+        flux[1:-1] = upwind_face_values(u_vals, w) * w[1:-1]
+        if eps > 0.0:
+            flux[1:-1] -= eps * (u_vals[1:] - u_vals[:-1]) / dr
+        # CFL step: advective face limit, nonlinear-diffusion limit, and a
+        # volumetric donor-cell positivity limit (binding near the origin)
+        speeds = np.abs(w)
+        u_max = float(u_vals.max())  # validated non-negative above
+        diff_coeff = 2.0 * self.m * u_max ** (self.m - 1.0) + 2.0 * eps
+        dt_diff = self.min_width2 / diff_coeff if diff_coeff > 0.0 else np.inf
+        outflow = areas * (speeds + self.eps_rate)
+        outflow = outflow[:-1] + outflow[1:]
+        with np.errstate(divide="ignore"):
+            dt_adv = np.where(speeds[1:-1] > 0.0, dr / speeds[1:-1], np.inf).min()
+            dt_vol = np.where(outflow > 0.0, vols / outflow, np.inf).min()
+        dt_stab = self.cfl * min(dt_adv, dt_diff, dt_vol)
+        dt = min(dt_stab, self.dt_max, t_left)
+        div = areas[1:] * flux[1:] - areas[:-1] * flux[:-1]
+        new_vals = u_vals - dt * div / vols
+        clipped = 0.0
         neg = new_vals < 0.0
-        clipped = float(-np.dot(new_vals[neg], grid.shell_volumes[neg]))
-        new_vals = np.where(neg, 0.0, new_vals)
-    band_face = int(np.searchsorted(grid.r_edges, 0.95 * grid.r_max))
-    band_rate = float(areas[band_face] * flux[band_face]) if band_face < flux.size else 0.0
-    return new_vals, dt, dt_stab, clipped, band_rate
+        if neg.any():
+            clipped = float(-np.dot(new_vals[neg], vols[neg]))
+            new_vals = np.where(neg, 0.0, new_vals)
+        band_rate = float(areas[self.band_face] * flux[self.band_face])
+        return new_vals, dt, dt_stab, clipped, band_rate
 
 
 def step(state: SolverState, kernel: RieszKernel, params: ModelParams,
          config: SolverConfig, c_ds: float | None = None) -> SolverState:
     """Advance one conservative step (chiefly for tests and notebooks;
     :func:`run` drives the same update in a loop)."""
+    require_same_grid(state.u.grid, kernel.grid, "field and kernel")
     if c_ds is None:
         c_ds = params.c_ds
     t_left = max(config.t_end - state.t, config.dt_min)
-    new_vals, dt, _, clipped, _ = _advance(
-        state.u.values, kernel, params, config, c_ds, t_left
-    )
+    new_vals, dt, _, clipped, _ = _Stepper(kernel, params, config, c_ds).advance(
+        state.u.values, t_left)
     return SolverState(
         t=state.t + dt,
         u=state.u.with_values(new_vals),
@@ -228,8 +218,7 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
     when the L^inf norm has already at least doubled, and as a stall
     otherwise.
     """
-    if not kernel.grid.same_as(u0.grid):
-        raise GridMismatchError("initial condition and kernel grids differ")
+    require_same_grid(u0.grid, kernel.grid, "initial condition and kernel")
     if c_ds is None:
         c_ds = params.c_ds
     u_vals = u0.values.copy()
@@ -242,10 +231,10 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
     fields = [(0.0, u_vals.copy())] if store_fields else []
     status, reason, t_detect = "completed", None, None
 
+    stepper = _Stepper(kernel, params, config, c_ds)
     while t < config.t_end * (1.0 - 1e-14):
-        new_vals, dt, dt_stab, clipped, band_rate = _advance(
-            u_vals, kernel, params, config, c_ds, config.t_end - t
-        )
+        new_vals, dt, dt_stab, clipped, band_rate = stepper.advance(
+            u_vals, config.t_end - t)
         if dt_stab < config.dt_min:
             linf_now = float(np.max(u_vals, initial=0.0))
             if u0_linf > 0.0 and linf_now > 2.0 * u0_linf:
@@ -263,8 +252,8 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
             status, reason, t_detect = "blowup", "linf_threshold", t
             break
         if steps % config.output_every == 0:
-            u_now = DensityField(kernel.grid, u_vals)
-            rows.append(_diag_row(u_now, kernel, params, c_ds, t, dt))
+            rows.append(_diag_row(DensityField(kernel.grid, u_vals), kernel, params,
+                                  c_ds, t, dt))
             if store_fields:
                 fields.append((t, u_vals.copy()))
         if steps >= config.max_steps:

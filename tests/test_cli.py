@@ -50,6 +50,14 @@ class TestConfig:
         assert cfg["model"]["s"] == 1.2
         assert cfg["seed"] == 7
 
+    def test_fault_must_be_known(self, tmp_path, capsys):
+        assert load_config(None, ["experiment.fault=asymmetric_kernel"])
+        assert load_config(None, ["experiment.fault=null"])
+        code = run_cli("verify", "--set", "experiment.fault=asymetric_kernel",
+                       "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "experiment.fault" in capsys.readouterr().err
+
     def test_coupled_domain_constraint(self):
         with pytest.raises(ConfigError, match="2 < 2s < d"):
             load_config(None, ["model.s=1.6"])  # 2s = 3.2 > d = 3
@@ -103,6 +111,60 @@ class TestExtremalAndProfileFlow:
                        "--set", "experiment.fixed_point.tol=1e-14",
                        "--out", str(tmp_path / "out"))
         assert code == 3
+
+
+@pytest.fixture(scope="module")
+def extremal_profile(tmp_path_factory):
+    """Steady profile written by ``aggdiff extremal`` on the SMALL grid."""
+    out = tmp_path_factory.mktemp("extremal")
+    assert run_cli("extremal", *SMALL, "--out", str(out)) == 0
+    return out / "profile_extremal.csv"
+
+
+class TestProfileHandoff:
+    def test_sidecar_records_grid(self, extremal_profile):
+        meta = json.loads(extremal_profile.with_suffix(".json").read_text())
+        assert (meta["d"], meta["n_cells"], meta["r_max"]) == (3, 96, 4.0)
+
+    def test_simulate_from_profile(self, tmp_path, extremal_profile, capsys):
+        out = tmp_path / "out"
+        code = run_cli("simulate", *SMALL, "--set", "solver.t_end=0.001",
+                       "--profile", str(extremal_profile), "--out", str(out))
+        assert code == 0
+        res = json.loads((out / "report.json").read_text())["results"]
+        meta = json.loads(extremal_profile.with_suffix(".json").read_text())
+        assert res["status"] == "completed"
+        assert res["mass_initial"] == pytest.approx(meta["M_target"], rel=1e-9)
+
+    def test_dichotomy_from_profile(self, tmp_path, extremal_profile, capsys):
+        out = tmp_path / "out"
+        code = run_cli("dichotomy", *SMALL, "--set", "experiment.mass_ratios=[1.5]",
+                       "--set", "solver.blowup_factor=100",
+                       "--profile", str(extremal_profile), "--out", str(out))
+        assert code == 0
+        res = json.loads((out / "report.json").read_text())["results"]
+        meta = json.loads(extremal_profile.with_suffix(".json").read_text())
+        assert res["M_star"] == meta["M_target"]
+        assert res["table"][0]["status"] == "blowup"
+
+    def test_profile_on_other_grid_is_config_error(self, tmp_path, extremal_profile,
+                                                   capsys):
+        code = run_cli("simulate", *SMALL, "--set", "grid.r_max=4.5",
+                       "--profile", str(extremal_profile), "--out", str(tmp_path))
+        assert code == 1
+        assert "does not match configured grid" in capsys.readouterr().err
+
+    def test_sidecar_volume_mismatch_is_config_error(self, tmp_path, extremal_profile,
+                                                     capsys):
+        csv_path = tmp_path / "profile.csv"
+        csv_path.write_bytes(extremal_profile.read_bytes())
+        meta = json.loads(extremal_profile.with_suffix(".json").read_text())
+        meta["r_max"] = 4.5
+        csv_path.with_suffix(".json").write_text(json.dumps(meta))
+        code = run_cli("simulate", *SMALL, "--profile", str(csv_path),
+                       "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "volumes do not match" in capsys.readouterr().err
 
 
 class TestSimulate:

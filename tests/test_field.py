@@ -7,6 +7,7 @@ import pytest
 
 from aggdiff import (
     DensityField,
+    GridMismatchError,
     RadialGrid,
     barenblatt_profile,
     hls_extremizer_profile,
@@ -47,6 +48,31 @@ class TestGrid:
         g = RadialGrid.uniform(8, 1.0)
         with pytest.raises(ValueError):
             DensityField(g, -np.ones(8))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        vals = np.ones(8)
+        vals[3] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            DensityField(RadialGrid.uniform(8, 1.0), vals)
+
+    @pytest.mark.parametrize("name", ["r_edges", "widths", "shell_volumes", "centers",
+                                      "center_spacing", "mean_r2", "face_areas"])
+    def test_geometry_arrays_read_only(self, name):
+        g = RadialGrid.uniform(16, 1.0)
+        arr = getattr(g, name)
+        assert getattr(g, name) is arr  # computed once, then cached
+        with pytest.raises(ValueError, match="read-only"):
+            arr[1] = 7.0
+
+    def test_caller_edges_copied(self):
+        edges = np.linspace(0.0, 2.0, 17)
+        g = RadialGrid(d=3, r_edges=edges)
+        edges[5] = 0.6
+        edges *= 3.0
+        assert np.array_equal(g.r_edges, np.linspace(0.0, 2.0, 17))
+        assert np.array_equal(g.shell_volumes, RadialGrid.uniform(16, 2.0).shell_volumes)
+        assert g.total_volume == pytest.approx(4 * math.pi / 3 * 8.0, rel=1e-13)
 
 
 class TestMass:
@@ -213,6 +239,19 @@ class TestCsvRoundTrip:
         back = read_field_csv(path, d=3)
         assert np.allclose(back.values, u.values, rtol=0, atol=0)
         assert np.allclose(back.grid.r_edges, g.r_edges, rtol=1e-12)
+
+    def test_read_onto_grid_is_exact(self, tmp_path):
+        g = RadialGrid.uniform(96, 4.0)
+        u = DensityField(g, np.random.default_rng(9).uniform(0, 3, 96))
+        path = tmp_path / "field.csv"
+        write_field_csv(u, path)
+        back = read_field_csv(path, grid=RadialGrid.uniform(96, 4.0))
+        assert back.grid.same_as(g)
+        assert np.array_equal(back.values, u.values)
+        with pytest.raises(GridMismatchError, match="volumes"):
+            read_field_csv(path, grid=RadialGrid.uniform(96, 4.0 * (1 + 1e-11)))
+        with pytest.raises(GridMismatchError):
+            read_field_csv(path, grid=RadialGrid.uniform(95, 4.0))
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -32,7 +32,7 @@ from aggdiff import (
     save_kernel,
     vhls_ratio,
 )
-from aggdiff.riesz import build_weak_interaction_kernel, kernel_cache_key
+from aggdiff.riesz import build_weak_interaction_kernel
 from conftest import random_bump_field
 
 ALPHA = 0.5
@@ -128,10 +128,6 @@ class TestKernelMatrix:
         assert np.array_equal(back.K, kernel96.K)
         assert back.grid.same_as(grid96)
         assert back.s == kernel96.s
-        key1 = kernel_cache_key(grid96, 1.25, 0.0)
-        key2 = kernel_cache_key(grid96, 1.25, 0.1)
-        assert key1 != key2
-        assert key1 == kernel_cache_key(grid96, 1.25, 0.0)
 
 
 class TestPotential:

@@ -7,8 +7,10 @@ import pytest
 
 from aggdiff import (
     DensityField,
+    GridMismatchError,
     ModelParams,
     RadialGrid,
+    RieszKernel,
     SolverConfig,
     SolverState,
     barenblatt_profile,
@@ -61,6 +63,23 @@ class TestStep:
         assert all(a >= b - 1e-12 for a, b in zip(lm, lm[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(linf, linf[1:]))
 
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    def test_steps_match_run_bitwise(self, params, grid96, kernel96, epsilon):
+        u0 = barenblatt_profile(grid96, 20.0, 1.0, params.m)
+        cfg = SolverConfig(t_end=1.0, epsilon=epsilon, max_steps=40)
+        out = run(u0, kernel96, params, cfg)
+        assert out.reason == "max_steps"
+        state = SolverState(t=0.0, u=u0)
+        for _ in range(40):
+            state = step(state, kernel96, params, cfg)
+        assert state.t == out.final_state.t
+        assert np.array_equal(state.u.values, out.final_state.u.values)
+
+    def test_grid_mismatch_rejected(self, params, kernel96):
+        u = DensityField(RadialGrid.uniform(96, 3.5), np.ones(96))
+        with pytest.raises(GridMismatchError):
+            step(SolverState(t=0.0, u=u), kernel96, params, SolverConfig(t_end=1.0))
+
 
 class TestRun:
     def test_zero_initial_condition(self, params, grid96, kernel96):
@@ -107,6 +126,27 @@ class TestRun:
         out = run(u0, kernel96, params, cfg)
         assert out.status == "stalled"
         assert out.reason == "dt_min"
+
+    def test_nan_kernel_fails_on_the_next_step(self, params, grid96, kernel96):
+        class CountingMatrix(np.ndarray):
+            matvecs = 0
+
+            def __matmul__(self, other):
+                CountingMatrix.matvecs += 1
+                return np.asarray(self) @ other
+
+        K = kernel96.K.copy()
+        K[0, -1] = np.nan
+        bad = RieszKernel(grid96, kernel96.s, kernel96.epsilon,
+                          K.view(CountingMatrix))
+        u0 = barenblatt_profile(grid96, 20.0, 1.0, params.m)
+        # without a per-step check this would run all 1000 steps
+        cfg = SolverConfig(t_end=1.0, dt_max=1e-9, max_steps=1000,
+                           output_every=10_000)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            run(u0, bad, params, cfg)
+        # three for the initial diagnostics row, one per step taken
+        assert CountingMatrix.matvecs <= 5
 
     def test_boundary_flux_tracks_spreading(self, params, grid96, kernel96):
         wide = barenblatt_profile(grid96, 30.0, 2.85, params.m)
