@@ -47,7 +47,7 @@ from .field import (
     scale,
     write_field_csv,
 )
-from .riesz import build_kernel, interaction_energy
+from .riesz import RieszKernel, build_kernel, interaction_energy
 from .solver import (
     SolverConfig,
     blowup_time_upper_bound,
@@ -252,7 +252,9 @@ def _build_workspace(cfg: dict):
                               d=params.d)
     kernel = build_kernel(grid, params.s, epsilon=cfg["model"]["epsilon"])
     if cfg["experiment"].get("fault") == "asymmetric_kernel":
-        kernel.K[0, -1] *= 1.01  # seeded fault for the verify suite
+        K = kernel.K.copy()
+        K[0, -1] *= 1.01  # seeded fault for the verify suite
+        kernel = RieszKernel(grid, params.s, kernel.epsilon, K)
     return params, grid, kernel
 
 

@@ -44,7 +44,10 @@ def chemical_potential(u: DensityField, kernel: RieszKernel,
 def mu_values(values: np.ndarray, kernel: RieszKernel, m: float,
               c_ds: float) -> np.ndarray:
     """Chemical potential of raw cell values on the kernel's grid (unchecked)."""
-    phi = potential_values(kernel, values, c_ds)
+    return _mu(values, potential_values(kernel, values, c_ds), m)
+
+
+def _mu(values: np.ndarray, phi: np.ndarray, m: float) -> np.ndarray:
     return m / (m - 1.0) * values ** (m - 1.0) - phi
 
 
@@ -67,26 +70,31 @@ class EnergyReport:
     J: float
 
 
-def _entropy_and_interaction(u: DensityField, kernel: RieszKernel,
-                             params: ModelParams, c_ds: float | None):
-    """The two parts (S, W) of F = S - W."""
-    require_same_grid(u.grid, kernel.grid, "field and kernel")
-    c_ds = params.c_ds if c_ds is None else c_ds
-    S = np.dot(u.values ** params.m, u.grid.shell_volumes) / (params.m - 1.0)
-    return float(S), float(0.5 * c_ds * interaction_energy(kernel, u))
+def _entropy(u: DensityField, m: float) -> float:
+    return float(np.dot(u.values ** m, u.grid.shell_volumes) / (m - 1.0))
 
 
 def free_energy(u: DensityField, kernel: RieszKernel, params: ModelParams,
                 c_ds: float | None = None) -> float:
-    S, W = _entropy_and_interaction(u, kernel, params, c_ds)
-    return S - W
+    require_same_grid(u.grid, kernel.grid, "field and kernel")
+    c_ds = params.c_ds if c_ds is None else c_ds
+    return _entropy(u, params.m) - float(0.5 * c_ds * interaction_energy(kernel, u))
 
 
 def energy_report(u: DensityField, kernel: RieszKernel, params: ModelParams,
                   c_ds: float | None = None) -> EnergyReport:
-    S, W = _entropy_and_interaction(u, kernel, params, c_ds)
-    D = dissipation(u, chemical_potential(u, kernel, params, c_ds=c_ds), u.grid)
-    J = vhls_ratio(u, kernel, params) if mass(u) > 0.0 else 0.0
+    """F, S, W, D and J from one matvec K (u v): phi = c_ds K (u v) and
+    omega = (u v) . K (u v)."""
+    require_same_grid(u.grid, kernel.grid, "field and kernel")
+    c_ds = params.c_ds if c_ds is None else c_ds
+    uv = u.values * u.grid.shell_volumes
+    Kuv = kernel.apply(uv)
+    omega = float(uv @ Kuv)
+    S = _entropy(u, params.m)
+    W = float(0.5 * c_ds * omega)
+    D = dissipation(u, _mu(u.values, c_ds * Kuv, params.m), u.grid)
+    M = mass(u)
+    J = _sharp_ratio(omega, M, u, params) if M > 0.0 else 0.0
     return EnergyReport(F=S - W, S=S, W=W, D=D, J=J)
 
 
@@ -100,8 +108,11 @@ def vhls_ratio(u: DensityField, kernel: RieszKernel, params: ModelParams) -> flo
     M = mass(u)
     if M <= 0.0:
         raise ValueError("VHLS ratio is undefined for the zero field")
+    return _sharp_ratio(interaction_energy(kernel, u), M, u, params)
+
+
+def _sharp_ratio(omega: float, M: float, u: DensityField, params: ModelParams) -> float:
     m = params.m
-    omega = interaction_energy(kernel, u)
     return float(omega / (M ** (2.0 * params.s / params.d) * lp_norm(u, m) ** m))
 
 

@@ -28,10 +28,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Strictly increasing edges 0 = r_0 < ... < r_N = R_max in R^d.  The
-    edges are copied and, like the cached geometry, read-only."""
+    edges are copied and, like the cached geometry, read-only.  Grids
+    compare equal, and hash alike, when :meth:`same_as` holds."""
 
     d: int
     r_edges: np.ndarray
@@ -43,7 +44,7 @@ class RadialGrid:
             raise ValueError("r_edges must be a 1-d array with at least two entries")
         if edges[0] != 0.0:
             raise ValueError("grid must start at r = 0")
-        if np.any(np.diff(edges) <= 0.0):
+        if not np.all(np.diff(edges) > 0.0):  # also rejects NaN edges
             raise ValueError("r_edges must be strictly increasing")
         if self.d < 3:
             raise ValueError(f"dimension must be >= 3, got {self.d}")
@@ -102,6 +103,15 @@ class RadialGrid:
 
     def same_as(self, other: "RadialGrid") -> bool:
         return self.d == other.d and bool(np.array_equal(self.r_edges, other.r_edges))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RadialGrid):
+            return NotImplemented
+        return self.same_as(other)
+
+    def __hash__(self) -> int:
+        # r_0 is +0.0 or -0.0, which compare equal but differ in bytes
+        return hash((self.d, self.r_edges[1:].tobytes()))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import pytest
 from aggdiff import (
     DensityField,
     RadialGrid,
+    RieszKernel,
     barenblatt_profile,
     blowup_initial_data,
     build_kernel,
@@ -58,6 +59,26 @@ class TestFreeEnergy:
         rep = energy_report(u, kernel96, params)
         assert rep.F == rep.S - rep.W
         assert rep.D >= 0.0
+
+    def test_report_does_one_matvec(self, params, grid96, kernel96, monkeypatch):
+        calls = []
+        apply = RieszKernel.apply
+        monkeypatch.setattr(RieszKernel, "apply",
+                            lambda self, x: calls.append(1) or apply(self, x))
+        u = DensityField(grid96, random_bump_field(np.random.default_rng(33), grid96))
+        energy_report(u, kernel96, params)
+        assert len(calls) == 1
+
+    def test_report_equals_the_separate_functionals(self, params, grid96, kernel96):
+        # same operands as free_energy / dissipation / vhls_ratio: bitwise equal
+        rng = np.random.default_rng(34)
+        for _ in range(5):
+            u = DensityField(grid96, random_bump_field(rng, grid96))
+            rep = energy_report(u, kernel96, params)
+            assert rep.F == free_energy(u, kernel96, params)
+            assert rep.W == 0.5 * params.c_ds * interaction_energy(kernel96, u)
+            assert rep.D == dissipation(u, chemical_potential(u, kernel96, params), grid96)
+            assert rep.J == vhls_ratio(u, kernel96, params)
 
     def test_part_scalings(self, params):
         # S -> lam^m mu^-d S and W -> lam^2 mu^-(d+2s) W under lam*u(mu r)

@@ -75,6 +75,25 @@ class TestGrid:
         assert g.total_volume == pytest.approx(4 * math.pi / 3 * 8.0, rel=1e-13)
 
 
+    def test_equality_follows_same_as(self):
+        a, b = RadialGrid.uniform(8, 1.0), RadialGrid.uniform(8, 1.0)
+        assert a == b and not a != b
+        assert a != RadialGrid.uniform(8, 2.0)
+        assert a != RadialGrid.uniform(9, 1.0)
+        assert a != RadialGrid.uniform(8, 1.0, d=4)
+        assert a != "not a grid"
+
+    def test_hash_consistent_with_equality(self):
+        a, b = RadialGrid.uniform(8, 1.0), RadialGrid.uniform(8, 1.0)
+        assert hash(a) == hash(b)
+        assert len({a, b, RadialGrid.uniform(8, 2.0)}) == 2
+        signed_zero = RadialGrid(d=3, r_edges=np.concatenate(([-0.0], a.r_edges[1:])))
+        assert signed_zero == a and hash(signed_zero) == hash(a)
+
+    def test_nan_edges_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            RadialGrid(d=3, r_edges=np.array([0.0, 0.5, np.nan, 1.0]))
+
 class TestMass:
     def test_unit_ball(self):
         g = RadialGrid.uniform(200, 1.0)  # edge aligns with r = 1

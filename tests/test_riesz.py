@@ -19,6 +19,7 @@ from aggdiff import (
     DensityField,
     ParameterDomainError,
     RadialGrid,
+    RieszKernel,
     angular_kernel,
     build_kernel,
     hls_sharp_constant,
@@ -32,6 +33,7 @@ from aggdiff import (
     save_kernel,
     vhls_ratio,
 )
+from aggdiff import riesz
 from aggdiff.riesz import build_weak_interaction_kernel
 from conftest import random_bump_field
 
@@ -128,6 +130,134 @@ class TestKernelMatrix:
         assert np.array_equal(back.K, kernel96.K)
         assert back.grid.same_as(grid96)
         assert back.s == kernel96.s
+
+    def test_matrix_is_read_only(self, kernel96):
+        with pytest.raises(ValueError):
+            kernel96.K[0, 0] = 1.0
+
+    def test_kernel_needs_exactly_one_representation(self, grid96, kernel96):
+        with pytest.raises(ValueError, match="exactly one"):
+            RieszKernel(grid96, kernel96.s, kernel96.epsilon)
+
+
+def _write_kernel_file(path, K, r_edges, meta):
+    np.savez_compressed(path, K=K, r_edges=r_edges, meta=np.asarray(meta, dtype=float))
+
+
+class TestKernelFile:
+    def test_roundtrip_keeps_gauss_order(self, tmp_path, grid96):
+        k = build_kernel(grid96, 1.25, epsilon=0.05, gauss_order=3)
+        path = tmp_path / "kernel.npz"
+        save_kernel(k, path)
+        back = load_kernel(path)
+        assert back.gauss_order == 3
+        assert (back.s, back.epsilon) == (1.25, 0.05)
+        assert np.array_equal(back.K, k.K)
+        assert not back.structured
+
+    def test_file_without_order_loads_as_order_two(self, tmp_path, grid96, kernel96):
+        path = tmp_path / "old.npz"
+        _write_kernel_file(path, kernel96.K, grid96.r_edges, [3, kernel96.s, 0.0])
+        back = load_kernel(path)
+        assert back.gauss_order == 2
+        assert np.array_equal(back.K, kernel96.K)
+
+    def test_wrong_shape_rejected(self, tmp_path, grid96, kernel96):
+        path = tmp_path / "k.npz"
+        _write_kernel_file(path, kernel96.K[:-1, :-1], grid96.r_edges, [3, 1.25, 0.0, 2])
+        with pytest.raises(ValueError, match=r"shape \(95, 95\), expected \(96, 96\)"):
+            load_kernel(path)
+
+    def test_non_finite_rejected(self, tmp_path, grid96, kernel96):
+        K = kernel96.K.copy()
+        K[3, 3] = np.inf
+        path = tmp_path / "k.npz"
+        _write_kernel_file(path, K, grid96.r_edges, [3, 1.25, 0.0, 2])
+        with pytest.raises(ValueError, match="non-finite"):
+            load_kernel(path)
+
+    def test_asymmetric_rejected(self, tmp_path, grid96, kernel96):
+        K = kernel96.K.copy()
+        K[0, -1] *= 1.0 + 1e-15
+        path = tmp_path / "k.npz"
+        _write_kernel_file(path, K, grid96.r_edges, [3, 1.25, 0.0, 2])
+        with pytest.raises(ValueError, match="not exactly symmetric"):
+            load_kernel(path)
+
+
+def _dense_twin(kernel):
+    """The same kernel on its dense oracle matrix."""
+    return RieszKernel(kernel.grid, kernel.s, kernel.epsilon, kernel.K,
+                       kernel.gauss_order)
+
+
+class TestStructuredOperator:
+    @pytest.mark.parametrize("n_cells", [1024, 1536])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_matches_dense_oracle(self, n_cells, epsilon, order):
+        g = RadialGrid.uniform(n_cells, 4.0)
+        k = build_kernel(g, 1.25, epsilon=epsilon, gauss_order=order)
+        assert k.structured
+        K = k.K
+        rng = np.random.default_rng(n_cells + order)
+        for v in (rng.random(n_cells), rng.random(n_cells) * g.shell_volumes,
+                  rng.standard_normal(n_cells)):
+            ref = K @ v
+            assert np.max(np.abs(k.apply(v) - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    def test_bilinear_symmetry(self, params):
+        g = RadialGrid.uniform(1024, 4.0)
+        k = build_kernel(g, params.s, epsilon=0.1)
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            u, v = rng.random(1024), rng.random(1024)
+            uKv = u @ k.apply(v)
+            assert abs(uKv - v @ k.apply(u)) <= 1e-13 * abs(uKv)
+
+    def test_dense_oracle_is_built_on_first_access(self, params):
+        k = build_kernel(RadialGrid.uniform(1024, 4.0), params.s)
+        assert k._K is None
+        K = k.K
+        assert K is k.K and K.shape == (1024, 1024)
+
+    @pytest.mark.parametrize("n_cells", [96, 256, 512])
+    def test_small_uniform_grids_stay_dense(self, params, n_cells):
+        g = RadialGrid.uniform(n_cells, 4.0)
+        k = build_kernel(g, params.s)
+        assert not k.structured
+        u = DensityField(g, np.exp(-g.centers ** 2))
+        phi = potential(k, u, params.c_ds)
+        assert np.array_equal(phi, params.c_ds * (k.K @ (u.values * g.shell_volumes)))
+
+    def test_dispatch_rule(self, params, monkeypatch):
+        """Only uniform d = 3 grids of at least STRUCTURED_MIN_CELLS cells take
+        the FFT path; rearranged grids and d = 5 keep the dense matrix."""
+        monkeypatch.setattr(riesz, "STRUCTURED_MIN_CELLS", 16)
+        uniform = RadialGrid.uniform(96, 3.0)
+        assert build_kernel(uniform, params.s).structured
+        assert not build_kernel(RadialGrid.uniform(12, 3.0), params.s).structured
+        rng = np.random.default_rng(32)
+        u = rearrange(DensityField(uniform, random_bump_field(rng, uniform)))
+        assert not np.array_equal(u.grid.r_edges, uniform.r_edges)
+        g5 = RadialGrid.uniform(16, 1.0, d=5)
+        u5 = DensityField(g5, np.exp(-g5.centers ** 2))
+        for field, s in ((u, params.s), (u5, 2.0)):
+            k = build_kernel(field.grid, s)
+            assert not k.structured
+            phi = potential(k, field, params.c_ds)
+            ref = params.c_ds * (k.K @ (field.values * field.grid.shell_volumes))
+            assert np.array_equal(phi, ref)
+
+    def test_matches_oracle_below_threshold_when_forced(self, params, monkeypatch):
+        monkeypatch.setattr(riesz, "STRUCTURED_MIN_CELLS", 8)
+        for n_cells in (8, 40, 96):
+            g = RadialGrid.uniform(n_cells, 3.0)
+            k = build_kernel(g, params.s)
+            assert k.structured
+            v = np.random.default_rng(n_cells).random(n_cells)
+            ref = k.K @ v
+            assert np.max(np.abs(k.apply(v) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestPotential:
