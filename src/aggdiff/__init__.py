@@ -56,7 +56,6 @@ from .solver import (
     SolverConfig,
     SolverState,
     blowup_time_upper_bound,
-    detect_blowup,
     diffusive_time,
     epsilon_convergence_study,
     plateau_test_function,

@@ -93,7 +93,7 @@ DEFAULT_CONFIG = {
         },
         "fault": None,
     },
-    "output": {"directory": "out", "formats": ["json", "csv"]},
+    "output": {"directory": "out"},
 }
 
 # (path, type, predicate, description) triples drive validation with
@@ -245,9 +245,7 @@ def _write_report(cfg: dict, command: str, results: dict, input_hashes: dict) ->
 
 
 def _build_workspace(cfg: dict):
-    params = model.ModelParams(
-        d=cfg["model"]["d"], s=cfg["model"]["s"], epsilon=cfg["model"]["epsilon"]
-    )
+    params = model.ModelParams(d=cfg["model"]["d"], s=cfg["model"]["s"])
     grid = RadialGrid.uniform(cfg["grid"]["n_cells"], cfg["grid"]["r_max"],
                               d=params.d)
     kernel = build_kernel(grid, params.s, epsilon=cfg["model"]["epsilon"])
@@ -265,7 +263,6 @@ def _solver_config(cfg: dict, t_end: float | None = None, **overrides) -> Solver
         cfl=scfg["cfl"],
         dt_min=scfg["dt_min"],
         blowup_factor=scfg["blowup_factor"],
-        epsilon=cfg["model"]["epsilon"],
         output_every=scfg["output_every"],
     )
     return replace(base, **overrides) if overrides else base
@@ -316,9 +313,7 @@ def _compute_extremal(cfg: dict, params, grid, kernel):
 
 
 def cmd_constants(cfg: dict, profile: str | None = None) -> int:
-    params = model.ModelParams(
-        d=cfg["model"]["d"], s=cfg["model"]["s"], epsilon=cfg["model"]["epsilon"]
-    )
+    params = model.ModelParams(d=cfg["model"]["d"], s=cfg["model"]["s"])
     consts = model.derived_constants(params)
     results = {
         "d": params.d,
@@ -334,7 +329,7 @@ def cmd_constants(cfg: dict, profile: str | None = None) -> int:
     if profile is not None:
         field, meta, hashes = _load_profile(profile, params.d)
         input_hashes.update(hashes)
-        kernel = build_kernel(field.grid, params.s, epsilon=params.epsilon)
+        kernel = build_kernel(field.grid, params.s, epsilon=cfg["model"]["epsilon"])
         measured = vhls_ratio(field, kernel, params)
         results["C_star_measured"] = measured
         results["M_star_measured"] = model.critical_mass(params.d, params.s, measured)

@@ -74,11 +74,10 @@ def _entropy(u: DensityField, m: float) -> float:
     return float(np.dot(u.values ** m, u.grid.shell_volumes) / (m - 1.0))
 
 
-def free_energy(u: DensityField, kernel: RieszKernel, params: ModelParams,
-                c_ds: float | None = None) -> float:
+def free_energy(u: DensityField, kernel: RieszKernel, params: ModelParams) -> float:
     require_same_grid(u.grid, kernel.grid, "field and kernel")
-    c_ds = params.c_ds if c_ds is None else c_ds
-    return _entropy(u, params.m) - float(0.5 * c_ds * interaction_energy(kernel, u))
+    omega = interaction_energy(kernel, u)
+    return _entropy(u, params.m) - float(0.5 * params.c_ds * omega)
 
 
 def energy_report(u: DensityField, kernel: RieszKernel, params: ModelParams,
@@ -116,10 +115,9 @@ def _sharp_ratio(omega: float, M: float, u: DensityField, params: ModelParams) -
     return float(omega / (M ** (2.0 * params.s / params.d) * lp_norm(u, m) ** m))
 
 
-def virial_rhs(u: DensityField, kernel: RieszKernel, params: ModelParams,
-               c_ds: float | None = None) -> float:
+def virial_rhs(u: DensityField, kernel: RieszKernel, params: ModelParams) -> float:
     """Time derivative of the second moment: 2 (d - 2s) F(u)."""
-    return 2.0 * (params.d - 2.0 * params.s) * free_energy(u, kernel, params, c_ds=c_ds)
+    return 2.0 * (params.d - 2.0 * params.s) * free_energy(u, kernel, params)
 
 
 def lr_lower_bound(M: float, m2: float, r: float, d: int) -> float:

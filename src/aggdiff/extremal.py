@@ -63,13 +63,14 @@ class ExtremalResult:
     iterations: int
 
 
-def _support_mask(values: np.ndarray, threshold_frac: float = 1e-8) -> np.ndarray:
+def _support_mask(values: np.ndarray) -> np.ndarray:
+    """Cells above 1e-8 of the peak."""
     peak = float(np.max(values, initial=0.0))
-    return values > threshold_frac * peak
+    return values > 1e-8 * peak
 
 
-def _support_radius(u: DensityField, threshold_frac: float = 1e-8) -> float:
-    above = _support_mask(u.values, threshold_frac)
+def _support_radius(u: DensityField) -> float:
+    above = _support_mask(u.values)
     if not np.any(above):
         return 0.0
     return float(u.grid.r_edges[1:][above].max())
@@ -83,18 +84,16 @@ def variational_multiplier(u: DensityField, params: ModelParams,
 
 
 def el_residual(U: DensityField, kernel: RieszKernel, params: ModelParams,
-                M_target: float, c_ds: float | None = None,
-                threshold_frac: float = 1e-8) -> float:
-    """Sup-norm defect of the steady equation over the support,
-    normalised by |lam| with lam the variational multiplier."""
-    if c_ds is None:
-        c_ds = params.c_ds
-    above = _support_mask(U.values, threshold_frac)
+                M_target: float) -> float:
+    """Sup-norm defect of the steady equation over the support (cells
+    above 1e-8 of the peak), normalised by |lam| with lam the variational
+    multiplier."""
+    above = _support_mask(U.values)
     if not np.any(above):
         raise ValueError("residual undefined: field has empty support")
     lam = variational_multiplier(U, params, M_target)
     m = params.m
-    phi = potential(kernel, U, c_ds)
+    phi = potential(kernel, U, params.c_ds)
     defect = m / (m - 1.0) * U.values ** (m - 1.0) - phi - lam
     return float(np.max(np.abs(defect[above])) / abs(lam))
 
@@ -139,23 +138,21 @@ def _dilate_to_m2(u: DensityField, m2_target: float) -> DensityField:
 def el_fixed_point(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
                    M_target: float, init: DensityField | None = None,
                    tol: float = 1e-10, max_iter: int = 500,
-                   damping: float = 0.5, c_ds: float | None = None,
-                   support_radius_init: float | None = None,
-                   anchor_dilation: bool = True) -> ExtremalResult:
-    """Damped fixed-point solve of the steady equation at fixed mass.
+                   support_radius_init: float | None = None) -> ExtremalResult:
+    """Fixed-point solve of the steady equation at fixed mass, damped by
+    averaging each candidate with the current iterate (factor 0.5).
 
     ``tol`` is the successive L^1 change relative to M_target.  The
     default initial guess is a compact truncated-parabola bump of the
-    right mass.  ``anchor_dilation`` rescales every iterate back to the
-    initial second moment through the exact mass-invariant dilation;
-    without it the neutral dilation mode lets off-critical masses drift
-    to the wall or to the grid scale instead of settling.  Raises
+    right mass.  Every iterate is rescaled back to the initial second
+    moment through the exact mass-invariant dilation; without that anchor
+    the neutral dilation mode lets off-critical masses drift to the wall
+    or to the grid scale instead of settling.  Raises
     :class:`ConvergenceError` if the budget runs out.
     """
     if M_target <= 0.0:
         raise ValueError("M_target must be positive")
-    if c_ds is None:
-        c_ds = params.c_ds
+    c_ds = params.c_ds
     if init is None:
         radius = support_radius_init or 0.25 * grid.r_max
         init = barenblatt_profile(grid, M_target, radius, params.m)
@@ -168,9 +165,8 @@ def el_fixed_point(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
     for iteration in range(1, max_iter + 1):
         phi = potential(kernel, DensityField(grid, u_vals), c_ds)
         candidate, lam = _solve_multiplier(phi, m, vols, M_target)
-        new_vals = (1.0 - damping) * u_vals + damping * candidate
-        if anchor_dilation:
-            new_vals = _dilate_to_m2(DensityField(grid, new_vals), m2_anchor).values
+        damped = 0.5 * u_vals + 0.5 * candidate
+        new_vals = _dilate_to_m2(DensityField(grid, damped), m2_anchor).values
         change = float(np.dot(np.abs(new_vals - u_vals), vols)) / M_target
         u_vals = new_vals
         if change < tol:
@@ -181,14 +177,14 @@ def el_fixed_point(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
             f"no fixed point within {max_iter} iterations "
             f"(last relative L1 change {change:.3e})",
             last_change=change,
-            last_residual=el_residual(U_last, kernel, params, M_target, c_ds=c_ds),
+            last_residual=el_residual(U_last, kernel, params, M_target),
         )
     U = DensityField(grid, u_vals)
     return ExtremalResult(
         U=U,
         lambda_bar=lam,
         J_value=vhls_ratio(U, kernel, params),
-        el_residual=el_residual(U, kernel, params, M_target, c_ds=c_ds),
+        el_residual=el_residual(U, kernel, params, M_target),
         support_radius=_support_radius(U),
         iterations=iteration,
     )
@@ -209,8 +205,8 @@ def multiplier_defect(result: ExtremalResult, params: ModelParams,
 def find_critical_mass(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
                        M_lo: float, M_hi: float, rel_tol: float = 1e-5,
                        fp_tol: float = 1e-9, max_iter: int = 500,
-                       support_radius_init: float | None = None,
-                       c_ds: float | None = None) -> tuple[float, ExtremalResult]:
+                       support_radius_init: float | None = None
+                       ) -> tuple[float, ExtremalResult]:
     """Bisection for the mass at which the anchored fixed point is an
     exact steady state (zero multiplier defect).
 
@@ -220,8 +216,7 @@ def find_critical_mass(grid: RadialGrid, kernel: RieszKernel, params: ModelParam
     (its mass is always subcritical).
     """
     def defect_at(M):
-        res = el_fixed_point(grid, kernel, params, M, tol=fp_tol,
-                             max_iter=max_iter, c_ds=c_ds,
+        res = el_fixed_point(grid, kernel, params, M, tol=fp_tol, max_iter=max_iter,
                              support_radius_init=support_radius_init)
         return multiplier_defect(res, params, M), res
 
@@ -253,16 +248,18 @@ def find_critical_mass(grid: RadialGrid, kernel: RieszKernel, params: ModelParam
 
 
 def maximize_vhls(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
-                  n_starts: int = 10, seed: int = 0, max_moves: int = 400,
-                  stall_limit: int = 60) -> ExtremalResult:
+                  n_starts: int = 10, seed: int = 0,
+                  max_moves: int = 400) -> ExtremalResult:
     """Stochastic ascent of the interaction ratio J over non-negative
     fields, reporting the best profile found.
 
     Each start draws a random bump mixture, rearranges it (which never
     decreases J), then proposes multiplicative radial bumps; proposals
     are re-rearranged and accepted only if J improves, so J is
-    non-decreasing along the accepted sequence by construction.  The
-    best ratio over all starts is the measured extremal constant.
+    non-decreasing along the accepted sequence by construction.  A start
+    ends after ``max_moves`` accepted moves or 60 failed proposals in a
+    row.  The best ratio over all starts is the measured extremal
+    constant.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
@@ -281,7 +278,7 @@ def maximize_vhls(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
         moves = 0
         stalls = 0
         width_scale = 0.5
-        while moves < max_moves and stalls < stall_limit:
+        while moves < max_moves and stalls < 60:
             center = rng.uniform(0.0, 0.7 * r_max)
             width = width_scale * r_max * 10.0 ** rng.uniform(-1.5, 0.0)
             amp = rng.uniform(-0.5, 0.5)

@@ -105,20 +105,20 @@ def critical_mass(d: int, s: float, C_star: float) -> float:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Problem parameters: dimension, fractional order, regularisation.
+    """Problem parameters: dimension and fractional order.
 
     The diffusion exponent is pinned to the critical value m = 2 - 2s/d
     and the kernel power to alpha = d - 2s; both are derived, never set.
+    The regularisation length lives on the kernel
+    (:attr:`aggdiff.riesz.RieszKernel.epsilon`), which carries it to both
+    the mollifier and the solver's epsilon-Laplacian.
     """
 
     d: int
     s: float
-    epsilon: float = 0.0
 
     def __post_init__(self):
         _check_ds(self.d, self.s)
-        if self.epsilon < 0.0:
-            raise ParameterDomainError(f"epsilon must be >= 0, got {self.epsilon}")
 
     @property
     def m(self) -> float:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .energy import energy_report, free_energy, mu_values, upwind_face_values
+from .errors import ParameterDomainError
 from .field import (DensityField, check_density, face_gradient, lp_norm, mass,
                     require_same_grid, second_moment)
 from .model import ModelParams
@@ -35,14 +36,15 @@ class SolverConfig:
     ``blowup_factor`` is the L^inf growth ratio (relative to the initial
     condition) that declares numerical blow-up; ``dt_min`` is the floor
     below which the adaptive step is considered collapsed.  The boundary
-    rule is fixed: zero flux at r = R_max.
+    rule is fixed: zero flux at r = R_max.  The epsilon-Laplacian uses the
+    kernel's regularisation length, so the mollifier and the added
+    diffusion can never disagree.
     """
 
     t_end: float
     cfl: float = 0.4
     dt_min: float = 1e-13
     blowup_factor: float = 1e3
-    epsilon: float = 0.0
     output_every: int = 50
     dt_max: float = math.inf
     max_steps: int = 20_000_000
@@ -54,8 +56,6 @@ class SolverConfig:
             raise ValueError("t_end and dt_min must be positive")
         if self.blowup_factor <= 1.0:
             raise ValueError(f"blowup_factor must exceed 1, got {self.blowup_factor}")
-        if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.output_every < 1:
             raise ValueError("output_every must be >= 1")
 
@@ -110,18 +110,23 @@ class RunOutcome:
 
 class _Stepper:
     """Explicit steps on raw cell values with the kernel grid's geometry
-    looked up once: built per :func:`run` and per :func:`step` call."""
+    looked up once: built per :func:`run` and per :func:`step` call.
+    Rejects a kernel built for another order s or dimension d."""
 
     def __init__(self, kernel: RieszKernel, params: ModelParams,
                  config: SolverConfig, c_ds: float):
         grid = kernel.grid
+        if kernel.s != params.s or grid.d != params.d:
+            raise ParameterDomainError(
+                f"kernel built for s={kernel.s}, d={grid.d} cannot drive a "
+                f"run with s={params.s}, d={params.d}")
         self.grid, self.kernel, self.m, self.c_ds = grid, kernel, params.m, c_ds
-        self.cfl, self.epsilon, self.dt_max = config.cfl, config.epsilon, config.dt_max
+        self.cfl, self.epsilon, self.dt_max = config.cfl, kernel.epsilon, config.dt_max
         self.dr = grid.center_spacing
         self.min_width2 = np.min(grid.widths) ** 2
         self.areas = grid.face_areas
         # boundary faces carry no flux; pad their spacing to keep it finite
-        self.eps_rate = config.epsilon / np.concatenate(([1.0], self.dr, [1.0]))
+        self.eps_rate = kernel.epsilon / np.concatenate(([1.0], self.dr, [1.0]))
         self.vols = grid.shell_volumes
         self.band_face = int(np.searchsorted(grid.r_edges, 0.95 * grid.r_max))
 
@@ -179,15 +184,6 @@ def step(state: SolverState, kernel: RieszKernel, params: ModelParams,
     )
 
 
-def detect_blowup(state: SolverState, u0_linf: float, config: SolverConfig):
-    """(fired, reason): L^inf growth beyond blowup_factor, or dt collapse."""
-    if u0_linf > 0.0 and lp_norm(state.u, np.inf) > config.blowup_factor * u0_linf:
-        return True, "linf_threshold"
-    if not math.isnan(state.dt_last) and state.dt_last < config.dt_min:
-        return True, "dt_collapse"
-    return False, None
-
-
 def _diag_row(u: DensityField, kernel, params, c_ds, t, dt) -> DiagnosticsRow:
     rep = energy_report(u, kernel, params, c_ds=c_ds) if mass(u) > 0.0 else None
     if rep is None:
@@ -214,13 +210,17 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
     """Integrate from u0 until t_end, blow-up, or step collapse.
 
     Diagnostics are recorded every ``output_every`` steps plus at the
-    initial and final states.  A collapsing dt is classified as blow-up
-    when the L^inf norm has already at least doubled, and as a stall
-    otherwise.
+    initial and final states.  This is the one blow-up rule: L^inf above
+    ``blowup_factor`` times its initial value ("linf_threshold"), or a
+    stable dt below ``dt_min`` once L^inf has more than doubled
+    ("dt_collapse"); a collapsing dt without that growth is a stall.
+    Raises :class:`ParameterDomainError` for a kernel built for another
+    s or d.
     """
     require_same_grid(u0.grid, kernel.grid, "initial condition and kernel")
     if c_ds is None:
         c_ds = params.c_ds
+    stepper = _Stepper(kernel, params, config, c_ds)
     u_vals = u0.values.copy()
     u0_linf = float(np.max(u_vals, initial=0.0))
     t = 0.0
@@ -231,7 +231,6 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
     fields = [(0.0, u_vals.copy())] if store_fields else []
     status, reason, t_detect = "completed", None, None
 
-    stepper = _Stepper(kernel, params, config, c_ds)
     while t < config.t_end * (1.0 - 1e-14):
         new_vals, dt, dt_stab, clipped, band_rate = stepper.advance(
             u_vals, config.t_end - t)
@@ -261,10 +260,9 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
             break
 
     u_final = DensityField(kernel.grid, u_vals)
-    if not rows or rows[-1].t < t:
-        rows.append(_diag_row(u_final, kernel, params, c_ds, t,
-                              rows[-1].dt if rows else math.nan))
-    if store_fields and (not fields or fields[-1][0] < t):
+    if rows[-1].t < t:
+        rows.append(_diag_row(u_final, kernel, params, c_ds, t, rows[-1].dt))
+    if store_fields and fields[-1][0] < t:
         fields.append((t, u_vals.copy()))
     final_state = SolverState(t=t, u=u_final, step_count=steps,
                               dt_last=rows[-1].dt)
@@ -294,14 +292,14 @@ def blowup_time_upper_bound(u0: DensityField, kernel: RieszKernel,
     return second_moment(u0) / (2.0 * (params.d - 2.0 * params.s) * abs(F0))
 
 
-def diffusive_time(u: DensityField, params: ModelParams,
-                   support_fraction: float = 1e-10) -> float:
+def diffusive_time(u: DensityField, params: ModelParams) -> float:
     """Nonlinear-diffusion time across the support:
-    R_sup^2 / (2 d m ||u||_inf^{m-1})."""
+    R_sup^2 / (2 d m ||u||_inf^{m-1}), the support being the cells above
+    1e-10 of the peak."""
     u_max = lp_norm(u, np.inf)
     if u_max <= 0.0:
         raise ValueError("diffusive time undefined for the zero field")
-    above = u.values > support_fraction * u_max
+    above = u.values > 1e-10 * u_max
     r_sup = float(u.grid.r_edges[1:][above].max())
     return r_sup ** 2 / (2.0 * params.d * params.m * u_max ** (params.m - 1.0))
 
@@ -376,7 +374,7 @@ def quadratic_test_function(a: float, b: float) -> RadialTestFunction:
 
 
 def weak_form_residual(trajectory, psi: RadialTestFunction, kernel: RieszKernel,
-                       params: ModelParams, c_ds: float | None = None) -> float:
+                       params: ModelParams) -> float:
     """Gap between the two sides of the distributional formulation over
     the trajectory's time span.
 
@@ -388,8 +386,7 @@ def weak_form_residual(trajectory, psi: RadialTestFunction, kernel: RieszKernel,
     """
     if psi.support_radius > kernel.grid.r_max * (1.0 + 1e-12):
         raise ValueError("test function support exceeds the grid")
-    if c_ds is None:
-        c_ds = params.c_ds
+    c_ds = params.c_ds
     grid = kernel.grid
     vols = grid.shell_volumes
     centers = grid.centers
@@ -416,15 +413,13 @@ def epsilon_convergence_study(u0: DensityField, params: ModelParams,
                               eps_list, t_fix: float,
                               config: SolverConfig | None = None) -> list:
     """L^1 distances at t_fix between runs with consecutive regularisation
-    lengths; every run must complete (subcritical data required)."""
-    if config is None:
-        config = SolverConfig(t_end=t_fix)
+    lengths (one kernel per length, which also sets the epsilon-Laplacian);
+    every run must complete (subcritical data required)."""
+    cfg = replace(config or SolverConfig(t_end=t_fix), t_end=t_fix)
     finals = []
     for eps in eps_list:
         kernel = build_kernel(u0.grid, params.s, epsilon=eps)
-        cfg = replace(config, t_end=t_fix, epsilon=eps)
-        run_params = ModelParams(d=params.d, s=params.s, epsilon=eps)
-        outcome = run(u0, kernel, run_params, cfg)
+        outcome = run(u0, kernel, params, cfg)
         if outcome.status != "completed":
             raise RuntimeError(
                 f"epsilon study run at eps={eps} ended with {outcome.status}"

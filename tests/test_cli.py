@@ -37,6 +37,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="solver.cfl"):
             load_config(None, ["solver.cfl=2.0"])
 
+    def test_negative_epsilon_names_field(self):
+        with pytest.raises(ConfigError, match="model.epsilon"):
+            load_config(None, ["model.epsilon=-0.1"])
+
     def test_json_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "model": {\n')

@@ -153,8 +153,6 @@ class TestModelParams:
             ModelParams(d=3, s=1.5)
         with pytest.raises(ParameterDomainError):
             ModelParams(d=3, s=0.9)
-        with pytest.raises(ParameterDomainError):
-            ModelParams(d=3, s=1.25, epsilon=-0.1)
 
     def test_derived_constants_positive_finite(self):
         dc = derived_constants(ModelParams(d=3, s=1.25))

@@ -123,6 +123,10 @@ class TestKernelMatrix:
         with pytest.raises(ParameterDomainError):
             build_kernel(g, 1.2)  # alpha = 2.6
 
+    def test_negative_epsilon_rejected(self, grid96):
+        with pytest.raises(ParameterDomainError, match="epsilon"):
+            build_kernel(grid96, 1.25, epsilon=-0.1)
+
     def test_cache_roundtrip(self, tmp_path, grid96, kernel96):
         path = tmp_path / "kernel.npz"
         save_kernel(kernel96, path)

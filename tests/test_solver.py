@@ -1,4 +1,4 @@
-"""Conservative upwind stepping, blow-up detection, weak form, eps study."""
+"""Conservative upwind stepping, the blow-up rule, weak form, eps study."""
 
 import math
 
@@ -9,6 +9,7 @@ from aggdiff import (
     DensityField,
     GridMismatchError,
     ModelParams,
+    ParameterDomainError,
     RadialGrid,
     RieszKernel,
     SolverConfig,
@@ -17,7 +18,6 @@ from aggdiff import (
     blowup_initial_data,
     blowup_time_upper_bound,
     build_kernel,
-    detect_blowup,
     diffusive_time,
     epsilon_convergence_study,
     free_energy,
@@ -64,14 +64,15 @@ class TestStep:
         assert all(a >= b - 1e-12 for a, b in zip(linf, linf[1:]))
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.05])
-    def test_steps_match_run_bitwise(self, params, grid96, kernel96, epsilon):
+    def test_steps_match_run_bitwise(self, params, grid96, epsilon):
+        kernel = build_kernel(grid96, params.s, epsilon=epsilon)
         u0 = barenblatt_profile(grid96, 20.0, 1.0, params.m)
-        cfg = SolverConfig(t_end=1.0, epsilon=epsilon, max_steps=40)
-        out = run(u0, kernel96, params, cfg)
+        cfg = SolverConfig(t_end=1.0, max_steps=40)
+        out = run(u0, kernel, params, cfg)
         assert out.reason == "max_steps"
         state = SolverState(t=0.0, u=u0)
         for _ in range(40):
-            state = step(state, kernel96, params, cfg)
+            state = step(state, kernel, params, cfg)
         assert state.t == out.final_state.t
         assert np.array_equal(state.u.values, out.final_state.u.values)
 
@@ -79,6 +80,19 @@ class TestStep:
         u = DensityField(RadialGrid.uniform(96, 3.5), np.ones(96))
         with pytest.raises(GridMismatchError):
             step(SolverState(t=0.0, u=u), kernel96, params, SolverConfig(t_end=1.0))
+
+    @pytest.mark.parametrize("other", [ModelParams(d=3, s=1.4),
+                                       ModelParams(d=4, s=1.25)],
+                             ids=["s", "d"])
+    def test_kernel_for_other_parameters_rejected(self, params, grid96, kernel96,
+                                                  other):
+        # kernel96 is built for (d, s) = (3, 1.25)
+        u0 = barenblatt_profile(grid96, 20.0, 1.0, params.m)
+        cfg = SolverConfig(t_end=1.0)
+        with pytest.raises(ParameterDomainError, match="kernel built for"):
+            run(u0, kernel96, other, cfg)
+        with pytest.raises(ParameterDomainError, match="kernel built for"):
+            step(SolverState(t=0.0, u=u0), kernel96, other, cfg)
 
 
 class TestRun:
@@ -101,7 +115,7 @@ class TestRun:
         assert drift <= 1e-12
         F0 = abs(rows[0].F)
         assert all(b.F <= a.F + 1e-8 * F0 for a, b in zip(rows, rows[1:]))
-        assert out.clipped_mass_total <= 1e-10 * rows[0].mass
+        assert out.clipped_mass_total == 0.0
         assert all(np.isfinite(r.D) and r.D >= 0 for r in rows)
 
     def test_supercritical_blows_up_before_chord_bound(self, params, grid256,
@@ -114,6 +128,7 @@ class TestRun:
         assert out.status == "blowup"
         assert out.reason == "linf_threshold"
         assert out.t_detect <= 1.5 * bound
+        assert out.clipped_mass_total == 0.0
         # cross-module consistency: the L^m norm at detection respects the
         # mass/second-moment lower bound
         last = out.diagnostics[-1]
@@ -126,6 +141,21 @@ class TestRun:
         out = run(u0, kernel96, params, cfg)
         assert out.status == "stalled"
         assert out.reason == "dt_min"
+
+    def test_dt_collapse_after_growth_is_blowup(self, params, consts, grid96,
+                                                kernel96):
+        u0 = barenblatt_profile(grid96, 2.0 * consts.M_star, 0.5, params.m)
+        dt0 = step(SolverState(t=0.0, u=u0), kernel96, params,
+                   SolverConfig(t_end=1.0)).dt_last
+        # the L^inf threshold is out of reach, so the shrinking step has to
+        # trip the floor, and L^inf has more than doubled by then
+        cfg = SolverConfig(t_end=1.0, dt_min=0.5 * dt0, blowup_factor=1e12)
+        out = run(u0, kernel96, params, cfg)
+        assert out.status == "blowup"
+        assert out.reason == "dt_collapse"
+        assert out.t_detect is not None and out.t_detect == out.final_state.t
+        assert out.final_state.step_count > 0
+        assert out.diagnostics[-1].linf_norm > 2.0 * out.diagnostics[0].linf_norm
 
     def test_nan_kernel_fails_on_the_next_step(self, params, grid96, kernel96):
         class CountingMatrix(np.ndarray):
@@ -179,29 +209,6 @@ class TestRun:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,mass,lm_norm,linf_norm,m2,F,S,W,D,virial_rhs,dt"
         assert len(lines) == len(out.diagnostics) + 1
-
-
-class TestDetectBlowup:
-    def test_fresh_state_negative(self, grid96):
-        u = DensityField(grid96, np.ones(96))
-        state = SolverState(t=0.0, u=u)
-        fired, reason = detect_blowup(state, 1.0, SolverConfig(t_end=1.0))
-        assert not fired and reason is None
-
-    def test_linf_trigger(self, grid96):
-        vals = np.ones(96)
-        vals[0] = 1e7
-        state = SolverState(t=0.1, u=DensityField(grid96, vals), dt_last=1e-3)
-        fired, reason = detect_blowup(state, 1.0,
-                                      SolverConfig(t_end=1.0, blowup_factor=1e6))
-        assert fired and reason == "linf_threshold"
-
-    def test_dt_trigger(self, grid96):
-        state = SolverState(t=0.1, u=DensityField(grid96, np.ones(96)),
-                            dt_last=1e-15)
-        fired, reason = detect_blowup(state, 1.0,
-                                      SolverConfig(t_end=1.0, dt_min=1e-13))
-        assert fired and reason == "dt_collapse"
 
 
 class TestBlowupTimeBound:
