@@ -6,9 +6,11 @@ On its support a steady profile U with multiplier lam satisfies
     m/(m-1) U^{m-1} = phi_U + lam,      phi_U = c_ds K (U v),
 
 so the natural iteration is U <- [ (m-1)/m (phi_U + lam)_+ ]^{1/(m-1)}
-with lam re-solved each sweep (the map mass(lam) is strictly increasing)
-to hold the mass constraint.  Undamped Picard oscillates for the
-degenerate exponent, so iterates are averaged with factor 0.5.
+with lam re-solved each sweep to hold the mass constraint: Newton's
+method on mass(lam)^(m-1), which is convex and increasing in lam, from
+a lower bound, about 7 evaluations and no bracket search.  Undamped
+Picard oscillates for the degenerate exponent, so iterates are averaged
+with factor 0.5.
 
 At the critical exponent the steady equation has an exactly neutral
 dilation mode (u -> mu^d u(mu r) preserves mass), so when the target
@@ -33,22 +35,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError
 from .field import (
     DensityField,
     RadialGrid,
     barenblatt_profile,
+    dilate,
     lp_norm,
     mass,
-    project_onto,
     rearrange,
-    scale,
+    second_moment,
 )
 from .energy import vhls_ratio
 from .model import ModelParams
 from .riesz import RieszKernel, potential
+
+
+_NEWTON_STEPS = 100  # multiplier solve budget; a solve takes about 7 steps
 
 
 @dataclass(frozen=True)
@@ -98,41 +102,35 @@ def el_residual(U: DensityField, kernel: RieszKernel, params: ModelParams,
     return float(np.max(np.abs(defect[above])) / abs(lam))
 
 
-def _mass_of_multiplier(phi: np.ndarray, lam: float, m: float,
-                        vols: np.ndarray) -> tuple[np.ndarray, float]:
-    vals = np.clip((m - 1.0) / m * (phi + lam), 0.0, None) ** (1.0 / (m - 1.0))
-    return vals, float(np.dot(vals, vols))
+def _mass_of_multiplier(phi: np.ndarray, lam: float, m: float, vols: np.ndarray):
+    """y^p and y^(p-1) with their vols-weighted sums, y = (m-1)/m (phi+lam)_+."""
+    y = np.maximum((m - 1.0) / m * (phi + lam), 0.0)
+    y_pm1 = y ** ((2.0 - m) / (m - 1.0))  # p - 1, p = 1/(m-1)
+    vals = y_pm1 * y
+    return vals, y_pm1, float(np.dot(vals, vols)), float(np.dot(y_pm1, vols))
 
 
 def _solve_multiplier(phi: np.ndarray, m: float, vols: np.ndarray,
                       M_target: float) -> tuple[np.ndarray, float]:
-    """Root of mass(lam) = M_target; mass is strictly increasing in lam."""
+    """Newton's method on mass(lam)^(m-1) = M_target^(m-1).  The left side
+    is a p-norm of convex increasing functions of lam, so from the lower
+    bound lam_0 (the peak value on the whole volume holds M_target) the
+    first step lands right of the root and later steps decrease lam.  It
+    stops once a step is below 1e-14 + 4 eps |lam| (brentq's tolerances)
+    and applies that step to the values to first order."""
     phi_max = float(np.max(phi))
-    lo = -phi_max
-    hi = -phi_max + 1.0
-    while _mass_of_multiplier(phi, hi, m, vols)[1] < M_target:
-        hi = -phi_max + 2.0 * (hi + phi_max)
-        if hi > 1e30:
-            raise RuntimeError("multiplier bracket search failed")
-    lam = brentq(
-        lambda lv: _mass_of_multiplier(phi, lv, m, vols)[1] - M_target,
-        lo, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=300,
-    )
-    vals, _ = _mass_of_multiplier(phi, lam, m, vols)
-    return vals, lam
-
-
-def _dilate_to_m2(u: DensityField, m2_target: float) -> DensityField:
-    """Mass-invariant dilation mu^d u(mu r) projected back onto u's grid,
-    choosing mu so the second moment matches ``m2_target``."""
-    vols = u.grid.shell_volumes
-    m2_now = float(np.dot(u.values * u.grid.mean_r2, vols))
-    if m2_now <= 0.0 or m2_target <= 0.0:
-        return u
-    mu = math.sqrt(m2_now / m2_target)
-    if abs(mu - 1.0) < 1e-15:
-        return u
-    return project_onto(scale(u, mu ** u.grid.d, mu), u.grid)
+    if not (math.isfinite(phi_max) and math.isfinite(np.min(phi))):
+        raise ValueError("potential must be finite")
+    c = (m - 1.0) / m
+    lam = -phi_max + (M_target / float(np.sum(vols))) ** (m - 1.0) / c
+    rtol = 4.0 * np.finfo(float).eps
+    for _ in range(_NEWTON_STEPS):
+        vals, y_pm1, M, S1 = _mass_of_multiplier(phi, lam, m, vols)
+        step = M * (1.0 - (M_target / M) ** (m - 1.0)) / (c * S1)
+        lam -= step
+        if abs(step) <= 1e-14 + rtol * abs(lam):  # d vals/d lam = y^(p-1)/m
+            return np.maximum(vals - step / m * y_pm1, 0.0), lam
+    raise ConvergenceError(f"multiplier solve took over {_NEWTON_STEPS} Newton steps")
 
 
 def el_fixed_point(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
@@ -159,14 +157,15 @@ def el_fixed_point(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
     vols = grid.shell_volumes
     u_vals = init.values * (M_target / mass(init))
     m = params.m
-    m2_anchor = float(np.dot(u_vals * grid.mean_r2, vols))
+    m2_anchor = second_moment(DensityField(grid, u_vals))
     lam = math.nan
     change = math.inf
     for iteration in range(1, max_iter + 1):
         phi = potential(kernel, DensityField(grid, u_vals), c_ds)
         candidate, lam = _solve_multiplier(phi, m, vols, M_target)
-        damped = 0.5 * u_vals + 0.5 * candidate
-        new_vals = _dilate_to_m2(DensityField(grid, damped), m2_anchor).values
+        damped = DensityField(grid, 0.5 * u_vals + 0.5 * candidate)
+        # the mass-invariant dilation back to the anchored second moment
+        new_vals = dilate(damped, math.sqrt(second_moment(damped) / m2_anchor)).values
         change = float(np.dot(np.abs(new_vals - u_vals), vols)) / M_target
         u_vals = new_vals
         if change < tol:

@@ -66,10 +66,14 @@ class RadialGrid:
         return _read_only(np.diff(self.r_edges))
 
     @cached_property
+    def edges_pow_d(self) -> np.ndarray:
+        """r_edges^d, proportional to the volume inside each edge."""
+        return _read_only(self.r_edges ** self.d)
+
+    @cached_property
     def shell_volumes(self) -> np.ndarray:
         """v_i = omega_d (r_{i+1}^d - r_i^d) / d, the full shell volume."""
-        rd = self.r_edges ** self.d
-        return _read_only(sphere_surface(self.d) / self.d * np.diff(rd))
+        return _read_only(sphere_surface(self.d) / self.d * np.diff(self.edges_pow_d))
 
     @cached_property
     def centers(self) -> np.ndarray:
@@ -211,26 +215,22 @@ def project_onto(u: DensityField, grid: RadialGrid) -> DensityField:
     """
     if grid.d != u.grid.d:
         raise GridMismatchError("projection requires matching dimension")
-    d = u.grid.d
-    # cumulative mass of the source at arbitrary radius, exact for
-    # piecewise-constant fields
-    src_edges_d = u.grid.r_edges ** d
-    cell_mass = u.values * u.grid.shell_volumes
-    cum_mass = np.concatenate(([0.0], np.cumsum(cell_mass)))
+    return _project(u, grid, grid.edges_pow_d)
 
-    def cum_at(r):
-        rd = np.asarray(r, dtype=float) ** d
-        idx = np.clip(np.searchsorted(u.grid.r_edges, r, side="right") - 1,
-                      0, u.grid.n_cells - 1)
-        frac_vol = sphere_surface(d) / d * (np.minimum(rd, src_edges_d[idx + 1])
-                                            - src_edges_d[idx])
-        frac_vol = np.maximum(frac_vol, 0.0)
-        out = cum_mass[idx] + u.values[idx] * frac_vol
-        return np.where(np.asarray(r) >= u.grid.r_max, cum_mass[-1], out)
 
-    m_edges = cum_at(grid.r_edges)
-    new_vals = np.diff(m_edges) / grid.shell_volumes
-    return DensityField(grid, np.maximum(new_vals, 0.0))
+def dilate(u: DensityField, mu: float) -> DensityField:
+    """Mass-invariant dilation mu^d u(mu r) projected onto u's own grid
+    (for mu < 1 the mass pushed beyond R_max is dropped)."""
+    return _project(u, u.grid, mu ** u.grid.d * u.grid.edges_pow_d)
+
+
+def _project(u: DensityField, grid: RadialGrid, src_pow_d: np.ndarray) -> DensityField:
+    """Averages over ``grid``'s cells given that the mass inside each edge
+    is u's mass inside r = src_pow_d^(1/d).  That mass is exactly linear
+    in r^d on each cell of u, and constant beyond its R_max."""
+    cum_mass = np.concatenate(([0.0], np.cumsum(u.values * u.grid.shell_volumes)))
+    m_edges = np.interp(src_pow_d, u.grid.edges_pow_d, cum_mass)
+    return DensityField(grid, np.maximum(np.diff(m_edges) / grid.shell_volumes, 0.0))
 
 
 def scale(u: DensityField, lam: float, mu: float) -> DensityField:

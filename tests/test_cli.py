@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import aggdiff
 from aggdiff import hls_sharp_constant, riesz_constant, vhls_constant_upper
 from aggdiff.cli import ConfigError, load_config, main
 
@@ -115,6 +119,25 @@ class TestExtremalAndProfileFlow:
                        "--set", "experiment.fixed_point.tol=1e-14",
                        "--out", str(tmp_path / "out"))
         assert code == 3
+
+    def test_multiplier_budget_exhaustion_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(aggdiff.extremal, "_NEWTON_STEPS", 1)
+        code = run_cli("extremal", *SMALL, "--out", str(tmp_path / "out"))
+        assert code == 3
+        assert "Newton steps" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_optimize_and_integrate_unloaded():
+    # the kernel quadrature imports scipy.integrate lazily, on first use
+    src = os.path.dirname(os.path.dirname(aggdiff.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = ("import sys, aggdiff, aggdiff.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.startswith(('scipy.optimize', 'scipy.integrate'))))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.fixture(scope="module")

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from aggdiff import extremal
 from aggdiff import (
     ConvergenceError,
     DensityField,
     RadialGrid,
+    RieszKernel,
     barenblatt_profile,
     blowup_initial_data,
     build_kernel,
@@ -18,6 +20,7 @@ from aggdiff import (
     mass,
     maximize_vhls,
     multiplier_defect,
+    potential,
     vhls_constant_upper,
     vhls_ratio,
 )
@@ -161,3 +164,89 @@ class TestBlowupInitialData:
         _, result = critical256
         with pytest.raises(ValueError):
             blowup_initial_data(result.U, 0.0, params)
+
+
+def brentq_multiplier(phi, m, vols, M_target):
+    """Oracle: bracket by doubling, then scipy's brentq on mass(lam)."""
+    from scipy.optimize import brentq
+
+    c, p = (m - 1.0) / m, 1.0 / (m - 1.0)
+
+    def excess(lam):
+        return float(np.dot(np.maximum(c * (phi + lam), 0.0) ** p, vols)) - M_target
+
+    lo = -float(np.max(phi))
+    hi = lo + 1.0
+    while excess(hi) < 0.0:
+        hi = lo + 2.0 * (hi - lo)
+    return brentq(excess, lo, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps,
+                  maxiter=300)
+
+
+@pytest.fixture(scope="module")
+def kernel4096():
+    return build_kernel(RadialGrid.uniform(4096, 4.0), 1.25)
+
+
+@pytest.fixture
+def count_evaluations(monkeypatch):
+    calls = []
+    inner = extremal._mass_of_multiplier
+
+    def counted(*args):
+        calls.append(args[1])
+        return inner(*args)
+
+    monkeypatch.setattr(extremal, "_mass_of_multiplier", counted)
+    return calls
+
+
+class TestMultiplierSolve:
+    @pytest.mark.parametrize("n_cells", [96, 256, 4096])
+    @pytest.mark.parametrize("support", [0.3, 1.0, 3.0])
+    def test_matches_brentq_oracle(self, request, params, consts, n_cells, support):
+        kernel = request.getfixturevalue(f"kernel{n_cells}")
+        vols = kernel.grid.shell_volumes
+        for M in (1e-6, 1.0, consts.M_star, 1e3, 1e6):
+            u = barenblatt_profile(kernel.grid, M, support, params.m)
+            phi = potential(kernel, u, params.c_ds)
+            vals, lam = extremal._solve_multiplier(phi, params.m, vols, M)
+            lam_ref = brentq_multiplier(phi, params.m, vols, M)
+            assert lam == pytest.approx(lam_ref, rel=1e-13, abs=0.0)
+            assert float(np.dot(vals, vols)) == pytest.approx(M, rel=1e-13, abs=0.0)
+
+    def test_newton_steps_on_critical_profile(self, params, grid256, kernel256,
+                                              critical256, count_evaluations):
+        # a doubling bracket plus brentq took 20 evaluations here
+        M_c, result = critical256
+        phi = potential(kernel256, result.U, params.c_ds)
+        _, lam = extremal._solve_multiplier(phi, params.m, grid256.shell_volumes, M_c)
+        assert len(count_evaluations) == 7
+        # the first step lands right of the root, later ones decrease lam
+        steps = np.diff(count_evaluations)
+        assert steps[0] > 0.0 and np.all(steps[1:] < 0.0)
+        assert count_evaluations[-1] >= lam
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_potential_rejected_before_iterating(self, params, grid96,
+                                                            bad, count_evaluations):
+        phi = np.linspace(1.0, 0.0, 96)
+        phi[40] = bad
+        with pytest.raises(ValueError, match="potential must be finite"):
+            extremal._solve_multiplier(phi, params.m, grid96.shell_volumes, 1.0)
+        assert count_evaluations == []
+
+    def test_nan_kernel_fails_loudly_in_fixed_point(self, params, grid96, kernel96):
+        K = kernel96.K.copy()
+        K[0, -1] = K[-1, 0] = np.nan
+        bad = RieszKernel(grid96, kernel96.s, kernel96.epsilon, K)
+        with pytest.raises(ValueError, match="potential must be finite"):
+            el_fixed_point(grid96, bad, params, 100.0, support_radius_init=1.0)
+
+    def test_budget_exhaustion_raises(self, monkeypatch, params, grid256, kernel256,
+                                      critical256):
+        M_c, result = critical256
+        phi = potential(kernel256, result.U, params.c_ds)
+        monkeypatch.setattr(extremal, "_NEWTON_STEPS", 3)
+        with pytest.raises(ConvergenceError, match="3 Newton steps"):
+            extremal._solve_multiplier(phi, params.m, grid256.shell_volumes, M_c)

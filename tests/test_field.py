@@ -20,6 +20,8 @@ from aggdiff import (
     second_moment,
     write_field_csv,
 )
+from aggdiff.field import dilate
+from aggdiff.special import sphere_surface
 from conftest import random_bump_field
 
 
@@ -288,3 +290,82 @@ class TestProjection:
         out = project_onto(u, coarse)
         assert mass(out) == pytest.approx(mass(u), rel=1e-13)
         assert lp_norm(out, np.inf) <= lp_norm(u, np.inf) * (1 + 1e-12)
+
+
+def projection_oracle(u, grid):
+    """Volume-averaged projection by locating each target edge in the
+    source cells (searchsorted) and adding the partial-shell mass."""
+    d = grid.d
+    src_edges_d = u.grid.r_edges ** d
+    cum_mass = np.concatenate(([0.0], np.cumsum(u.values * u.grid.shell_volumes)))
+
+    def cum_at(r):
+        rd = np.asarray(r, dtype=float) ** d
+        idx = np.clip(np.searchsorted(u.grid.r_edges, r, side="right") - 1,
+                      0, u.grid.n_cells - 1)
+        frac_vol = sphere_surface(d) / d * (np.minimum(rd, src_edges_d[idx + 1])
+                                            - src_edges_d[idx])
+        frac_vol = np.maximum(frac_vol, 0.0)
+        out = cum_mass[idx] + u.values[idx] * frac_vol
+        return np.where(np.asarray(r) >= u.grid.r_max, cum_mass[-1], out)
+
+    new_vals = np.diff(cum_at(grid.r_edges)) / grid.shell_volumes
+    return np.maximum(new_vals, 0.0)
+
+
+def max_rel_gap(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+SOURCE_GRIDS = [RadialGrid.uniform(96, 3.0), RadialGrid.uniform(256, 4.0),
+                RadialGrid.uniform(4096, 4.0)]
+
+
+class TestProjectionAgainstOracle:
+    @pytest.mark.parametrize("grid", SOURCE_GRIDS, ids=lambda g: f"n{g.n_cells}")
+    @pytest.mark.parametrize("mu", [0.5, 0.9, 1.1, 2.0])
+    def test_dilation(self, grid, mu):
+        rng = np.random.default_rng([grid.n_cells, int(10 * mu)])
+        u = DensityField(grid, random_bump_field(rng, grid))
+        expected = projection_oracle(scale(u, mu ** 3, mu), grid)
+        assert max_rel_gap(dilate(u, mu).values, expected) <= 1e-12
+        assert max_rel_gap(project_onto(scale(u, mu ** 3, mu), grid).values,
+                           expected) <= 1e-12
+
+    @pytest.mark.parametrize("grid", SOURCE_GRIDS, ids=lambda g: f"n{g.n_cells}")
+    def test_rearranged_source(self, grid):
+        u = DensityField(grid, random_bump_field(np.random.default_rng(grid.n_cells), grid))
+        u_star = rearrange(u)
+        assert not u_star.grid.same_as(grid)  # non-uniform edges
+        coarse = RadialGrid.uniform(grid.n_cells // 2, 0.8 * grid.r_max)
+        for target in (grid, coarse):
+            assert max_rel_gap(project_onto(u_star, target).values,
+                               projection_oracle(u_star, target)) <= 1e-12
+        assert np.array_equal(rearrange(u, onto=grid).values,
+                              project_onto(u_star, grid).values)
+
+    def test_mass_exact_when_target_covers_source(self):
+        g = RadialGrid.uniform(256, 3.0)
+        u = DensityField(g, random_bump_field(np.random.default_rng(21), g))
+        for target in (RadialGrid.uniform(97, 3.0), RadialGrid.uniform(300, 5.0)):
+            assert mass(project_onto(u, target)) == pytest.approx(mass(u), rel=1e-13)
+        for mu in (1.1, 2.0):  # a contraction stays inside R_max
+            assert mass(dilate(u, mu)) == pytest.approx(mass(u), rel=1e-13)
+
+    def test_mass_beyond_target_is_dropped_like_the_oracle(self):
+        g = RadialGrid.uniform(256, 3.0)
+        u = DensityField(g, np.ones(256))
+        target = RadialGrid.uniform(100, 1.5)
+        out = project_onto(u, target)
+        assert mass(out) == pytest.approx(mass(u) / 8.0, rel=1e-13)
+        assert mass(out) == pytest.approx(
+            float(np.dot(projection_oracle(u, target), target.shell_volumes)), rel=1e-13)
+        spread = dilate(u, 0.5)  # twice as wide: only the inner 1/8 stays
+        assert mass(spread) == pytest.approx(mass(u) / 8.0, rel=1e-13)
+        assert max_rel_gap(spread.values,
+                           projection_oracle(scale(u, 0.125, 0.5), g)) <= 1e-12
+
+    def test_dimension_mismatch_rejected(self):
+        u = DensityField(RadialGrid.uniform(32, 2.0), np.ones(32))
+        with pytest.raises(GridMismatchError):
+            project_onto(u, RadialGrid.uniform(32, 2.0, d=4))
