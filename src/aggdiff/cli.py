@@ -33,7 +33,7 @@ import numpy as np
 
 from . import model
 from .energy import free_energy, vhls_ratio
-from .errors import ConvergenceError, GridMismatchError
+from .errors import ConvergenceError, GridMismatchError, ParameterDomainError
 from .extremal import blowup_initial_data, el_fixed_point, find_critical_mass
 from .field import (
     DensityField,
@@ -62,97 +62,74 @@ class ConfigError(Exception):
     """Raised for malformed configuration or command usage."""
 
 
-DEFAULT_CONFIG = {
-    "seed": 1234,
-    "model": {"d": 3, "s": 1.25, "epsilon": 0.0},
-    "grid": {"n_cells": 512, "r_max": 4.0},
-    "solver": {
-        "cfl": 0.4,
-        "t_end": 0.05,
-        "dt_min": 1e-13,
-        "blowup_factor": 1e3,
-        "output_every": 50,
-    },
-    "experiment": {
-        "mass_ratios": [0.5, 0.9, 1.5, 2.0],
-        "eps_list": [0.2, 0.1, 0.05, 0.025],
-        "n_starts": 4,
-        "n_random_fields": 40,
-        "t_fix": 0.005,
-        "t_end_diffusive_times": 5.0,
-        "mass_target": "closed_form",
-        "fixed_point": {"tol": 1e-10, "max_iter": 500, "support_radius": 1.0},
-        "tolerances": {
-            "hls_ratio": 0.02,
-            "vhls_margin": 0.02,
-            "virial": 0.05,
-            "dissipation": 0.05,
-            "scaling": 0.01,
-            "energy_drift": 1e-8,
-            "mass_drift": 1e-10,
-        },
-        "fault": None,
-    },
-    "output": {"directory": "out"},
-}
+_REAL = (int, float)
 
-# (path, type, predicate, description) triples drive validation with
-# field-precise messages.
-_NUMBER = (int, float)
-_SCHEMA = [
-    ("seed", int, lambda v: v >= 0, "non-negative integer"),
-    ("model.d", int, lambda v: v >= 3, "integer >= 3"),
-    ("model.s", _NUMBER, lambda v: v > 1.0, "real with 2 < 2s"),
-    ("model.epsilon", _NUMBER, lambda v: v >= 0.0, "non-negative real"),
-    ("grid.n_cells", int, lambda v: 8 <= v <= 4096, "integer in [8, 4096]"),
-    ("grid.r_max", _NUMBER, lambda v: v > 0.0, "positive real"),
-    ("solver.cfl", _NUMBER, lambda v: 0.0 < v <= 1.0, "real in (0, 1]"),
-    ("solver.t_end", _NUMBER, lambda v: v > 0.0, "positive real"),
-    ("solver.dt_min", _NUMBER, lambda v: v > 0.0, "positive real"),
-    ("solver.blowup_factor", _NUMBER, lambda v: v > 1.0, "real > 1"),
-    ("solver.output_every", int, lambda v: v >= 1, "integer >= 1"),
-    ("experiment.mass_ratios", list, lambda v: all(x > 0 for x in v),
-     "list of positive reals"),
-    ("experiment.eps_list", list, lambda v: all(x >= 0 for x in v),
-     "list of non-negative reals"),
-    ("experiment.n_starts", int, lambda v: v >= 1, "integer >= 1"),
-    ("experiment.n_random_fields", int, lambda v: v >= 1, "integer >= 1"),
-    ("experiment.t_fix", _NUMBER, lambda v: v > 0.0, "positive real"),
-    ("experiment.t_end_diffusive_times", _NUMBER, lambda v: v > 0.0, "positive real"),
-    ("experiment.mass_target", str, lambda v: v in ("closed_form", "measured"),
-     "'closed_form' or 'measured'"),
-    ("experiment.fault", (str, type(None)), lambda v: v in (None, "asymmetric_kernel"),
-     "null or 'asymmetric_kernel'"),
-    ("experiment.fixed_point.tol", _NUMBER, lambda v: v > 0.0, "positive real"),
-    ("experiment.fixed_point.max_iter", int, lambda v: v >= 1, "integer >= 1"),
-    ("experiment.fixed_point.support_radius", _NUMBER, lambda v: v > 0.0,
+
+def _is_real(v) -> bool:
+    return isinstance(v, _REAL) and not isinstance(v, bool)
+
+
+# One row per config field: (path, default, type, predicate, description).
+# DEFAULT_CONFIG is built from these rows and validate_config walks them;
+# a predicate of None means the type is the whole check.  Solver defaults
+# are SolverConfig's own, and the 2 < 2s < d rule is ModelParams'.
+_FIELDS = [
+    ("seed", 1234, int, lambda v: v >= 0, "non-negative integer"),
+    ("model.d", 3, int, None, "integer"),
+    ("model.s", 1.25, _REAL, None, "real"),
+    ("model.epsilon", 0.0, _REAL, lambda v: v >= 0.0, "non-negative real"),
+    ("grid.n_cells", 512, int, lambda v: 8 <= v <= 4096, "integer in [8, 4096]"),
+    ("grid.r_max", 4.0, _REAL, lambda v: v > 0.0, "positive real"),
+    ("solver.cfl", SolverConfig.cfl, _REAL, lambda v: 0.0 < v <= 1.0, "real in (0, 1]"),
+    ("solver.t_end", 0.05, _REAL, lambda v: v > 0.0, "positive real"),
+    ("solver.dt_min", SolverConfig.dt_min, _REAL, lambda v: v > 0.0, "positive real"),
+    ("solver.blowup_factor", SolverConfig.blowup_factor, _REAL, lambda v: v > 1.0,
+     "real > 1"),
+    ("solver.output_every", SolverConfig.output_every, int, lambda v: v >= 1,
+     "integer >= 1"),
+    ("experiment.mass_ratios", [0.5, 0.9, 1.5, 2.0], list,
+     lambda v: all(_is_real(x) and x > 0 for x in v), "list of positive reals"),
+    ("experiment.eps_list", [0.2, 0.1, 0.05, 0.025], list,
+     lambda v: all(_is_real(x) and x >= 0 for x in v), "list of non-negative reals"),
+    ("experiment.n_random_fields", 40, int, lambda v: v >= 1, "integer >= 1"),
+    ("experiment.t_fix", 0.005, _REAL, lambda v: v > 0.0, "positive real"),
+    ("experiment.t_end_diffusive_times", 5.0, _REAL, lambda v: v > 0.0,
      "positive real"),
-    ("output.directory", str, lambda v: len(v) > 0, "non-empty string"),
+    ("experiment.mass_target", "closed_form", str,
+     lambda v: v in ("closed_form", "measured"), "'closed_form' or 'measured'"),
+    ("experiment.fixed_point.tol", 1e-10, _REAL, lambda v: v > 0.0, "positive real"),
+    ("experiment.fixed_point.max_iter", 500, int, lambda v: v >= 1, "integer >= 1"),
+    ("experiment.fixed_point.support_radius", 1.0, _REAL, lambda v: v > 0.0,
+     "positive real"),
+    *((f"experiment.tolerances.{name}", default, _REAL, lambda v: v >= 0.0,
+       "non-negative real")
+      for name, default in [("hls_ratio", 0.02), ("vhls_margin", 0.02),
+                            ("virial", 0.05), ("dissipation", 0.05),
+                            ("scaling", 0.01), ("energy_drift", 1e-8),
+                            ("mass_drift", 1e-10)]),
+    ("experiment.fault", None, (str, type(None)),
+     lambda v: v in (None, "asymmetric_kernel"), "null or 'asymmetric_kernel'"),
+    ("output.directory", "out", str, lambda v: len(v) > 0, "non-empty string"),
 ]
-
-
-_MISSING = object()
-
-
-def _get_path(tree, dotted):
-    node = tree
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return _MISSING
-        node = node[part]
-    return node
+_PATHS = [row[0] for row in _FIELDS]
 
 
 def _set_path(tree, dotted, value):
-    parts = dotted.split(".")
-    node = tree
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            raise ConfigError(f"unknown config section '{'.'.join(parts[:-1])}'")
-        node = node[part]
-    if parts[-1] not in node:
+    if dotted not in _PATHS:
+        if any(path.startswith(f"{dotted}.") for path in _PATHS):
+            raise ConfigError(f"config section '{dotted}' cannot be set whole; "
+                              f"set its fields as '{dotted}.<field>'")
         raise ConfigError(f"unknown config field '{dotted}'")
-    node[parts[-1]] = value
+    *sections, leaf = dotted.split(".")
+    for part in sections:
+        tree = tree.setdefault(part, {})
+    tree[leaf] = value
+
+
+DEFAULT_CONFIG: dict = {}
+for _path, _default, *_ in _FIELDS:
+    _set_path(DEFAULT_CONFIG, _path, _default)
+del _path, _default
 
 
 def _merge(base: dict, override: dict, prefix="") -> None:
@@ -204,21 +181,17 @@ def load_config(path: str | None, overrides) -> dict:
 
 
 def validate_config(cfg: dict) -> None:
-    for path, types, pred, desc in _SCHEMA:
-        value = _get_path(cfg, path)
-        if value is _MISSING:
-            raise ConfigError(f"config field '{path}' is missing")
-        if isinstance(value, bool) or not isinstance(value, types):
+    for path, _, types, pred, desc in _FIELDS:
+        value = cfg
+        for part in path.split("."):
+            value = value[part]
+        if (isinstance(value, bool) or not isinstance(value, types)
+                or (pred is not None and not pred(value))):
             raise ConfigError(f"config field '{path}' must be {desc}, got {value!r}")
-        if not pred(value):
-            raise ConfigError(f"config field '{path}' must be {desc}, got {value!r}")
-    d = cfg["model"]["d"]
-    s = cfg["model"]["s"]
-    if not (2.0 < 2.0 * s < d):
-        raise ConfigError(
-            f"config fields 'model.d'/'model.s' must satisfy 2 < 2s < d, "
-            f"got d={d}, s={s}"
-        )
+    try:
+        model.ModelParams(d=cfg["model"]["d"], s=cfg["model"]["s"])
+    except ParameterDomainError as exc:
+        raise ConfigError(f"config fields 'model.d'/'model.s': {exc}") from exc
 
 
 def _sha256_bytes(data: bytes) -> str:
@@ -268,23 +241,26 @@ def _solver_config(cfg: dict, t_end: float | None = None, **overrides) -> Solver
     return replace(base, **overrides) if overrides else base
 
 
-def _load_profile(path: str, d: int):
+def _load_profile(path: str, d: int, grid: RadialGrid | None = None):
     """Field, sidecar metadata and input hashes of a profile CSV.  A sidecar
     that records the uniform grid (``n_cells``, ``r_max``) rebuilds it
-    exactly; without one the edges come from the stored volumes."""
+    exactly; without one the edges come from the stored volumes.  Given
+    the configured ``grid``, the profile must live on it."""
     csv_path = Path(path)
     sidecar = csv_path.with_suffix(".json")
     meta = {}
-    grid = None
+    stored = None
     if sidecar.exists():
         meta = json.loads(sidecar.read_text())
         d = int(meta.get("d", d))
         if "n_cells" in meta and "r_max" in meta:
-            grid = RadialGrid.uniform(int(meta["n_cells"]), float(meta["r_max"]), d=d)
+            stored = RadialGrid.uniform(int(meta["n_cells"]), float(meta["r_max"]), d=d)
     try:
-        field = read_field_csv(csv_path, d=d, grid=grid)
+        field = read_field_csv(csv_path, d=d, grid=stored)
     except GridMismatchError as exc:
         raise ConfigError(str(exc)) from exc
+    if grid is not None and not field.grid.same_as(grid):
+        raise ConfigError("profile grid does not match configured grid")
     hashes = {str(csv_path): _sha256_bytes(csv_path.read_bytes())}
     if sidecar.exists():
         hashes[str(sidecar)] = _sha256_bytes(sidecar.read_bytes())
@@ -368,9 +344,7 @@ def cmd_extremal(cfg: dict) -> int:
 def _initial_condition(cfg: dict, params, grid, consts, profile: str | None):
     hashes = {}
     if profile is not None:
-        field, _, hashes = _load_profile(profile, params.d)
-        if not field.grid.same_as(grid):
-            raise ConfigError("profile grid does not match configured grid")
+        field, _, hashes = _load_profile(profile, params.d, grid)
         return field, hashes
     fp = cfg["experiment"]["fixed_point"]
     u0 = barenblatt_profile(grid, 0.5 * consts.M_star, fp["support_radius"], params.m)
@@ -408,9 +382,7 @@ def cmd_dichotomy(cfg: dict, profile: str | None = None) -> int:
     consts = model.derived_constants(params)
     input_hashes = {}
     if profile is not None:
-        U, meta, input_hashes = _load_profile(profile, params.d)
-        if not U.grid.same_as(grid):
-            raise ConfigError("profile grid does not match configured grid")
+        U, meta, input_hashes = _load_profile(profile, params.d, grid)
         M_star = float(meta.get("M_target", mass(U)))
     else:
         result, M_star = _compute_extremal(cfg, params, grid, kernel)
@@ -601,7 +573,20 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> _Parser:
+def _commands() -> dict:
+    """Subcommand name -> (handler, takes --profile).  Built per call so the
+    handler is whatever the module attribute holds at that time."""
+    return {
+        "constants": (cmd_constants, True),
+        "extremal": (cmd_extremal, False),
+        "simulate": (cmd_simulate, True),
+        "dichotomy": (cmd_dichotomy, True),
+        "eps-study": (cmd_eps_study, False),
+        "verify": (cmd_verify, False),
+    }
+
+
+def _build_parser(commands: dict) -> _Parser:
     parser = _Parser(prog="aggdiff", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -610,36 +595,24 @@ def _build_parser() -> _Parser:
     common.add_argument("--set", action="append", default=[], metavar="PATH=VALUE",
                         help="override a config field (JSON-typed value)")
     common.add_argument("--out", help="output directory (overrides config)")
-    for name, needs_profile in [
-        ("constants", True), ("extremal", False), ("simulate", True),
-        ("dichotomy", True), ("eps-study", False), ("verify", False),
-    ]:
+    for name, (_, takes_profile) in commands.items():
         p = sub.add_parser(name, parents=[common])
-        if needs_profile:
+        if takes_profile:
             p.add_argument("--profile", help="steady profile CSV (with JSON sidecar)")
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        commands = _commands()
+        args = _build_parser(commands).parse_args(argv)
         cfg = load_config(args.config, args.set)
         if args.out:
             cfg["output"]["directory"] = args.out
-        profile = getattr(args, "profile", None)
-        if args.command == "constants":
-            return cmd_constants(cfg, profile)
-        if args.command == "extremal":
-            return cmd_extremal(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, profile)
-        if args.command == "dichotomy":
-            return cmd_dichotomy(cfg, profile)
-        if args.command == "eps-study":
-            return cmd_eps_study(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        handler, takes_profile = commands[args.command]
+        if takes_profile:
+            return handler(cfg, args.profile)
+        return handler(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

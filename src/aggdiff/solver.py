@@ -46,7 +46,6 @@ class SolverConfig:
     dt_min: float = 1e-13
     blowup_factor: float = 1e3
     output_every: int = 50
-    dt_max: float = math.inf
     max_steps: int = 20_000_000
 
     def __post_init__(self):
@@ -121,7 +120,7 @@ class _Stepper:
                 f"kernel built for s={kernel.s}, d={grid.d} cannot drive a "
                 f"run with s={params.s}, d={params.d}")
         self.grid, self.kernel, self.m, self.c_ds = grid, kernel, params.m, c_ds
-        self.cfl, self.epsilon, self.dt_max = config.cfl, kernel.epsilon, config.dt_max
+        self.cfl, self.epsilon = config.cfl, kernel.epsilon
         self.dr = grid.center_spacing
         self.min_width2 = np.min(grid.widths) ** 2
         self.areas = grid.face_areas
@@ -153,7 +152,7 @@ class _Stepper:
             dt_adv = np.where(speeds[1:-1] > 0.0, dr / speeds[1:-1], np.inf).min()
             dt_vol = np.where(outflow > 0.0, vols / outflow, np.inf).min()
         dt_stab = self.cfl * min(dt_adv, dt_diff, dt_vol)
-        dt = min(dt_stab, self.dt_max, t_left)
+        dt = min(dt_stab, t_left)
         div = areas[1:] * flux[1:] - areas[:-1] * flux[:-1]
         new_vals = u_vals - dt * div / vols
         clipped = 0.0

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ import pytest
 
 import aggdiff
 from aggdiff import hls_sharp_constant, riesz_constant, vhls_constant_upper
-from aggdiff.cli import ConfigError, load_config, main
+from aggdiff.cli import _FIELDS, DEFAULT_CONFIG, ConfigError, load_config, main
 
 
 def run_cli(*argv):
@@ -22,7 +23,6 @@ SMALL = [
     "--set", "grid.n_cells=96",
     "--set", "grid.r_max=4.0",
     "--set", "experiment.n_random_fields=6",
-    "--set", "experiment.n_starts=1",
     "--set", "experiment.t_fix=0.002",
     "--set", "experiment.fixed_point.tol=1e-8",
 ]
@@ -36,6 +36,35 @@ class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown config field"):
             load_config(None, ["model.bogus=3"])
+        with pytest.raises(ConfigError,
+                           match="unknown config field 'experiment.n_starts'"):
+            load_config(None, ["experiment.n_starts=1"])
+
+    def test_section_cannot_be_set_whole(self):
+        with pytest.raises(ConfigError, match="config section 'solver'"):
+            load_config(None, ['solver={"cfl": 0.5}'])
+
+    @pytest.mark.parametrize("path", [row[0] for row in _FIELDS])
+    def test_bool_rejected_for_every_field(self, path):
+        with pytest.raises(ConfigError, match=re.escape(f"'{path}'")):
+            load_config(None, [f"{path}=true"])
+
+    @pytest.mark.parametrize("command, setting", [
+        ("dichotomy", 'experiment.mass_ratios=["a"]'),
+        ("dichotomy", "experiment.mass_ratios=[true]"),
+        ("eps-study", "experiment.eps_list=[null]"),
+    ])
+    def test_bad_list_entry_exits_1_naming_field(self, tmp_path, capsys, command,
+                                                  setting):
+        assert run_cli(command, "--set", setting, "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert setting.split("=")[0] in err
+        assert "Traceback" not in err
+
+    def test_file_of_defaults_equals_no_file(self, tmp_path):
+        path = tmp_path / "defaults.json"
+        path.write_text(json.dumps(DEFAULT_CONFIG))
+        assert load_config(str(path), []) == load_config(None, [])
 
     def test_type_error_names_field(self):
         with pytest.raises(ConfigError, match="solver.cfl"):
@@ -69,6 +98,8 @@ class TestConfig:
     def test_coupled_domain_constraint(self):
         with pytest.raises(ConfigError, match="2 < 2s < d"):
             load_config(None, ["model.s=1.6"])  # 2s = 3.2 > d = 3
+        with pytest.raises(ConfigError, match="model.d'/'model.s'.*2 < 2s < d"):
+            load_config(None, ["model.d=4", "model.s=2.0"])  # 2s = d
 
 
 class TestConstants:
@@ -90,6 +121,15 @@ class TestConstants:
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run_cli("frobnicate") == 1
+
+    def test_handler_looked_up_at_call_time(self, tmp_path, monkeypatch, capsys):
+        # the benchmark tracer replaces cli.cmd_dichotomy on the module
+        calls = []
+        monkeypatch.setattr(aggdiff.cli, "cmd_dichotomy",
+                            lambda cfg, profile: calls.append(profile) or 0)
+        assert run_cli("dichotomy", *SMALL, "--set", "experiment.mass_ratios=[]",
+                       "--out", str(tmp_path)) == 0
+        assert calls == [None]
 
 
 class TestExtremalAndProfileFlow:
@@ -176,10 +216,11 @@ class TestProfileHandoff:
 
     def test_profile_on_other_grid_is_config_error(self, tmp_path, extremal_profile,
                                                    capsys):
-        code = run_cli("simulate", *SMALL, "--set", "grid.r_max=4.5",
-                       "--profile", str(extremal_profile), "--out", str(tmp_path))
-        assert code == 1
-        assert "does not match configured grid" in capsys.readouterr().err
+        for command in ("simulate", "dichotomy"):
+            code = run_cli(command, *SMALL, "--set", "grid.r_max=4.5",
+                           "--profile", str(extremal_profile), "--out", str(tmp_path))
+            assert code == 1
+            assert "does not match configured grid" in capsys.readouterr().err
 
     def test_sidecar_volume_mismatch_is_config_error(self, tmp_path, extremal_profile,
                                                      capsys):

@@ -171,8 +171,7 @@ class TestRun:
                           K.view(CountingMatrix))
         u0 = barenblatt_profile(grid96, 20.0, 1.0, params.m)
         # without a per-step check this would run all 1000 steps
-        cfg = SolverConfig(t_end=1.0, dt_max=1e-9, max_steps=1000,
-                           output_every=10_000)
+        cfg = SolverConfig(t_end=1.0, max_steps=1000, output_every=10_000)
         with pytest.raises(ValueError, match="finite and non-negative"):
             run(u0, bad, params, cfg)
         # one for the initial diagnostics row, one per step taken
