@@ -2,7 +2,8 @@
 
 Porous-medium diffusion against Riesz-potential attraction at the
 mass-critical exponent m = 2 - 2s/d: closed-form constants, kernel
-quadrature, energy diagnostics, an explicit conservative solver, and
+quadrature, energy diagnostics, a conservative solver (explicit, or
+implicit for long subcritical horizons), and
 the extremal machinery that locates the critical mass.
 """
 

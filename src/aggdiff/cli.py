@@ -217,16 +217,21 @@ def _write_report(cfg: dict, command: str, results: dict, input_hashes: dict) ->
     return path
 
 
-def _build_workspace(cfg: dict):
+def _build_workspace(cfg: dict, profile: str | None = None):
+    """(params, grid, kernel, profile) where ``profile`` is what
+    :func:`_load_profile` returns for the given path (None without one).
+    The profile is loaded before the kernel is built, so a bad one fails
+    first."""
     params = model.ModelParams(d=cfg["model"]["d"], s=cfg["model"]["s"])
     grid = RadialGrid.uniform(cfg["grid"]["n_cells"], cfg["grid"]["r_max"],
                               d=params.d)
+    loaded = _load_profile(profile, params.d, grid) if profile is not None else None
     kernel = build_kernel(grid, params.s, epsilon=cfg["model"]["epsilon"])
     if cfg["experiment"].get("fault") == "asymmetric_kernel":
         K = kernel.K.copy()
         K[0, -1] *= 1.01  # seeded fault for the verify suite
         kernel = RieszKernel(grid, params.s, kernel.epsilon, K)
-    return params, grid, kernel
+    return params, grid, kernel, loaded
 
 
 def _solver_config(cfg: dict, t_end: float | None = None, **overrides) -> SolverConfig:
@@ -245,20 +250,29 @@ def _load_profile(path: str, d: int, grid: RadialGrid | None = None):
     """Field, sidecar metadata and input hashes of a profile CSV.  A sidecar
     that records the uniform grid (``n_cells``, ``r_max``) rebuilds it
     exactly; without one the edges come from the stored volumes.  Given
-    the configured ``grid``, the profile must live on it."""
+    the configured ``grid``, the profile must live on it.  An unreadable
+    or malformed file is a :class:`ConfigError` naming it."""
     csv_path = Path(path)
     sidecar = csv_path.with_suffix(".json")
     meta = {}
     stored = None
     if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
-        d = int(meta.get("d", d))
-        if "n_cells" in meta and "r_max" in meta:
-            stored = RadialGrid.uniform(int(meta["n_cells"]), float(meta["r_max"]), d=d)
+        try:
+            meta = json.loads(sidecar.read_text())
+            if not isinstance(meta, dict):
+                raise ValueError("top level must be a JSON object")
+            d = int(meta.get("d", d))
+            if "n_cells" in meta and "r_max" in meta:
+                stored = RadialGrid.uniform(int(meta["n_cells"]), float(meta["r_max"]),
+                                            d=d)
+        except (OSError, ValueError, TypeError) as exc:
+            raise ConfigError(f"profile sidecar {sidecar}: {exc}") from exc
     try:
         field = read_field_csv(csv_path, d=d, grid=stored)
     except GridMismatchError as exc:
         raise ConfigError(str(exc)) from exc
+    except (OSError, ValueError, IndexError, StopIteration) as exc:
+        raise ConfigError(f"profile {csv_path}: {exc}") from exc
     if grid is not None and not field.grid.same_as(grid):
         raise ConfigError("profile grid does not match configured grid")
     hashes = {str(csv_path): _sha256_bytes(csv_path.read_bytes())}
@@ -316,7 +330,7 @@ def cmd_constants(cfg: dict, profile: str | None = None) -> int:
 
 
 def cmd_extremal(cfg: dict) -> int:
-    params, grid, kernel = _build_workspace(cfg)
+    params, grid, kernel, _ = _build_workspace(cfg)
     result, M_target = _compute_extremal(cfg, params, grid, kernel)
     outdir = Path(cfg["output"]["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -341,20 +355,16 @@ def cmd_extremal(cfg: dict) -> int:
     return 0
 
 
-def _initial_condition(cfg: dict, params, grid, consts, profile: str | None):
-    hashes = {}
-    if profile is not None:
-        field, _, hashes = _load_profile(profile, params.d, grid)
-        return field, hashes
-    fp = cfg["experiment"]["fixed_point"]
-    u0 = barenblatt_profile(grid, 0.5 * consts.M_star, fp["support_radius"], params.m)
-    return u0, hashes
-
-
 def cmd_simulate(cfg: dict, profile: str | None = None) -> int:
-    params, grid, kernel = _build_workspace(cfg)
+    params, grid, kernel, loaded = _build_workspace(cfg, profile)
     consts = model.derived_constants(params)
-    u0, input_hashes = _initial_condition(cfg, params, grid, consts, profile)
+    if loaded is not None:
+        u0, _, input_hashes = loaded
+    else:
+        fp = cfg["experiment"]["fixed_point"]
+        u0 = barenblatt_profile(grid, 0.5 * consts.M_star, fp["support_radius"],
+                                params.m)
+        input_hashes = {}
     outcome = run(u0, kernel, params, _solver_config(cfg))
     outdir = Path(cfg["output"]["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -378,11 +388,11 @@ def cmd_simulate(cfg: dict, profile: str | None = None) -> int:
 
 
 def cmd_dichotomy(cfg: dict, profile: str | None = None) -> int:
-    params, grid, kernel = _build_workspace(cfg)
+    params, grid, kernel, loaded = _build_workspace(cfg, profile)
     consts = model.derived_constants(params)
     input_hashes = {}
-    if profile is not None:
-        U, meta, input_hashes = _load_profile(profile, params.d, grid)
+    if loaded is not None:
+        U, meta, input_hashes = loaded
         M_star = float(meta.get("M_target", mass(U)))
     else:
         result, M_star = _compute_extremal(cfg, params, grid, kernel)
@@ -394,11 +404,16 @@ def cmd_dichotomy(cfg: dict, profile: str | None = None) -> int:
         u0 = blowup_initial_data(U, ratio * M_star, params)
         F0 = free_energy(u0, kernel, params)
         chord = blowup_time_upper_bound(u0, kernel, params)
+        # the long subcritical horizon runs implicitly: its explicit step
+        # count would grow as (R/dr)^2
         if ratio < 1.0:
             t_end = cfg["experiment"]["t_end_diffusive_times"] * diffusive_time(u0, params)
+            scheme = "implicit"
         else:
             t_end = 2.0 * chord if chord is not None else cfg["solver"]["t_end"]
-        outcome = run(u0, kernel, params, _solver_config(cfg, t_end=t_end))
+            scheme = "explicit"
+        outcome = run(u0, kernel, params,
+                      _solver_config(cfg, t_end=t_end, scheme=scheme))
         tag = f"ratio_{ratio:g}".replace(".", "p")
         diagnostics_to_csv(outcome.diagnostics, outdir / f"diagnostics_{tag}.csv")
         sup_lm_m = max(row.lm_norm ** params.m for row in outcome.diagnostics)
@@ -426,7 +441,7 @@ def cmd_dichotomy(cfg: dict, profile: str | None = None) -> int:
 
 
 def cmd_eps_study(cfg: dict) -> int:
-    params, grid, _ = _build_workspace(cfg)
+    params, grid, _, _ = _build_workspace(cfg)
     consts = model.derived_constants(params)
     fp = cfg["experiment"]["fixed_point"]
     u0 = barenblatt_profile(grid, 0.5 * consts.M_star, fp["support_radius"], params.m)
@@ -447,7 +462,7 @@ def cmd_eps_study(cfg: dict) -> int:
 
 def _verify_checks(cfg: dict):
     """Yield (name, passed, details) for every property check."""
-    params, grid, kernel = _build_workspace(cfg)
+    params, grid, kernel, _ = _build_workspace(cfg)
     consts = model.derived_constants(params)
     tol = cfg["experiment"]["tolerances"]
     rng = np.random.default_rng(cfg["seed"])

@@ -1,4 +1,4 @@
-"""Explicit upwind finite-volume integration of the gradient-flow form.
+"""Upwind finite-volume integration of the gradient-flow form.
 
 The equation is advanced as u_t = div(u grad mu) (+ eps * lap u for the
 regularised problem): the face velocity is w = -dmu/dr, the advected
@@ -11,6 +11,13 @@ the matching dissipation quadrature in :mod:`aggdiff.energy`.
 Vacuum cells are exactly stationary: the donor value at a face bordering
 u = 0 with inward velocity is zero, so compactly supported states do not
 leak and discrete steady profiles stay put.
+
+Two time discretisations share that flux, chosen by
+``SolverConfig.scheme``: explicit forward Euler at the CFL limit (the
+default; nonlinear diffusion makes its step count grow as (R/dr)^2), and
+backward Euler with phi lagged one step, solved by Newton, whose step
+count does not depend on dr.  The implicit scheme is meant for long
+subcritical horizons.
 """
 
 from __future__ import annotations
@@ -21,12 +28,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .energy import energy_report, free_energy, mu_values, upwind_face_values
+from .energy import _mu, energy_report, free_energy, mu_values, upwind_face_values
 from .errors import ParameterDomainError
 from .field import (DensityField, check_density, face_gradient, lp_norm, mass,
                     require_same_grid, second_moment)
 from .model import ModelParams
-from .riesz import RieszKernel, build_kernel, build_weak_interaction_kernel
+from .riesz import (RieszKernel, build_kernel, build_weak_interaction_kernel,
+                    potential_values)
 
 
 @dataclass(frozen=True)
@@ -39,6 +47,11 @@ class SolverConfig:
     rule is fixed: zero flux at r = R_max.  The epsilon-Laplacian uses the
     kernel's regularisation length, so the mollifier and the added
     diffusion can never disagree.
+
+    ``scheme`` is "explicit" or "implicit".  ``cfl`` sets every explicit
+    step; the implicit scheme uses it only for its first step.  After
+    that, the implicit step rule and its Newton budget are the module
+    constants ``_STEP_CHANGE``, ``_NEWTON_MAX_ITER`` and ``_NEWTON_RTOL``.
     """
 
     t_end: float
@@ -47,8 +60,12 @@ class SolverConfig:
     blowup_factor: float = 1e3
     output_every: int = 50
     max_steps: int = 20_000_000
+    scheme: str = "explicit"
 
     def __post_init__(self):
+        if self.scheme not in ("explicit", "implicit"):
+            raise ValueError(
+                f"scheme must be 'explicit' or 'implicit', got {self.scheme!r}")
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
         if self.t_end <= 0.0 or self.dt_min <= 0.0:
@@ -95,6 +112,9 @@ class RunOutcome:
     ("linf_threshold" or "dt_collapse").  ``boundary_mass_flux_total``
     accumulates the signed mass transported outward across the face at
     95% of R_max, the observable for truncation artefacts.
+    ``newton_iterations`` counts the implicit scheme's Newton updates and
+    ``rejected_steps`` its retried steps (both stay 0 for the explicit
+    scheme).
     """
 
     status: str
@@ -105,12 +125,17 @@ class RunOutcome:
     boundary_mass_flux_total: float = 0.0
     clipped_mass_total: float = 0.0
     fields: list = field(default_factory=list)
+    newton_iterations: int = 0
+    rejected_steps: int = 0
 
 
 class _Stepper:
     """Explicit steps on raw cell values with the kernel grid's geometry
     looked up once: built per :func:`run` and per :func:`step` call.
     Rejects a kernel built for another order s or dimension d."""
+
+    newton_iterations = 0
+    rejected_steps = 0
 
     def __init__(self, kernel: RieszKernel, params: ModelParams,
                  config: SolverConfig, c_ds: float):
@@ -129,21 +154,22 @@ class _Stepper:
         self.vols = grid.shell_volumes
         self.band_face = int(np.searchsorted(grid.r_edges, 0.95 * grid.r_max))
 
-    def advance(self, u_vals: np.ndarray, t_left: float):
-        """Returns (new values, dt taken, stable dt, clipped mass, outward
-        flux rate at the 95% R_max face)."""
-        check_density(u_vals)
-        eps, dr, areas, vols = self.epsilon, self.dr, self.areas, self.vols
-        # face velocity w = -dmu/dr, donor-cell flux, plus eps diffusion
-        w = -face_gradient(mu_values(u_vals, self.kernel, self.m, self.c_ds), self.grid)
+    def _flux(self, u_vals: np.ndarray, mu: np.ndarray):
+        """Face velocity w = -dmu/dr and the donor-cell flux, plus eps
+        diffusion, at the N+1 faces (zero at both walls)."""
+        w = -face_gradient(mu, self.grid)
         flux = np.zeros(w.size)
         flux[1:-1] = upwind_face_values(u_vals, w) * w[1:-1]
-        if eps > 0.0:
-            flux[1:-1] -= eps * (u_vals[1:] - u_vals[:-1]) / dr
-        # CFL step: advective face limit, nonlinear-diffusion limit, and a
-        # volumetric donor-cell positivity limit (binding near the origin)
+        if self.epsilon > 0.0:
+            flux[1:-1] -= self.epsilon * (u_vals[1:] - u_vals[:-1]) / self.dr
+        return w, flux
+
+    def _stable_dt(self, u_vals: np.ndarray, w: np.ndarray) -> float:
+        """CFL step: advective face limit, nonlinear-diffusion limit, and a
+        volumetric donor-cell positivity limit (binding near the origin)."""
+        eps, dr, areas, vols = self.epsilon, self.dr, self.areas, self.vols
         speeds = np.abs(w)
-        u_max = float(u_vals.max())  # validated non-negative above
+        u_max = float(u_vals.max())  # validated non-negative by the caller
         diff_coeff = 2.0 * self.m * u_max ** (self.m - 1.0) + 2.0 * eps
         dt_diff = self.min_width2 / diff_coeff if diff_coeff > 0.0 else np.inf
         outflow = areas * (speeds + self.eps_rate)
@@ -151,29 +177,186 @@ class _Stepper:
         with np.errstate(divide="ignore"):
             dt_adv = np.where(speeds[1:-1] > 0.0, dr / speeds[1:-1], np.inf).min()
             dt_vol = np.where(outflow > 0.0, vols / outflow, np.inf).min()
-        dt_stab = self.cfl * min(dt_adv, dt_diff, dt_vol)
+        return self.cfl * min(dt_adv, dt_diff, dt_vol)
+
+    def _divergence(self, flux: np.ndarray) -> np.ndarray:
+        """Net outward flux A F of each shell (not yet divided by its volume)."""
+        return self.areas[1:] * flux[1:] - self.areas[:-1] * flux[:-1]
+
+    def advance(self, u_vals: np.ndarray, t_left: float):
+        """Returns (new values, dt taken, stable dt, clipped mass, outward
+        flux rate at the 95% R_max face)."""
+        check_density(u_vals)
+        vols = self.vols
+        w, flux = self._flux(u_vals, mu_values(u_vals, self.kernel, self.m, self.c_ds))
+        dt_stab = self._stable_dt(u_vals, w)
         dt = min(dt_stab, t_left)
-        div = areas[1:] * flux[1:] - areas[:-1] * flux[:-1]
-        new_vals = u_vals - dt * div / vols
+        new_vals = u_vals - dt * self._divergence(flux) / vols
         clipped = 0.0
         neg = new_vals < 0.0
         if neg.any():
             clipped = float(-np.dot(new_vals[neg], vols[neg]))
             new_vals = np.where(neg, 0.0, new_vals)
-        band_rate = float(areas[self.band_face] * flux[self.band_face])
+        band_rate = float(self.areas[self.band_face] * flux[self.band_face])
         return new_vals, dt, dt_stab, clipped, band_rate
+
+
+# Implicit step rule: aim for max|u_new - u| = _STEP_CHANGE * max u per step,
+# grow dt at most 1.5-fold per step, and reject a step that changes u by more
+# than twice the aim.  A step whose Newton solve needs more than
+# _NEWTON_MAX_ITER updates to cut the residual by _NEWTON_RTOL is rejected too.
+_STEP_CHANGE = 0.002
+_NEWTON_MAX_ITER = 8
+_NEWTON_RTOL = 1e-8
+
+
+class _ImplicitStepper(_Stepper):
+    """Backward-Euler steps on the explicit scheme's upwind mu-flux, with
+    phi lagged one step (one matvec per step).
+
+    Each step solves u - u^n + dt/V div(A F(u)) = 0 by damped Newton.  The
+    Jacobian is tridiagonal, with the donor side frozen at the current
+    iterate and dmu/du = m u^{m-2} taken as 0 in vacuum cells.  Its columns
+    satisfy V^T J = V^T, so every Newton update keeps the mass of u^n; the
+    update is shortened where it would make a cell negative.  dt starts at
+    the explicit stable step of the first state and then follows the step
+    rule above (a step no longer than that start passes the change test,
+    as an explicit step would); a rejected step is retried at half its dt,
+    and a step proposal below ``dt_min`` is handed back to :func:`run`'s
+    collapse rule.
+    """
+
+    def __init__(self, kernel: RieszKernel, params: ModelParams,
+                 config: SolverConfig, c_ds: float):
+        super().__init__(kernel, params, config, c_ds)
+        self.dt_min = config.dt_min
+        self.dt_next = None  # step proposal, first the explicit stable step
+        self.dt_explicit = None
+        self.newton_iterations = 0
+        self.rejected_steps = 0
+
+    def advance(self, u_vals: np.ndarray, t_left: float):
+        """Same contract as :meth:`_Stepper.advance`; the stable dt is the
+        step proposal, and a proposal below ``dt_min`` returns u unchanged."""
+        check_density(u_vals)
+        phi = potential_values(self.kernel, u_vals, self.c_ds)
+        if self.dt_next is None:
+            w, _ = self._flux(u_vals, _mu(u_vals, phi, self.m))
+            self.dt_next = self.dt_explicit = self._stable_dt(u_vals, w)
+        u_max = float(u_vals.max())
+        dt_try = self.dt_next
+        while dt_try >= self.dt_min:
+            dt = min(dt_try, t_left)
+            solved = self._solve_step(u_vals, phi, dt)
+            if solved is not None:
+                new_vals, flux, clipped = solved
+                change = float(np.max(np.abs(new_vals - u_vals)))
+                if change <= 2.0 * _STEP_CHANGE * u_max or dt <= self.dt_explicit:
+                    aim = _STEP_CHANGE * u_max
+                    self.dt_next = dt * (min(1.5, aim / change) if change > 0.0 else 1.5)
+                    band_rate = float(self.areas[self.band_face] * flux[self.band_face])
+                    return new_vals, dt, dt_try, clipped, band_rate
+            self.rejected_steps += 1
+            dt_try = 0.5 * dt
+        return u_vals, 0.0, dt_try, 0.0, 0.0
+
+    def _solve_step(self, u_old: np.ndarray, phi: np.ndarray, dt: float):
+        """(u, flux at u, clipped mass) solving the backward-Euler equations,
+        or None when Newton does not converge within its budget."""
+        vols = self.vols
+        u = u_old
+        clipped = 0.0
+        # converged once the residual has fallen by _NEWTON_RTOL, or to the
+        # roundoff of u itself
+        roundoff = 8.0 * np.finfo(float).eps * float(u_old.max())
+        tol = None
+        for iteration in range(_NEWTON_MAX_ITER + 1):
+            w, flux = self._flux(u, _mu(u, phi, self.m))
+            resid = u - u_old + dt * self._divergence(flux) / vols
+            size = float(np.max(np.abs(resid)))
+            if tol is None:
+                tol = max(_NEWTON_RTOL * size, roundoff)
+            if size <= tol:
+                return u, flux, clipped
+            if iteration == _NEWTON_MAX_ITER or not math.isfinite(size):
+                return None
+            delta = _solve_tridiagonal(*self._jacobian(u, w, dt), -resid)
+            self.newton_iterations += 1
+            if not np.all(np.isfinite(delta)):
+                return None
+            falling = delta < 0.0
+            theta = 1.0
+            if falling.any():
+                theta = min(theta, float(np.min(u[falling] / -delta[falling])))
+            if not theta > 0.0:
+                return None
+            u = u + theta * delta
+            neg = u < 0.0  # roundoff where the damping stops a cell at zero
+            if neg.any():
+                clipped -= float(np.dot(u[neg], vols[neg]))
+                u = np.where(neg, 0.0, u)
+        return None
+
+    def _jacobian(self, u: np.ndarray, w: np.ndarray, dt: float):
+        """(lower, diagonal, upper) of d/du [u + dt/V div(A F(u))] with phi
+        and the donor side of every face held fixed."""
+        m, dr = self.m, self.dr
+        dmu = np.zeros(u.size)
+        occupied = u > 0.0
+        dmu[occupied] = m * u[occupied] ** (m - 2.0)
+        w_in = w[1:-1]
+        from_left = w_in > 0.0
+        donor = np.where(from_left, u[:-1], u[1:])
+        eps_rate = self.eps_rate[1:-1]
+        # A dF/du for the left and the right cell of each interior face
+        area = self.areas[1:-1]
+        d_left = area * (np.where(from_left, w_in, 0.0) + donor * dmu[:-1] / dr
+                         + eps_rate)
+        d_right = area * (np.where(from_left, 0.0, w_in) - donor * dmu[1:] / dr
+                          - eps_rate)
+        s = dt / self.vols
+        diag = np.ones(u.size)
+        diag[:-1] += s[:-1] * d_left
+        diag[1:] -= s[1:] * d_right
+        return -s[1:] * d_left, diag, s[:-1] * d_right
+
+
+def _solve_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                       rhs: np.ndarray) -> np.ndarray:
+    """Thomas algorithm; no pivoting, since the implicit Jacobian is a
+    column diagonally dominant M-matrix."""
+    b, c, d = diag.tolist(), upper.tolist(), rhs.tolist()  # Python floats
+    e = c[0] / b[0]
+    y = d[0] / b[0]
+    es, ys = [e], [y]
+    for a_i, b_i, c_i, d_i in zip(lower.tolist(), b[1:], c[1:] + [0.0], d[1:]):
+        pivot = b_i - a_i * e
+        y = (d_i - a_i * y) / pivot
+        e = c_i / pivot
+        es.append(e)
+        ys.append(y)
+    x = y
+    out = [x]
+    for e_i, y_i in zip(es[-2::-1], ys[-2::-1]):
+        x = y_i - e_i * x
+        out.append(x)
+    return np.array(out[::-1])
+
+
+_STEPPERS = {"explicit": _Stepper, "implicit": _ImplicitStepper}
 
 
 def step(state: SolverState, kernel: RieszKernel, params: ModelParams,
          config: SolverConfig, c_ds: float | None = None) -> SolverState:
     """Advance one conservative step (chiefly for tests and notebooks;
-    :func:`run` drives the same update in a loop)."""
+    :func:`run` drives the same update in a loop).  An implicit step is
+    taken at the explicit stable dt unless its Newton solve fails there."""
     require_same_grid(state.u.grid, kernel.grid, "field and kernel")
     if c_ds is None:
         c_ds = params.c_ds
     t_left = max(config.t_end - state.t, config.dt_min)
-    new_vals, dt, _, clipped, _ = _Stepper(kernel, params, config, c_ds).advance(
-        state.u.values, t_left)
+    stepper = _STEPPERS[config.scheme](kernel, params, config, c_ds)
+    new_vals, dt, _, clipped, _ = stepper.advance(state.u.values, t_left)
     return SolverState(
         t=state.t + dt,
         u=state.u.with_values(new_vals),
@@ -219,7 +402,7 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
     require_same_grid(u0.grid, kernel.grid, "initial condition and kernel")
     if c_ds is None:
         c_ds = params.c_ds
-    stepper = _Stepper(kernel, params, config, c_ds)
+    stepper = _STEPPERS[config.scheme](kernel, params, config, c_ds)
     u_vals = u0.values.copy()
     u0_linf = float(np.max(u_vals, initial=0.0))
     t = 0.0
@@ -274,6 +457,8 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
         boundary_mass_flux_total=band_flux_total,
         clipped_mass_total=clipped_total,
         fields=fields,
+        newton_iterations=stepper.newton_iterations,
+        rejected_steps=stepper.rejected_steps,
     )
 
 

@@ -1,5 +1,6 @@
 """Command line front end: exit codes, reports, byte stability."""
 
+import csv
 import json
 import math
 import os
@@ -167,17 +168,36 @@ class TestExtremalAndProfileFlow:
         assert "Newton steps" in capsys.readouterr().err
 
 
-def test_import_leaves_scipy_optimize_and_integrate_unloaded():
-    # the kernel quadrature imports scipy.integrate lazily, on first use
+def run_probe(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports this aggdiff."""
     src = os.path.dirname(os.path.dirname(aggdiff.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_optimize_and_integrate_unloaded():
+    # the kernel quadrature imports scipy.integrate lazily, on first use
     probe = ("import sys, aggdiff, aggdiff.cli; "
              "print(sorted(m for m in sys.modules "
              "if m.startswith(('scipy.optimize', 'scipy.integrate'))))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert run_probe(probe) == "[]"
+
+
+def test_implicit_run_leaves_scipy_linalg_unloaded():
+    # importing scipy.linalg would cost ~4.6 MiB of resident memory; the
+    # implicit stepper's tridiagonal solve needs none of it
+    probe = ("import sys, aggdiff as ad, aggdiff.cli; "
+             "p = ad.ModelParams(d=3, s=1.25); g = ad.RadialGrid.uniform(96, 3.0); "
+             "out = ad.run(ad.barenblatt_profile(g, 20.0, 1.0, p.m), "
+             "ad.build_kernel(g, p.s), p, "
+             "ad.SolverConfig(t_end=1e-3, scheme='implicit')); "
+             "F = [r.F for r in out.diagnostics]; "
+             "assert out.newton_iterations > 0 and F[-1] < F[0]; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+    assert run_probe(probe) == "[]"
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +206,10 @@ def extremal_profile(tmp_path_factory):
     out = tmp_path_factory.mktemp("extremal")
     assert run_cli("extremal", *SMALL, "--out", str(out)) == 0
     return out / "profile_extremal.csv"
+
+
+def kernel_must_not_be_built(*args, **kwargs):
+    raise AssertionError("a bad profile must fail before the kernel is built")
 
 
 class TestProfileHandoff:
@@ -221,6 +245,31 @@ class TestProfileHandoff:
                            "--profile", str(extremal_profile), "--out", str(tmp_path))
             assert code == 1
             assert "does not match configured grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "dichotomy"])
+    def test_missing_profile_is_config_error(self, tmp_path, command, monkeypatch,
+                                             capsys):
+        monkeypatch.setattr(aggdiff.cli, "build_kernel", kernel_must_not_be_built)
+        missing = tmp_path / "nope.csv"
+        code = run_cli(command, *SMALL, "--profile", str(missing),
+                       "--out", str(tmp_path / "out"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(missing) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "dichotomy"])
+    def test_malformed_sidecar_is_config_error(self, tmp_path, extremal_profile,
+                                               command, monkeypatch, capsys):
+        monkeypatch.setattr(aggdiff.cli, "build_kernel", kernel_must_not_be_built)
+        csv_path = tmp_path / "profile.csv"
+        csv_path.write_bytes(extremal_profile.read_bytes())
+        sidecar = csv_path.with_suffix(".json")
+        sidecar.write_text(extremal_profile.with_suffix(".json").read_text()[:40])
+        code = run_cli(command, *SMALL, "--profile", str(csv_path),
+                       "--out", str(tmp_path / "out"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(sidecar) in err and "Traceback" not in err
 
     def test_sidecar_volume_mismatch_is_config_error(self, tmp_path, extremal_profile,
                                                      capsys):
@@ -273,8 +322,12 @@ class TestDichotomy:
         assert by_ratio[1.5]["status"] == "blowup"
         assert by_ratio[1.5]["F0"] < 0
         assert by_ratio[1.5]["t_detect"] <= 1.5 * by_ratio[1.5]["blowup_time_upper_bound"]
-        assert (out / "diagnostics_ratio_0p5.csv").exists()
         assert (out / "diagnostics_ratio_1p5.csv").exists()
+        # the subcritical run is implicit: mass exact, F non-increasing
+        with open(out / "diagnostics_ratio_0p5.csv", newline="") as fh:
+            rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+        assert max(abs(r["mass"] / rows[0]["mass"] - 1.0) for r in rows) <= 1e-12
+        assert all(b["F"] <= a["F"] for a, b in zip(rows, rows[1:]))
 
     def test_empty_ratio_list(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,6 +1,7 @@
 """Conservative upwind stepping, the blow-up rule, weak form, eps study."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,18 @@ from aggdiff import (
     step,
     weak_form_residual,
 )
+from aggdiff import solver
 from aggdiff.solver import diagnostics_to_csv
+
+
+def l1_distance(a, b, grid):
+    return float(np.dot(np.abs(a - b), grid.shell_volumes))
+
+
+def assert_mass_exact_and_energy_monotone(out):
+    rows = out.diagnostics
+    assert max(abs(r.mass - rows[0].mass) / rows[0].mass for r in rows) <= 1e-12
+    assert all(b.F <= a.F for a, b in zip(rows, rows[1:]))
 
 
 class TestStep:
@@ -316,3 +328,135 @@ class TestDiffusiveTime:
     def test_zero_field_rejected(self, params, grid96):
         with pytest.raises(ValueError):
             diffusive_time(DensityField(grid96, np.zeros(96)), params)
+
+
+@pytest.fixture(scope="module")
+def subcritical_runs(params, kernel256, critical256):
+    """Per ratio: initial data, config (five diffusive times), the
+    explicit run (the reference) and the implicit run."""
+    M_c, result = critical256
+    runs = {}
+    for ratio in (0.5, 0.9):
+        u0 = blowup_initial_data(result.U, ratio * M_c, params)
+        cfg = SolverConfig(t_end=5.0 * diffusive_time(u0, params), output_every=50)
+        explicit = run(u0, kernel256, params, cfg)
+        assert explicit.status == "completed"
+        implicit = run(u0, kernel256, params, replace(cfg, scheme="implicit"))
+        runs[ratio] = (u0, cfg, explicit, implicit)
+    return runs
+
+
+class TestImplicit:
+    @pytest.mark.parametrize("ratio, max_gap", [(0.5, 3e-3), (0.9, 1e-2)])
+    def test_tracks_explicit_run_with_far_fewer_steps(self, grid256,
+                                                      subcritical_runs, ratio,
+                                                      max_gap):
+        u0, cfg, explicit, out = subcritical_runs[ratio]
+        assert out.status == "completed"
+        assert out.final_state.t == pytest.approx(cfg.t_end, rel=1e-12)
+        assert_mass_exact_and_energy_monotone(out)
+        gap = l1_distance(out.final_state.u.values, explicit.final_state.u.values,
+                          grid256)
+        assert gap <= max_gap * mass(u0)
+        steps = out.final_state.step_count
+        assert steps <= 0.1 * explicit.final_state.step_count
+        # counters: ~2 Newton updates per accepted step, none on the explicit path
+        assert out.rejected_steps >= 0
+        assert 0 < out.newton_iterations <= 4 * steps
+        assert explicit.newton_iterations == explicit.rejected_steps == 0
+
+    def test_gap_is_first_order_in_the_step_rule(self, params, grid256, kernel256,
+                                                 subcritical_runs, monkeypatch):
+        u0, cfg, explicit, coarse = subcritical_runs[0.9]
+        ref = explicit.final_state.u.values
+        monkeypatch.setattr(solver, "_STEP_CHANGE", 0.5 * solver._STEP_CHANGE)
+        fine = run(u0, kernel256, params, replace(cfg, scheme="implicit"))
+        assert_mass_exact_and_energy_monotone(fine)
+        ratio = (l1_distance(coarse.final_state.u.values, ref, grid256)
+                 / l1_distance(fine.final_state.u.values, ref, grid256))
+        assert 1.6 <= ratio <= 2.4
+
+    def test_regularised_run_is_mass_exact_with_monotone_energy(self, params,
+                                                                grid96):
+        kernel = build_kernel(grid96, params.s, epsilon=0.05)
+        u0 = barenblatt_profile(grid96, 20.0, 1.0, params.m)
+        cfg = SolverConfig(t_end=0.05, output_every=5, scheme="implicit")
+        out = run(u0, kernel, params, cfg)
+        assert out.status == "completed"
+        assert out.final_state.step_count > 10
+        assert_mass_exact_and_energy_monotone(out)
+
+    def test_newton_failure_stalls_without_hanging(self, params, grid96, kernel96,
+                                                   monkeypatch):
+        monkeypatch.setattr(solver, "_NEWTON_MAX_ITER", 0)
+        u0 = barenblatt_profile(grid96, 20.0, 1.0, params.m)
+        out = run(u0, kernel96, params, SolverConfig(t_end=1.0, scheme="implicit"))
+        assert (out.status, out.reason) == ("stalled", "dt_min")
+        assert out.final_state.step_count == 0
+        assert out.rejected_steps > 0 and out.newton_iterations == 0
+        assert np.array_equal(out.final_state.u.values, u0.values)
+
+    def test_one_step_agrees_with_explicit_to_second_order(self, params, grid96,
+                                                           kernel96):
+        u0 = barenblatt_profile(grid96, 20.0, 1.0, params.m)
+        state = SolverState(t=0.0, u=u0)
+        dt0 = step(state, kernel96, params, SolverConfig(t_end=1.0)).dt_last
+        gaps = []
+        for t_end in (1.0, 0.5 * dt0, 0.25 * dt0):  # full, half, quarter step
+            steps = [step(state, kernel96, params, SolverConfig(t_end=t_end,
+                                                                scheme=scheme))
+                     for scheme in ("explicit", "implicit")]
+            assert steps[0].dt_last == steps[1].dt_last == min(dt0, t_end)
+            assert mass(steps[1].u) == pytest.approx(mass(u0), rel=1e-13)
+            gaps.append(np.max(np.abs(steps[0].u.values - steps[1].u.values)))
+        change = np.max(np.abs(step(state, kernel96, params,
+                                    SolverConfig(t_end=1.0)).u.values - u0.values))
+        assert gaps[0] <= 0.1 * change
+        assert 3.0 <= gaps[1] / gaps[2] <= 5.0  # measured 3.5
+
+    def test_nearly_stationary_state_runs_to_the_end(self, params, grid96,
+                                                      kernel96):
+        # u changes by ~1e-9 over the run, so cutting the first residual by
+        # _NEWTON_RTOL would go below the roundoff of u
+        u = DensityField(grid96, np.full(96, 0.8))
+        out = run(u, kernel96, params, SolverConfig(t_end=0.01, scheme="implicit"),
+                  c_ds=1e-8)
+        assert out.status == "completed"
+        assert_mass_exact_and_energy_monotone(out)
+        assert np.allclose(out.final_state.u.values, u.values, rtol=0, atol=1e-8)
+
+    def test_jacobian_matches_finite_differences_and_keeps_mass(self, params,
+                                                                grid96):
+        kernel = build_kernel(grid96, params.s, epsilon=0.05)
+        stepper = solver._ImplicitStepper(
+            kernel, params, SolverConfig(t_end=1.0, scheme="implicit"), params.c_ds)
+        u = 2.0 * np.exp(-grid96.centers ** 2)  # no vacuum cell
+        phi = solver.potential_values(kernel, u, params.c_ds)
+        dt = 1e-3
+
+        def residual(vals):  # with u_old = u and phi lagged
+            _, flux = stepper._flux(vals, solver._mu(vals, phi, params.m))
+            return vals - u + dt * stepper._divergence(flux) / grid96.shell_volumes
+
+        w, _ = stepper._flux(u, solver._mu(u, phi, params.m))
+        lower, diag, upper = stepper._jacobian(u, w, dt)
+        J = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        vols = grid96.shell_volumes
+        assert np.allclose(vols @ J, vols, rtol=1e-14, atol=0.0)
+        v = np.random.default_rng(3).standard_normal(96) * u
+        h = 1e-6
+        fd = (residual(u + h * v) - residual(u - h * v)) / (2.0 * h)
+        assert np.max(np.abs(J @ v - fd)) <= 1e-7 * np.max(np.abs(J @ v))
+
+    def test_tridiagonal_solve_matches_dense_solve(self):
+        rng = np.random.default_rng(5)
+        lower, upper = -rng.random(63), -rng.random(63)
+        diag = 2.5 + rng.random(64)
+        rhs = rng.standard_normal(64)
+        dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        x = solver._solve_tridiagonal(lower, diag, upper, rhs)
+        assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=0.0, atol=1e-13)
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="scheme"):
+            SolverConfig(t_end=1.0, scheme="crank-nicolson")
