@@ -36,10 +36,7 @@ from .riesz import (
     angular_kernel,
     build_kernel,
     interaction_energy,
-    load_kernel,
     potential,
-    potential_gradient,
-    save_kernel,
 )
 from .energy import (
     EnergyReport,

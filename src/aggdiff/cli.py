@@ -71,8 +71,8 @@ def _is_real(v) -> bool:
 
 # One row per config field: (path, default, type, predicate, description).
 # DEFAULT_CONFIG is built from these rows and validate_config walks them;
-# a predicate of None means the type is the whole check.  Solver defaults
-# are SolverConfig's own, and the 2 < 2s < d rule is ModelParams'.
+# a predicate of None means the type is the whole check here.  Solver
+# defaults and ranges are SolverConfig's own, the 2 < 2s < d rule ModelParams'.
 _FIELDS = [
     ("seed", 1234, int, lambda v: v >= 0, "non-negative integer"),
     ("model.d", 3, int, None, "integer"),
@@ -80,13 +80,11 @@ _FIELDS = [
     ("model.epsilon", 0.0, _REAL, lambda v: v >= 0.0, "non-negative real"),
     ("grid.n_cells", 512, int, lambda v: 8 <= v <= 4096, "integer in [8, 4096]"),
     ("grid.r_max", 4.0, _REAL, lambda v: v > 0.0, "positive real"),
-    ("solver.cfl", SolverConfig.cfl, _REAL, lambda v: 0.0 < v <= 1.0, "real in (0, 1]"),
-    ("solver.t_end", 0.05, _REAL, lambda v: v > 0.0, "positive real"),
-    ("solver.dt_min", SolverConfig.dt_min, _REAL, lambda v: v > 0.0, "positive real"),
-    ("solver.blowup_factor", SolverConfig.blowup_factor, _REAL, lambda v: v > 1.0,
-     "real > 1"),
-    ("solver.output_every", SolverConfig.output_every, int, lambda v: v >= 1,
-     "integer >= 1"),
+    ("solver.cfl", SolverConfig.cfl, _REAL, None, "real"),
+    ("solver.t_end", 0.05, _REAL, None, "real"),
+    ("solver.dt_min", SolverConfig.dt_min, _REAL, None, "real"),
+    ("solver.blowup_factor", SolverConfig.blowup_factor, _REAL, None, "real"),
+    ("solver.output_every", SolverConfig.output_every, int, None, "integer"),
     ("experiment.mass_ratios", [0.5, 0.9, 1.5, 2.0], list,
      lambda v: all(_is_real(x) and x > 0 for x in v), "list of positive reals"),
     ("experiment.eps_list", [0.2, 0.1, 0.05, 0.025], list,
@@ -192,6 +190,13 @@ def validate_config(cfg: dict) -> None:
         model.ModelParams(d=cfg["model"]["d"], s=cfg["model"]["s"])
     except ParameterDomainError as exc:
         raise ConfigError(f"config fields 'model.d'/'model.s': {exc}") from exc
+    # one field at a time over the (valid) defaults, so a failure is that field's
+    solver_defaults = SolverConfig(**DEFAULT_CONFIG["solver"])
+    for name, value in cfg["solver"].items():
+        try:
+            replace(solver_defaults, **{name: value})
+        except ValueError as exc:
+            raise ConfigError(f"config field 'solver.{name}': {exc}") from exc
 
 
 def _sha256_bytes(data: bytes) -> str:
@@ -273,7 +278,7 @@ def _load_profile(path: str, d: int, grid: RadialGrid | None = None):
         raise ConfigError(str(exc)) from exc
     except (OSError, ValueError, IndexError, StopIteration) as exc:
         raise ConfigError(f"profile {csv_path}: {exc}") from exc
-    if grid is not None and not field.grid.same_as(grid):
+    if grid is not None and field.grid != grid:
         raise ConfigError("profile grid does not match configured grid")
     hashes = {str(csv_path): _sha256_bytes(csv_path.read_bytes())}
     if sidecar.exists():

@@ -61,13 +61,13 @@ def dissipation(u: DensityField, mu: np.ndarray, grid: RadialGrid) -> float:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Free energy split F = S - W plus dissipation and sharp ratio."""
+    """Free energy split F = S - W plus dissipation; the sharp ratio J is
+    :func:`vhls_ratio`."""
 
     F: float
     S: float
     W: float
     D: float
-    J: float
 
 
 def _entropy(u: DensityField, m: float) -> float:
@@ -82,7 +82,7 @@ def free_energy(u: DensityField, kernel: RieszKernel, params: ModelParams) -> fl
 
 def energy_report(u: DensityField, kernel: RieszKernel, params: ModelParams,
                   c_ds: float | None = None) -> EnergyReport:
-    """F, S, W, D and J from one matvec K (u v): phi = c_ds K (u v) and
+    """F, S, W and D from one matvec K (u v): phi = c_ds K (u v) and
     omega = (u v) . K (u v)."""
     require_same_grid(u.grid, kernel.grid, "field and kernel")
     c_ds = params.c_ds if c_ds is None else c_ds
@@ -92,9 +92,7 @@ def energy_report(u: DensityField, kernel: RieszKernel, params: ModelParams,
     S = _entropy(u, params.m)
     W = float(0.5 * c_ds * omega)
     D = dissipation(u, _mu(u.values, c_ds * Kuv, params.m), u.grid)
-    M = mass(u)
-    J = _sharp_ratio(omega, M, u, params) if M > 0.0 else 0.0
-    return EnergyReport(F=S - W, S=S, W=W, D=D, J=J)
+    return EnergyReport(F=S - W, S=S, W=W, D=D)
 
 
 def vhls_ratio(u: DensityField, kernel: RieszKernel, params: ModelParams) -> float:
@@ -107,17 +105,14 @@ def vhls_ratio(u: DensityField, kernel: RieszKernel, params: ModelParams) -> flo
     M = mass(u)
     if M <= 0.0:
         raise ValueError("VHLS ratio is undefined for the zero field")
-    return _sharp_ratio(interaction_energy(kernel, u), M, u, params)
-
-
-def _sharp_ratio(omega: float, M: float, u: DensityField, params: ModelParams) -> float:
+    omega = interaction_energy(kernel, u)
     m = params.m
     return float(omega / (M ** (2.0 * params.s / params.d) * lp_norm(u, m) ** m))
 
 
 def virial_rhs(u: DensityField, kernel: RieszKernel, params: ModelParams) -> float:
     """Time derivative of the second moment: 2 (d - 2s) F(u)."""
-    return 2.0 * (params.d - 2.0 * params.s) * free_energy(u, kernel, params)
+    return 2.0 * params.alpha * free_energy(u, kernel, params)
 
 
 def lr_lower_bound(M: float, m2: float, r: float, d: int) -> float:

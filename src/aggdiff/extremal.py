@@ -53,6 +53,7 @@ from .riesz import RieszKernel, potential
 
 
 _NEWTON_STEPS = 100  # multiplier solve budget; a solve takes about 7 steps
+_MAX_MOVES = 400  # accepted moves per start of maximize_vhls
 
 
 @dataclass(frozen=True)
@@ -247,8 +248,7 @@ def find_critical_mass(grid: RadialGrid, kernel: RieszKernel, params: ModelParam
 
 
 def maximize_vhls(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
-                  n_starts: int = 10, seed: int = 0,
-                  max_moves: int = 400) -> ExtremalResult:
+                  n_starts: int = 10, seed: int = 0) -> ExtremalResult:
     """Stochastic ascent of the interaction ratio J over non-negative
     fields, reporting the best profile found.
 
@@ -256,8 +256,8 @@ def maximize_vhls(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
     decreases J), then proposes multiplicative radial bumps; proposals
     are re-rearranged and accepted only if J improves, so J is
     non-decreasing along the accepted sequence by construction.  A start
-    ends after ``max_moves`` accepted moves or 60 failed proposals in a
-    row.  The best ratio over all starts is the measured extremal
+    ends after ``_MAX_MOVES`` (400) accepted moves or 60 failed proposals
+    in a row.  The best ratio over all starts is the measured extremal
     constant.
     """
     if n_starts < 1:
@@ -277,7 +277,7 @@ def maximize_vhls(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
         moves = 0
         stalls = 0
         width_scale = 0.5
-        while moves < max_moves and stalls < 60:
+        while moves < _MAX_MOVES and stalls < 60:
             center = rng.uniform(0.0, 0.7 * r_max)
             width = width_scale * r_max * 10.0 ** rng.uniform(-1.5, 0.0)
             amp = rng.uniform(-0.5, 0.5)

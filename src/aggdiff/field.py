@@ -32,7 +32,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class RadialGrid:
     """Strictly increasing edges 0 = r_0 < ... < r_N = R_max in R^d.  The
     edges are copied and, like the cached geometry, read-only.  Grids
-    compare equal, and hash alike, when :meth:`same_as` holds."""
+    compare equal, and hash alike, when they have the same dimension and
+    the same edges."""
 
     d: int
     r_edges: np.ndarray
@@ -101,17 +102,10 @@ class RadialGrid:
         """omega_d r^{d-1} at every edge (zero at r = 0)."""
         return _read_only(sphere_surface(self.d) * self.r_edges ** (self.d - 1))
 
-    @cached_property
-    def total_volume(self) -> float:
-        return float(np.sum(self.shell_volumes))
-
-    def same_as(self, other: "RadialGrid") -> bool:
-        return self.d == other.d and bool(np.array_equal(self.r_edges, other.r_edges))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RadialGrid):
             return NotImplemented
-        return self.same_as(other)
+        return self.d == other.d and bool(np.array_equal(self.r_edges, other.r_edges))
 
     def __hash__(self) -> int:
         # r_0 is +0.0 or -0.0, which compare equal but differ in bytes
@@ -146,7 +140,7 @@ def check_density(values: np.ndarray) -> None:
 
 
 def require_same_grid(a: RadialGrid, b: RadialGrid, what: str = "operands"):
-    if not a.same_as(b):
+    if a != b:
         raise GridMismatchError(f"{what} live on different radial grids")
 
 

@@ -30,10 +30,11 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import ParameterDomainError
-from .field import DensityField, RadialGrid, face_gradient, require_same_grid
+from .field import DensityField, RadialGrid, require_same_grid
 from .special import sphere_surface
 
 _CHUNK_ROWS = 1024  # node rows per evaluation block, caps peak memory
+_GAUSS_ORDER = 2  # Gauss nodes per cell in every pair average
 # Smallest uniform d = 3 grid that gets the FFT operator: the measured
 # single-thread matvec crossover (dense faster at 512 cells, a tie at 544,
 # FFT faster from 576 on; table in CHANGES.md).
@@ -93,9 +94,9 @@ def _angular_kernel_quad(r, rho, d, alpha, epsilon):
     return np.vectorize(one)(r, rho)
 
 
-def _gauss_nodes(grid: RadialGrid, order: int):
+def _gauss_nodes(grid: RadialGrid):
     """Per-cell Gauss nodes and volume-measure weights, flattened."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
     lo = grid.r_edges[:-1][:, None]
     hi = grid.r_edges[1:][:, None]
     nodes = 0.5 * (hi - lo) * x[None, :] + 0.5 * (hi + lo)
@@ -104,13 +105,13 @@ def _gauss_nodes(grid: RadialGrid, order: int):
     return nodes.ravel(), weights
 
 
-def _pair_average(grid: RadialGrid, order: int, eval_fn,
-                  n_rows: int | None = None) -> np.ndarray:
+def _pair_average(grid: RadialGrid, eval_fn, n_rows: int | None = None) -> np.ndarray:
     """Cell-pair averages of a two-point radial function, in row chunks;
     only the first ``n_rows`` rows if given."""
     n = grid.n_cells
     rows = n if n_rows is None else n_rows
-    nodes, weights = _gauss_nodes(grid, order)
+    order = _GAUSS_ORDER
+    nodes, weights = _gauss_nodes(grid)
     out = np.empty((rows, n))
     rows_per_chunk = max(1, _CHUNK_ROWS // order)
     for i0 in range(0, rows, rows_per_chunk):
@@ -124,20 +125,17 @@ def _pair_average(grid: RadialGrid, order: int, eval_fn,
 def _kernel_fn(d: int, alpha: float, epsilon: float):
     """A(r, rho) / omega_d, the two-point function the matrix averages."""
     omega_d = sphere_surface(d)
-    if d == 3:
-        return lambda r, rho: _angular_kernel_d3(r, rho, alpha, epsilon) / omega_d
-    return lambda r, rho: _angular_kernel_quad(r, rho, d, alpha, epsilon) / omega_d
+    return lambda r, rho: angular_kernel(r, rho, d, alpha, epsilon) / omega_d
 
 
-def _dense_matrix(grid: RadialGrid, s: float, epsilon: float,
-                  gauss_order: int) -> np.ndarray:
+def _dense_matrix(grid: RadialGrid, s: float, epsilon: float) -> np.ndarray:
     """The pair-averaged interaction matrix, read-only.
 
     The 2-point product rule per cell pair is accurate for the smooth
     off-diagonal kernel; the diagonal kink |r - rho|^{2-alpha} is
     integrable for alpha < 2 and handled by the closed form itself.
     """
-    K = _pair_average(grid, gauss_order, _kernel_fn(grid.d, grid.d - 2.0 * s, epsilon))
+    K = _pair_average(grid, _kernel_fn(grid.d, grid.d - 2.0 * s, epsilon))
     K = 0.5 * (K + K.T)  # symmetrise away roundoff
     K.setflags(write=False)
     return K
@@ -159,12 +157,12 @@ class _HankelToeplitzOperator:
     rows instead.
     """
 
-    def __init__(self, grid: RadialGrid, alpha: float, epsilon: float, order: int):
-        n = grid.n_cells
+    def __init__(self, grid: RadialGrid, alpha: float, epsilon: float):
+        n, order = grid.n_cells, _GAUSS_ORDER
         h = grid.r_max / n
         x, _ = np.polynomial.legendre.leggauss(order)
         c = 0.5 * h * (1.0 + x)  # node offsets inside a cell
-        nodes, weights = _gauss_nodes(grid, order)
+        nodes, weights = _gauss_nodes(grid)
         self.n = n
         self.size = next_fast_len(2 * n - 1, real=True)
         self.scale = np.ascontiguousarray((weights / nodes.reshape(n, order)).T)  # D_a
@@ -179,7 +177,7 @@ class _HankelToeplitzOperator:
         const = 2.0 * np.pi / ((2.0 - alpha) * sphere_surface(3))
         # [H_a. | -T_a.] spectra against [conj(FFT(D v)) | FFT(D v)]
         self.spectra = const * rfft(np.concatenate((hankel, -toeplitz), axis=1))
-        self.head = _pair_average(grid, order, _kernel_fn(3, alpha, epsilon),
+        self.head = _pair_average(grid, _kernel_fn(3, alpha, epsilon),
                                   n_rows=min(_EXACT_ROWS, n))
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
@@ -201,17 +199,12 @@ class RieszKernel:
     """
 
     def __init__(self, grid: RadialGrid, s: float, epsilon: float,
-                 K: np.ndarray | None = None, gauss_order: int = 2,
+                 K: np.ndarray | None = None,
                  operator: _HankelToeplitzOperator | None = None):
         if (K is None) == (operator is None):
             raise ValueError("a kernel needs exactly one of K and operator")
         self.grid, self.s, self.epsilon = grid, s, epsilon
-        self.gauss_order = gauss_order
         self._K, self._operator = K, operator
-
-    @property
-    def alpha(self) -> float:
-        return self.grid.d - 2.0 * self.s
 
     @property
     def structured(self) -> bool:
@@ -220,7 +213,7 @@ class RieszKernel:
     @property
     def K(self) -> np.ndarray:
         if self._K is None:
-            self._K = _dense_matrix(self.grid, self.s, self.epsilon, self.gauss_order)
+            self._K = _dense_matrix(self.grid, self.s, self.epsilon)
         return self._K
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -235,8 +228,7 @@ def _is_uniform(grid: RadialGrid) -> bool:
         grid.r_edges, np.linspace(0.0, grid.r_max, grid.n_cells + 1)))
 
 
-def build_kernel(grid: RadialGrid, s: float, epsilon: float = 0.0,
-                 gauss_order: int = 2) -> RieszKernel:
+def build_kernel(grid: RadialGrid, s: float, epsilon: float = 0.0) -> RieszKernel:
     """Precompute the interaction operator for a grid: the structured FFT
     form on uniform d = 3 grids of at least ``STRUCTURED_MIN_CELLS``
     cells, the dense matrix otherwise."""
@@ -248,10 +240,9 @@ def build_kernel(grid: RadialGrid, s: float, epsilon: float = 0.0,
     if epsilon < 0.0:
         raise ParameterDomainError(f"epsilon must be >= 0, got {epsilon}")
     if grid.d == 3 and grid.n_cells >= STRUCTURED_MIN_CELLS and _is_uniform(grid):
-        op = _HankelToeplitzOperator(grid, alpha, epsilon, gauss_order)
-        return RieszKernel(grid, s, epsilon, gauss_order=gauss_order, operator=op)
-    return RieszKernel(grid, s, epsilon, _dense_matrix(grid, s, epsilon, gauss_order),
-                       gauss_order)
+        op = _HankelToeplitzOperator(grid, alpha, epsilon)
+        return RieszKernel(grid, s, epsilon, operator=op)
+    return RieszKernel(grid, s, epsilon, _dense_matrix(grid, s, epsilon))
 
 
 def potential(kernel: RieszKernel, u: DensityField, c_ds: float) -> np.ndarray:
@@ -272,14 +263,8 @@ def interaction_energy(kernel: RieszKernel, u: DensityField) -> float:
     return float(uv @ kernel.apply(uv))
 
 
-def potential_gradient(kernel: RieszKernel, u: DensityField, c_ds: float) -> np.ndarray:
-    """d(phi)/dr at the N+1 faces; zero at r = 0 (symmetry) and at R_max."""
-    return face_gradient(potential(kernel, u, c_ds), kernel.grid)
-
-
 def build_weak_interaction_kernel(grid: RadialGrid, s: float, dpsi,
-                                  epsilon: float = 0.0,
-                                  gauss_order: int = 2) -> np.ndarray:
+                                  epsilon: float = 0.0) -> np.ndarray:
     """Pair matrix for the symmetrised interaction term of the weak form.
 
     Realises the sphere average of
@@ -318,34 +303,6 @@ def build_weak_interaction_kernel(grid: RadialGrid, s: float, dpsi,
         term_b = b * _power_diff(t_plus, u, 1.0 - alpha / 2.0) / (1.0 - alpha / 2.0)
         return np.pi / (r * rho) * (term_a + term_b) / omega_d
 
-    M = _pair_average(grid, gauss_order, fn)
+    M = _pair_average(grid, fn)
     return 0.5 * (M + M.T)
 
-
-def save_kernel(kernel: RieszKernel, path) -> None:
-    np.savez_compressed(
-        path,
-        K=kernel.K,
-        r_edges=kernel.grid.r_edges,
-        meta=np.array([kernel.grid.d, kernel.s, kernel.epsilon, kernel.gauss_order]),
-    )
-
-
-def load_kernel(path) -> RieszKernel:
-    """A kernel written by :func:`save_kernel`, as a dense kernel.  The
-    matrix must be (N, N) for the stored edges, finite and exactly
-    symmetric; files without a stored Gauss order load as order 2."""
-    with np.load(path) as data:
-        meta, r_edges, K = data["meta"], data["r_edges"], data["K"]
-    grid = RadialGrid(d=int(meta[0]), r_edges=r_edges)
-    n = grid.n_cells
-    if K.shape != (n, n):
-        raise ValueError(f"{path}: K has shape {K.shape}, expected ({n}, {n}) "
-                         "for the stored grid")
-    if not np.all(np.isfinite(K)):
-        raise ValueError(f"{path}: K has non-finite entries")
-    if not np.array_equal(K, K.T):
-        raise ValueError(f"{path}: K is not exactly symmetric")
-    K.setflags(write=False)
-    order = int(meta[3]) if meta.size > 3 else 2
-    return RieszKernel(grid, float(meta[1]), float(meta[2]), K, order)

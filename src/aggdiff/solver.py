@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -52,6 +52,8 @@ class SolverConfig:
     step; the implicit scheme uses it only for its first step.  After
     that, the implicit step rule and its Newton budget are the module
     constants ``_STEP_CHANGE``, ``_NEWTON_MAX_ITER`` and ``_NEWTON_RTOL``.
+    A run that takes ``_MAX_STEPS`` steps ends "stalled".  Each range
+    check names its field and value, and NaN fails every range.
     """
 
     t_end: float
@@ -59,7 +61,6 @@ class SolverConfig:
     dt_min: float = 1e-13
     blowup_factor: float = 1e3
     output_every: int = 50
-    max_steps: int = 20_000_000
     scheme: str = "explicit"
 
     def __post_init__(self):
@@ -68,12 +69,17 @@ class SolverConfig:
                 f"scheme must be 'explicit' or 'implicit', got {self.scheme!r}")
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
-        if self.t_end <= 0.0 or self.dt_min <= 0.0:
-            raise ValueError("t_end and dt_min must be positive")
-        if self.blowup_factor <= 1.0:
+        if not self.t_end > 0.0:
+            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not self.dt_min > 0.0:
+            raise ValueError(f"dt_min must be positive, got {self.dt_min}")
+        if not self.blowup_factor > 1.0:
             raise ValueError(f"blowup_factor must exceed 1, got {self.blowup_factor}")
-        if self.output_every < 1:
-            raise ValueError("output_every must be >= 1")
+        if not self.output_every >= 1:
+            raise ValueError(f"output_every must be >= 1, got {self.output_every}")
+
+
+_MAX_STEPS = 20_000_000  # step cap of one run
 
 
 @dataclass(frozen=True)
@@ -82,7 +88,6 @@ class SolverState:
     u: DensityField
     step_count: int = 0
     dt_last: float = math.nan
-    clipped_mass: float = 0.0  # mass added by clipping in the last step
 
 
 @dataclass(frozen=True)
@@ -98,9 +103,6 @@ class DiagnosticsRow:
     D: float
     virial_rhs: float
     dt: float
-
-    FIELDS = ("t", "mass", "lm_norm", "linf_norm", "m2", "F", "S", "W", "D",
-              "virial_rhs", "dt")
 
 
 @dataclass
@@ -356,13 +358,12 @@ def step(state: SolverState, kernel: RieszKernel, params: ModelParams,
         c_ds = params.c_ds
     t_left = max(config.t_end - state.t, config.dt_min)
     stepper = _STEPPERS[config.scheme](kernel, params, config, c_ds)
-    new_vals, dt, _, clipped, _ = stepper.advance(state.u.values, t_left)
+    new_vals, dt, _, _, _ = stepper.advance(state.u.values, t_left)
     return SolverState(
         t=state.t + dt,
         u=state.u.with_values(new_vals),
         step_count=state.step_count + 1,
         dt_last=dt,
-        clipped_mass=clipped,
     )
 
 
@@ -381,7 +382,7 @@ def _diag_row(u: DensityField, kernel, params, c_ds, t, dt) -> DiagnosticsRow:
         S=rep.S,
         W=rep.W,
         D=rep.D,
-        virial_rhs=2.0 * (params.d - 2.0 * params.s) * rep.F,
+        virial_rhs=2.0 * params.alpha * rep.F,
         dt=dt,
     )
 
@@ -437,7 +438,7 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
                                   c_ds, t, dt))
             if store_fields:
                 fields.append((t, u_vals.copy()))
-        if steps >= config.max_steps:
+        if steps >= _MAX_STEPS:
             status, reason = "stalled", "max_steps"
             break
 
@@ -473,7 +474,7 @@ def blowup_time_upper_bound(u0: DensityField, kernel: RieszKernel,
     F0 = free_energy(u0, kernel, params)
     if F0 >= 0.0:
         return None
-    return second_moment(u0) / (2.0 * (params.d - 2.0 * params.s) * abs(F0))
+    return second_moment(u0) / (2.0 * params.alpha * abs(F0))
 
 
 def diffusive_time(u: DensityField, params: ModelParams) -> float:
@@ -578,13 +579,12 @@ def weak_form_residual(trajectory, psi: RadialTestFunction, kernel: RieszKernel,
     lap_c = psi.laplacian(centers, grid.d)
     M_psi = build_weak_interaction_kernel(grid, params.s, psi.dpsi,
                                           epsilon=kernel.epsilon)
-    alpha = params.d - 2.0 * params.s
 
     def rhs_rate(vals):
         uv = vals * vols
         diffusion = float(np.dot(lap_c, vals ** params.m * vols))
         interaction = float(uv @ (M_psi @ uv))
-        return diffusion - 0.5 * alpha * c_ds * interaction
+        return diffusion - 0.5 * params.alpha * c_ds * interaction
 
     times = np.array([t for t, _ in trajectory])
     rates = np.array([rhs_rate(vals) for _, vals in trajectory])
@@ -614,10 +614,11 @@ def epsilon_convergence_study(u0: DensityField, params: ModelParams,
 
 
 def diagnostics_to_csv(rows, path) -> None:
-    """Stream the diagnostics trace as CSV (header fixed by DiagnosticsRow)."""
+    """Stream the diagnostics trace as CSV, one column per DiagnosticsRow
+    field in declaration order."""
+    names = [f.name for f in fields(DiagnosticsRow)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(DiagnosticsRow.FIELDS)
+        writer.writerow(names)
         for row in rows:
-            writer.writerow([repr(float(getattr(row, name)))
-                             for name in DiagnosticsRow.FIELDS])
+            writer.writerow([repr(float(getattr(row, name))) for name in names])

@@ -70,14 +70,14 @@ def critical512(params, consts, grid512, kernel512):
                               support_radius_init=1.0)
 
 
-def random_bump_field(rng, grid, allow_slab=True):
-    """Seeded non-negative test field: Gaussian bumps plus optional slab."""
+def random_bump_field(rng, grid):
+    """Seeded non-negative test field: Gaussian bumps plus an occasional slab."""
     centers = grid.centers
     vals = np.zeros_like(centers)
     for _ in range(rng.integers(1, 4)):
         c = rng.uniform(0.0, 0.6 * grid.r_max)
         w = rng.uniform(0.05, 0.3) * grid.r_max
         vals += rng.uniform(0.1, 1.0) * np.exp(-0.5 * ((centers - c) / w) ** 2)
-    if allow_slab and rng.random() < 0.3:
+    if rng.random() < 0.3:
         vals += rng.uniform(0.2, 1.0) * (centers < rng.uniform(0.2, 0.5) * grid.r_max)
     return vals

@@ -7,12 +7,13 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import aggdiff
-from aggdiff import hls_sharp_constant, riesz_constant, vhls_constant_upper
+from aggdiff import SolverConfig, hls_sharp_constant, riesz_constant, vhls_constant_upper
 from aggdiff.cli import _FIELDS, DEFAULT_CONFIG, ConfigError, load_config, main
 
 
@@ -70,6 +71,25 @@ class TestConfig:
     def test_type_error_names_field(self):
         with pytest.raises(ConfigError, match="solver.cfl"):
             load_config(None, ["solver.cfl=2.0"])
+
+    @pytest.mark.parametrize("field, value", [
+        ("cfl", "0"), ("cfl", "1.5"), ("cfl", "NaN"),
+        ("t_end", "0"), ("t_end", "NaN"),
+        ("dt_min", "-1e-13"), ("dt_min", "NaN"),
+        ("blowup_factor", "1"), ("blowup_factor", "NaN"),
+        ("output_every", "0"),
+    ])
+    def test_solver_range_exits_1_with_solver_config_rule(self, tmp_path, capsys,
+                                                           field, value):
+        with pytest.raises(ValueError) as rule:
+            replace(SolverConfig(t_end=1.0), **{field: json.loads(value)})
+        assert str(rule.value).startswith(f"{field} must ")
+        code = run_cli("simulate", "--set", f"solver.{field}={value}",
+                       "--out", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"config field 'solver.{field}': {rule.value}" in err
+        assert "Traceback" not in err
 
     def test_negative_epsilon_names_field(self):
         with pytest.raises(ConfigError, match="model.epsilon"):

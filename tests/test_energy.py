@@ -70,7 +70,7 @@ class TestFreeEnergy:
         assert len(calls) == 1
 
     def test_report_equals_the_separate_functionals(self, params, grid96, kernel96):
-        # same operands as free_energy / dissipation / vhls_ratio: bitwise equal
+        # same operands as free_energy / dissipation: bitwise equal
         rng = np.random.default_rng(34)
         for _ in range(5):
             u = DensityField(grid96, random_bump_field(rng, grid96))
@@ -78,7 +78,6 @@ class TestFreeEnergy:
             assert rep.F == free_energy(u, kernel96, params)
             assert rep.W == 0.5 * params.c_ds * interaction_energy(kernel96, u)
             assert rep.D == dissipation(u, chemical_potential(u, kernel96, params), grid96)
-            assert rep.J == vhls_ratio(u, kernel96, params)
 
     def test_part_scalings(self, params):
         # S -> lam^m mu^-d S and W -> lam^2 mu^-(d+2s) W under lam*u(mu r)

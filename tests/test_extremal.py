@@ -130,11 +130,12 @@ class TestMaximizeVhls:
         res = maximize_vhls(grid256, kernel256, params, n_starts=4, seed=11)
         assert res.J_value == pytest.approx(result.J_value, rel=0.05)
 
-    def test_best_ratio_non_decreasing_in_budget(self, params, grid96, kernel96):
-        small = maximize_vhls(grid96, kernel96, params, n_starts=1, seed=3,
-                              max_moves=20)
-        large = maximize_vhls(grid96, kernel96, params, n_starts=1, seed=3,
-                              max_moves=120)
+    def test_best_ratio_non_decreasing_in_budget(self, params, grid96, kernel96,
+                                                 monkeypatch):
+        monkeypatch.setattr(extremal, "_MAX_MOVES", 20)
+        small = maximize_vhls(grid96, kernel96, params, n_starts=1, seed=3)
+        monkeypatch.setattr(extremal, "_MAX_MOVES", 120)
+        large = maximize_vhls(grid96, kernel96, params, n_starts=1, seed=3)
         assert large.J_value >= small.J_value
 
     def test_bad_start_count_rejected(self, params, grid96, kernel96):

@@ -24,16 +24,14 @@ from aggdiff import (
     build_kernel,
     hls_sharp_constant,
     interaction_energy,
-    load_kernel,
     lp_norm,
     mass,
     potential,
-    potential_gradient,
     rearrange,
-    save_kernel,
     vhls_ratio,
 )
 from aggdiff import riesz
+from aggdiff.field import face_gradient
 from aggdiff.riesz import build_weak_interaction_kernel
 from conftest import random_bump_field
 
@@ -127,14 +125,6 @@ class TestKernelMatrix:
         with pytest.raises(ParameterDomainError, match="epsilon"):
             build_kernel(grid96, 1.25, epsilon=-0.1)
 
-    def test_cache_roundtrip(self, tmp_path, grid96, kernel96):
-        path = tmp_path / "kernel.npz"
-        save_kernel(kernel96, path)
-        back = load_kernel(path)
-        assert np.array_equal(back.K, kernel96.K)
-        assert back.grid.same_as(grid96)
-        assert back.s == kernel96.s
-
     def test_matrix_is_read_only(self, kernel96):
         with pytest.raises(ValueError):
             kernel96.K[0, 0] = 1.0
@@ -144,65 +134,20 @@ class TestKernelMatrix:
             RieszKernel(grid96, kernel96.s, kernel96.epsilon)
 
 
-def _write_kernel_file(path, K, r_edges, meta):
-    np.savez_compressed(path, K=K, r_edges=r_edges, meta=np.asarray(meta, dtype=float))
-
-
-class TestKernelFile:
-    def test_roundtrip_keeps_gauss_order(self, tmp_path, grid96):
-        k = build_kernel(grid96, 1.25, epsilon=0.05, gauss_order=3)
-        path = tmp_path / "kernel.npz"
-        save_kernel(k, path)
-        back = load_kernel(path)
-        assert back.gauss_order == 3
-        assert (back.s, back.epsilon) == (1.25, 0.05)
-        assert np.array_equal(back.K, k.K)
-        assert not back.structured
-
-    def test_file_without_order_loads_as_order_two(self, tmp_path, grid96, kernel96):
-        path = tmp_path / "old.npz"
-        _write_kernel_file(path, kernel96.K, grid96.r_edges, [3, kernel96.s, 0.0])
-        back = load_kernel(path)
-        assert back.gauss_order == 2
-        assert np.array_equal(back.K, kernel96.K)
-
-    def test_wrong_shape_rejected(self, tmp_path, grid96, kernel96):
-        path = tmp_path / "k.npz"
-        _write_kernel_file(path, kernel96.K[:-1, :-1], grid96.r_edges, [3, 1.25, 0.0, 2])
-        with pytest.raises(ValueError, match=r"shape \(95, 95\), expected \(96, 96\)"):
-            load_kernel(path)
-
-    def test_non_finite_rejected(self, tmp_path, grid96, kernel96):
-        K = kernel96.K.copy()
-        K[3, 3] = np.inf
-        path = tmp_path / "k.npz"
-        _write_kernel_file(path, K, grid96.r_edges, [3, 1.25, 0.0, 2])
-        with pytest.raises(ValueError, match="non-finite"):
-            load_kernel(path)
-
-    def test_asymmetric_rejected(self, tmp_path, grid96, kernel96):
-        K = kernel96.K.copy()
-        K[0, -1] *= 1.0 + 1e-15
-        path = tmp_path / "k.npz"
-        _write_kernel_file(path, K, grid96.r_edges, [3, 1.25, 0.0, 2])
-        with pytest.raises(ValueError, match="not exactly symmetric"):
-            load_kernel(path)
-
-
 def _dense_twin(kernel):
     """The same kernel on its dense oracle matrix."""
-    return RieszKernel(kernel.grid, kernel.s, kernel.epsilon, kernel.K,
-                       kernel.gauss_order)
+    return RieszKernel(kernel.grid, kernel.s, kernel.epsilon, kernel.K)
 
 
 class TestStructuredOperator:
     @pytest.mark.parametrize("n_cells", [1024, 1536])
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
-    @pytest.mark.parametrize("order", [2, 3])
+    # the Gauss order is a module constant; the parameter records it in the ids
+    @pytest.mark.parametrize("order", [riesz._GAUSS_ORDER])
     def test_matches_dense_oracle(self, n_cells, epsilon, order):
         g = RadialGrid.uniform(n_cells, 4.0)
-        k = build_kernel(g, 1.25, epsilon=epsilon, gauss_order=order)
-        assert k.structured
+        k = build_kernel(g, 1.25, epsilon=epsilon)
+        assert k.structured and k._operator.scale.shape == (order, n_cells)
         K = k.K
         rng = np.random.default_rng(n_cells + order)
         for v in (rng.random(n_cells), rng.random(n_cells) * g.shell_volumes,
@@ -347,13 +292,13 @@ class TestPotentialGradient:
     def test_inward_attraction_for_decreasing_density(self, params, grid256,
                                                       kernel256):
         u = DensityField(grid256, np.exp(-grid256.centers ** 2))
-        grad = potential_gradient(kernel256, u, params.c_ds)
+        grad = face_gradient(potential(kernel256, u, params.c_ds), grid256)
         assert grad[0] == 0.0 and grad[-1] == 0.0
         assert np.all(grad <= 1e-14)
 
     def test_zero_field_zero_gradient(self, params, grid96, kernel96):
         u = DensityField(grid96, np.zeros(96))
-        assert np.all(potential_gradient(kernel96, u, params.c_ds) == 0.0)
+        assert np.all(face_gradient(potential(kernel96, u, params.c_ds), grid96) == 0.0)
 
     def test_uniform_ball_matches_quadrature_derivative(self, params):
         from scipy.integrate import quad
@@ -361,7 +306,7 @@ class TestPotentialGradient:
         g = RadialGrid.uniform(512, 2.0)
         u = DensityField(g, np.where(g.centers < 1.0, 1.0, 0.0))
         k = build_kernel(g, params.s)
-        grad = potential_gradient(k, u, params.c_ds)
+        grad = face_gradient(potential(k, u, params.c_ds), g)
 
         def phi_quad(r):
             def ang(rr, pp):

@@ -76,10 +76,11 @@ class TestStep:
         assert all(a >= b - 1e-12 for a, b in zip(linf, linf[1:]))
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.05])
-    def test_steps_match_run_bitwise(self, params, grid96, epsilon):
+    def test_steps_match_run_bitwise(self, params, grid96, epsilon, monkeypatch):
         kernel = build_kernel(grid96, params.s, epsilon=epsilon)
         u0 = barenblatt_profile(grid96, 20.0, 1.0, params.m)
-        cfg = SolverConfig(t_end=1.0, max_steps=40)
+        monkeypatch.setattr(solver, "_MAX_STEPS", 40)
+        cfg = SolverConfig(t_end=1.0)
         out = run(u0, kernel, params, cfg)
         assert out.reason == "max_steps"
         state = SolverState(t=0.0, u=u0)
@@ -169,7 +170,8 @@ class TestRun:
         assert out.final_state.step_count > 0
         assert out.diagnostics[-1].linf_norm > 2.0 * out.diagnostics[0].linf_norm
 
-    def test_nan_kernel_fails_on_the_next_step(self, params, grid96, kernel96):
+    def test_nan_kernel_fails_on_the_next_step(self, params, grid96, kernel96,
+                                               monkeypatch):
         class CountingMatrix(np.ndarray):
             matvecs = 0
 
@@ -183,7 +185,8 @@ class TestRun:
                           K.view(CountingMatrix))
         u0 = barenblatt_profile(grid96, 20.0, 1.0, params.m)
         # without a per-step check this would run all 1000 steps
-        cfg = SolverConfig(t_end=1.0, max_steps=1000, output_every=10_000)
+        monkeypatch.setattr(solver, "_MAX_STEPS", 1000)
+        cfg = SolverConfig(t_end=1.0, output_every=10_000)
         with pytest.raises(ValueError, match="finite and non-negative"):
             run(u0, bad, params, cfg)
         # one for the initial diagnostics row, one per step taken
