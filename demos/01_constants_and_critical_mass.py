@@ -15,8 +15,6 @@ two independent ways: stochastic ascent over random profiles, and the
 ratio of the steady profile located by the critical-mass search.
 """
 
-import numpy as np
-
 import aggdiff as ad
 
 params = ad.ModelParams(d=3, s=1.25)

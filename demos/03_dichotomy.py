@@ -9,8 +9,6 @@ all time.  This script runs both sides on a 256-cell grid and checks
 the quantitative envelopes along the way.
 """
 
-import numpy as np
-
 import aggdiff as ad
 
 params = ad.ModelParams(d=3, s=1.25)

@@ -9,8 +9,6 @@ constant test function reproduces mass conservation at roundoff, while
 r^2 reproduces the virial budget with a first-order discretisation gap.
 """
 
-import numpy as np
-
 import aggdiff as ad
 from aggdiff import plateau_test_function, quadratic_test_function, weak_form_residual
 

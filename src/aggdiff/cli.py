@@ -15,7 +15,8 @@ config and content hashes of every input file, carry no timestamps, and
 are byte-stable for a fixed config and seed.
 
 Exit codes: 0 success, 1 usage/config error, 2 verification failures,
-3 runtime failure.
+3 runtime failure.  A ``simulate`` or ``dichotomy`` run that ends "failed"
+(a non-finite state) exits 3 after its report is written.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .field import (
     scale,
     write_field_csv,
 )
-from .riesz import RieszKernel, build_kernel, interaction_energy
+from .riesz import RieszKernel, build_kernel, check_alpha, interaction_energy
 from .solver import (
     SolverConfig,
     blowup_time_upper_bound,
@@ -222,12 +223,21 @@ def _write_report(cfg: dict, command: str, results: dict, input_hashes: dict) ->
     return path
 
 
+def _check_kernel_params(params: model.ModelParams) -> None:
+    """alpha = d - 2s in (0, 2), asked only of commands that build a kernel."""
+    try:
+        check_alpha(params.alpha)
+    except ParameterDomainError as exc:
+        raise ConfigError(f"config fields 'model.d'/'model.s': {exc}") from exc
+
+
 def _build_workspace(cfg: dict, profile: str | None = None):
     """(params, grid, kernel, profile) where ``profile`` is what
     :func:`_load_profile` returns for the given path (None without one).
-    The profile is loaded before the kernel is built, so a bad one fails
-    first."""
+    The (d, s) pair and the profile are checked before the kernel is
+    built, so a bad one fails first."""
     params = model.ModelParams(d=cfg["model"]["d"], s=cfg["model"]["s"])
+    _check_kernel_params(params)
     grid = RadialGrid.uniform(cfg["grid"]["n_cells"], cfg["grid"]["r_max"],
                               d=params.d)
     loaded = _load_profile(profile, params.d, grid) if profile is not None else None
@@ -239,16 +249,9 @@ def _build_workspace(cfg: dict, profile: str | None = None):
     return params, grid, kernel, loaded
 
 
-def _solver_config(cfg: dict, t_end: float | None = None, **overrides) -> SolverConfig:
-    scfg = cfg["solver"]
-    base = SolverConfig(
-        t_end=t_end if t_end is not None else scfg["t_end"],
-        cfl=scfg["cfl"],
-        dt_min=scfg["dt_min"],
-        blowup_factor=scfg["blowup_factor"],
-        output_every=scfg["output_every"],
-    )
-    return replace(base, **overrides) if overrides else base
+def _solver_config(cfg: dict, **overrides) -> SolverConfig:
+    """The configured solver fields, which are SolverConfig's, with overrides."""
+    return SolverConfig(**{**cfg["solver"], **overrides})
 
 
 def _load_profile(path: str, d: int, grid: RadialGrid | None = None):
@@ -307,6 +310,14 @@ def _compute_extremal(cfg: dict, params, grid, kernel):
     return result, M_target
 
 
+def _exit_code(statuses) -> int:
+    """3 when any run ended "failed", else 0; the report is written first."""
+    if "failed" in statuses:
+        print("runtime failure: a run reached a non-finite state", file=sys.stderr)
+        return 3
+    return 0
+
+
 def cmd_constants(cfg: dict, profile: str | None = None) -> int:
     params = model.ModelParams(d=cfg["model"]["d"], s=cfg["model"]["s"])
     consts = model.derived_constants(params)
@@ -322,6 +333,7 @@ def cmd_constants(cfg: dict, profile: str | None = None) -> int:
     }
     input_hashes = {}
     if profile is not None:
+        _check_kernel_params(params)
         field, meta, hashes = _load_profile(profile, params.d)
         input_hashes.update(hashes)
         kernel = build_kernel(field.grid, params.s, epsilon=cfg["model"]["epsilon"])
@@ -389,7 +401,7 @@ def cmd_simulate(cfg: dict, profile: str | None = None) -> int:
     }
     _write_report(cfg, "simulate", results, input_hashes)
     print(_canonical_json(results))
-    return 0
+    return _exit_code([outcome.status])
 
 
 def cmd_dichotomy(cfg: dict, profile: str | None = None) -> int:
@@ -442,7 +454,7 @@ def cmd_dichotomy(cfg: dict, profile: str | None = None) -> int:
     results = {"M_star": M_star, "table": rows}
     _write_report(cfg, "dichotomy", results, input_hashes)
     print(_canonical_json(results))
-    return 0
+    return _exit_code([entry["status"] for entry in rows])
 
 
 def cmd_eps_study(cfg: dict) -> int:

@@ -55,11 +55,19 @@ def _power_diff(t_plus: np.ndarray, u: np.ndarray, p: float) -> np.ndarray:
         return -t_plus ** p * np.expm1(p * np.log1p(-u))
 
 
+def check_alpha(alpha: float) -> float:
+    """The kernel power alpha = d - 2s, checked to lie in (0, 2), the range
+    every kernel built here supports."""
+    if not (0.0 < alpha < 2.0):
+        raise ParameterDomainError(
+            f"kernel supports alpha = d - 2s in (0, 2); got alpha={alpha}")
+    return alpha
+
+
 def angular_kernel(r, rho, d: int, alpha: float, epsilon: float = 0.0):
     """Sphere-averaged interaction kernel A(r, rho); closed form for d = 3,
     adaptive quadrature otherwise.  Supports alpha in (0, 2)."""
-    if not (0.0 < alpha < 2.0):
-        raise ParameterDomainError(f"angular kernel requires 0 < alpha < 2, got {alpha}")
+    check_alpha(alpha)
     r = np.asarray(r, dtype=float)
     rho = np.asarray(rho, dtype=float)
     if d == 3:
@@ -232,11 +240,7 @@ def build_kernel(grid: RadialGrid, s: float, epsilon: float = 0.0) -> RieszKerne
     """Precompute the interaction operator for a grid: the structured FFT
     form on uniform d = 3 grids of at least ``STRUCTURED_MIN_CELLS``
     cells, the dense matrix otherwise."""
-    alpha = grid.d - 2.0 * s
-    if not (0.0 < alpha < 2.0):
-        raise ParameterDomainError(
-            f"kernel supports alpha = d - 2s in (0, 2); got alpha={alpha}"
-        )
+    alpha = check_alpha(grid.d - 2.0 * s)
     if epsilon < 0.0:
         raise ParameterDomainError(f"epsilon must be >= 0, got {epsilon}")
     if grid.d == 3 and grid.n_cells >= STRUCTURED_MIN_CELLS and _is_uniform(grid):
@@ -278,9 +282,7 @@ def build_weak_interaction_kernel(grid: RadialGrid, s: float, dpsi,
     """
     if grid.d != 3:
         raise ParameterDomainError("weak-form kernel is implemented for d = 3 only")
-    alpha = grid.d - 2.0 * s
-    if not (0.0 < alpha < 2.0):
-        raise ParameterDomainError(f"requires alpha in (0, 2), got {alpha}")
+    alpha = check_alpha(grid.d - 2.0 * s)
     omega_d = sphere_surface(grid.d)
     eps2 = epsilon * epsilon
 

@@ -15,9 +15,9 @@ leak and discrete steady profiles stay put.
 Two time discretisations share that flux, chosen by
 ``SolverConfig.scheme``: explicit forward Euler at the CFL limit (the
 default; nonlinear diffusion makes its step count grow as (R/dr)^2), and
-backward Euler with phi lagged one step, solved by Newton, whose step
-count does not depend on dr.  The implicit scheme is meant for long
-subcritical horizons.
+backward Euler with phi lagged one step, linearised at the current state
+so each step is one tridiagonal solve, whose step count does not depend
+on dr.  The implicit scheme is meant for long subcritical horizons.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import numpy as np
 
 from .energy import _mu, energy_report, free_energy, mu_values, upwind_face_values
 from .errors import ParameterDomainError
-from .field import (DensityField, check_density, face_gradient, lp_norm, mass,
-                    require_same_grid, second_moment)
+from .field import (DensityField, face_gradient, lp_norm, mass, require_same_grid,
+                    second_moment)
 from .model import ModelParams
 from .riesz import (RieszKernel, build_kernel, build_weak_interaction_kernel,
                     potential_values)
@@ -48,12 +48,11 @@ class SolverConfig:
     kernel's regularisation length, so the mollifier and the added
     diffusion can never disagree.
 
-    ``scheme`` is "explicit" or "implicit".  ``cfl`` sets every explicit
-    step; the implicit scheme uses it only for its first step.  After
-    that, the implicit step rule and its Newton budget are the module
-    constants ``_STEP_CHANGE``, ``_NEWTON_MAX_ITER`` and ``_NEWTON_RTOL``.
-    A run that takes ``_MAX_STEPS`` steps ends "stalled".  Each range
-    check names its field and value, and NaN fails every range.
+    ``scheme`` is "explicit" or "implicit" (one linear solve per step).
+    ``cfl`` sets every explicit step and the first implicit one; later
+    implicit steps follow ``_STEP_CHANGE``.  A run that takes
+    ``_MAX_STEPS`` steps ends "stalled".  Each range check names its field
+    and value, and NaN fails every range.
     """
 
     t_end: float
@@ -109,14 +108,14 @@ class DiagnosticsRow:
 class RunOutcome:
     """Result of :func:`run`: terminal status plus the diagnostics trace.
 
-    status is one of "completed", "blowup", "stalled"; for blow-up,
-    ``t_detect`` records the detection time and ``reason`` the trigger
-    ("linf_threshold" or "dt_collapse").  ``boundary_mass_flux_total``
+    status is one of "completed", "blowup", "stalled", "failed"; for
+    blow-up, ``t_detect`` records the detection time and ``reason`` the
+    trigger ("linf_threshold" or "dt_collapse").  A step that produces a
+    non-finite value ends the run "failed" (reason "non_finite") with the
+    last finite state as the final state.  ``boundary_mass_flux_total``
     accumulates the signed mass transported outward across the face at
     95% of R_max, the observable for truncation artefacts.
-    ``newton_iterations`` counts the implicit scheme's Newton updates and
-    ``rejected_steps`` its retried steps (both stay 0 for the explicit
-    scheme).
+    ``rejected_steps`` counts the implicit scheme's retried steps.
     """
 
     status: str
@@ -127,7 +126,6 @@ class RunOutcome:
     boundary_mass_flux_total: float = 0.0
     clipped_mass_total: float = 0.0
     fields: list = field(default_factory=list)
-    newton_iterations: int = 0
     rejected_steps: int = 0
 
 
@@ -136,7 +134,6 @@ class _Stepper:
     looked up once: built per :func:`run` and per :func:`step` call.
     Rejects a kernel built for another order s or dimension d."""
 
-    newton_iterations = 0
     rejected_steps = 0
 
     def __init__(self, kernel: RieszKernel, params: ModelParams,
@@ -188,7 +185,6 @@ class _Stepper:
     def advance(self, u_vals: np.ndarray, t_left: float):
         """Returns (new values, dt taken, stable dt, clipped mass, outward
         flux rate at the 95% R_max face)."""
-        check_density(u_vals)
         vols = self.vols
         w, flux = self._flux(u_vals, mu_values(u_vals, self.kernel, self.m, self.c_ds))
         dt_stab = self._stable_dt(u_vals, w)
@@ -203,29 +199,23 @@ class _Stepper:
         return new_vals, dt, dt_stab, clipped, band_rate
 
 
-# Implicit step rule: aim for max|u_new - u| = _STEP_CHANGE * max u per step,
-# grow dt at most 1.5-fold per step, and reject a step that changes u by more
-# than twice the aim.  A step whose Newton solve needs more than
-# _NEWTON_MAX_ITER updates to cut the residual by _NEWTON_RTOL is rejected too.
-_STEP_CHANGE = 0.002
-_NEWTON_MAX_ITER = 8
-_NEWTON_RTOL = 1e-8
+_STEP_CHANGE = 0.002  # the implicit step's aim for max|u_new - u| / max u
 
 
 class _ImplicitStepper(_Stepper):
-    """Backward-Euler steps on the explicit scheme's upwind mu-flux, with
-    phi lagged one step (one matvec per step).
+    """Linearised backward-Euler steps on the explicit scheme's upwind
+    mu-flux, with phi lagged one step (one matvec per step).
 
-    Each step solves u - u^n + dt/V div(A F(u)) = 0 by damped Newton.  The
-    Jacobian is tridiagonal, with the donor side frozen at the current
-    iterate and dmu/du = m u^{m-2} taken as 0 in vacuum cells.  Its columns
-    satisfy V^T J = V^T, so every Newton update keeps the mass of u^n; the
-    update is shortened where it would make a cell negative.  dt starts at
-    the explicit stable step of the first state and then follows the step
-    rule above (a step no longer than that start passes the change test,
-    as an explicit step would); a rejected step is retried at half its dt,
-    and a step proposal below ``dt_min`` is handed back to :func:`run`'s
-    collapse rule.
+    Each step solves J delta = -dt/V div(A F(u^n)) once, J being the
+    tridiagonal Jacobian of u + dt/V div(A F(u)) at u^n, with the donor side
+    frozen and dmu/du = m u^{m-2} taken as 0 in vacuum cells.  Its columns
+    satisfy V^T J = V^T, so the update keeps the mass of u^n exactly.  dt
+    starts at the explicit stable step of the first state, then aims at
+    max|delta| = ``_STEP_CHANGE`` * max u and grows at most 1.5-fold per
+    step.  A step that leaves a cell negative, or changes u by more than
+    twice the aim with dt above that start, is retried at half its dt; a
+    proposal below ``dt_min`` is handed back to :func:`run`'s collapse
+    rule, and a non-finite update is handed back as it is.
     """
 
     def __init__(self, kernel: RieszKernel, params: ModelParams,
@@ -234,70 +224,33 @@ class _ImplicitStepper(_Stepper):
         self.dt_min = config.dt_min
         self.dt_next = None  # step proposal, first the explicit stable step
         self.dt_explicit = None
-        self.newton_iterations = 0
-        self.rejected_steps = 0
 
     def advance(self, u_vals: np.ndarray, t_left: float):
-        """Same contract as :meth:`_Stepper.advance`; the stable dt is the
-        step proposal, and a proposal below ``dt_min`` returns u unchanged."""
-        check_density(u_vals)
+        """Same contract as :meth:`_Stepper.advance`, with the step proposal
+        as the stable dt (u comes back unchanged below ``dt_min``), no
+        clipping, and the band flux read off the update itself."""
         phi = potential_values(self.kernel, u_vals, self.c_ds)
+        w, flux = self._flux(u_vals, _mu(u_vals, phi, self.m))
         if self.dt_next is None:
-            w, _ = self._flux(u_vals, _mu(u_vals, phi, self.m))
             self.dt_next = self.dt_explicit = self._stable_dt(u_vals, w)
-        u_max = float(u_vals.max())
+        div = self._divergence(flux)
+        aim = _STEP_CHANGE * float(u_vals.max())
         dt_try = self.dt_next
         while dt_try >= self.dt_min:
             dt = min(dt_try, t_left)
-            solved = self._solve_step(u_vals, phi, dt)
-            if solved is not None:
-                new_vals, flux, clipped = solved
-                change = float(np.max(np.abs(new_vals - u_vals)))
-                if change <= 2.0 * _STEP_CHANGE * u_max or dt <= self.dt_explicit:
-                    aim = _STEP_CHANGE * u_max
-                    self.dt_next = dt * (min(1.5, aim / change) if change > 0.0 else 1.5)
-                    band_rate = float(self.areas[self.band_face] * flux[self.band_face])
-                    return new_vals, dt, dt_try, clipped, band_rate
+            delta = _solve_tridiagonal(*self._jacobian(u_vals, w, dt),
+                                       -dt * div / self.vols)
+            new_vals = u_vals + delta
+            change = float(np.max(np.abs(delta)))
+            small = change <= 2.0 * aim or dt <= self.dt_explicit
+            if (new_vals.min() >= 0.0 and small) or not math.isfinite(change):
+                self.dt_next = dt * (min(1.5, aim / change) if change > 0.0 else 1.5)
+                band = self.band_face
+                band_rate = -float(np.dot(self.vols[:band], delta[:band])) / dt
+                return new_vals, dt, dt_try, 0.0, band_rate
             self.rejected_steps += 1
             dt_try = 0.5 * dt
         return u_vals, 0.0, dt_try, 0.0, 0.0
-
-    def _solve_step(self, u_old: np.ndarray, phi: np.ndarray, dt: float):
-        """(u, flux at u, clipped mass) solving the backward-Euler equations,
-        or None when Newton does not converge within its budget."""
-        vols = self.vols
-        u = u_old
-        clipped = 0.0
-        # converged once the residual has fallen by _NEWTON_RTOL, or to the
-        # roundoff of u itself
-        roundoff = 8.0 * np.finfo(float).eps * float(u_old.max())
-        tol = None
-        for iteration in range(_NEWTON_MAX_ITER + 1):
-            w, flux = self._flux(u, _mu(u, phi, self.m))
-            resid = u - u_old + dt * self._divergence(flux) / vols
-            size = float(np.max(np.abs(resid)))
-            if tol is None:
-                tol = max(_NEWTON_RTOL * size, roundoff)
-            if size <= tol:
-                return u, flux, clipped
-            if iteration == _NEWTON_MAX_ITER or not math.isfinite(size):
-                return None
-            delta = _solve_tridiagonal(*self._jacobian(u, w, dt), -resid)
-            self.newton_iterations += 1
-            if not np.all(np.isfinite(delta)):
-                return None
-            falling = delta < 0.0
-            theta = 1.0
-            if falling.any():
-                theta = min(theta, float(np.min(u[falling] / -delta[falling])))
-            if not theta > 0.0:
-                return None
-            u = u + theta * delta
-            neg = u < 0.0  # roundoff where the damping stops a cell at zero
-            if neg.any():
-                clipped -= float(np.dot(u[neg], vols[neg]))
-                u = np.where(neg, 0.0, u)
-        return None
 
     def _jacobian(self, u: np.ndarray, w: np.ndarray, dt: float):
         """(lower, diagonal, upper) of d/du [u + dt/V div(A F(u))] with phi
@@ -352,7 +305,8 @@ def step(state: SolverState, kernel: RieszKernel, params: ModelParams,
          config: SolverConfig, c_ds: float | None = None) -> SolverState:
     """Advance one conservative step (chiefly for tests and notebooks;
     :func:`run` drives the same update in a loop).  An implicit step is
-    taken at the explicit stable dt unless its Newton solve fails there."""
+    taken at the explicit stable dt unless it would leave a cell negative
+    there.  A non-finite result raises ``ValueError`` from its field."""
     require_same_grid(state.u.grid, kernel.grid, "field and kernel")
     if c_ds is None:
         c_ds = params.c_ds
@@ -396,7 +350,8 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
     initial and final states.  This is the one blow-up rule: L^inf above
     ``blowup_factor`` times its initial value ("linf_threshold"), or a
     stable dt below ``dt_min`` once L^inf has more than doubled
-    ("dt_collapse"); a collapsing dt without that growth is a stall.
+    ("dt_collapse"); a collapsing dt without that growth is a stall.  A
+    non-finite L^inf after a step ends the run "failed" ("non_finite").
     Raises :class:`ParameterDomainError` for a kernel built for another
     s or d.
     """
@@ -424,12 +379,15 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
             else:
                 status, reason = "stalled", "dt_min"
             break
+        linf_now = float(np.max(new_vals, initial=0.0))
+        if not math.isfinite(linf_now):
+            status, reason = "failed", "non_finite"
+            break
         u_vals = new_vals
         t += dt
         steps += 1
         clipped_total += clipped
         band_flux_total += band_rate * dt
-        linf_now = float(np.max(u_vals, initial=0.0))
         if u0_linf > 0.0 and linf_now > config.blowup_factor * u0_linf:
             status, reason, t_detect = "blowup", "linf_threshold", t
             break
@@ -458,7 +416,6 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
         boundary_mass_flux_total=band_flux_total,
         clipped_mass_total=clipped_total,
         fields=fields,
-        newton_iterations=stepper.newton_iterations,
         rejected_steps=stepper.rejected_steps,
     )
 

@@ -24,7 +24,6 @@ from aggdiff import (
     build_kernel,
     critical_mass,
     diffusive_time,
-    el_fixed_point,
     epsilon_convergence_study,
     free_energy,
     hls_extremizer_profile,

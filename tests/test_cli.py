@@ -2,7 +2,6 @@
 
 import csv
 import json
-import math
 import os
 import re
 import subprocess
@@ -13,7 +12,8 @@ import numpy as np
 import pytest
 
 import aggdiff
-from aggdiff import SolverConfig, hls_sharp_constant, riesz_constant, vhls_constant_upper
+from aggdiff import (RieszKernel, SolverConfig, build_kernel, hls_sharp_constant,
+                     riesz_constant, vhls_constant_upper)
 from aggdiff.cli import _FIELDS, DEFAULT_CONFIG, ConfigError, load_config, main
 
 
@@ -123,6 +123,27 @@ class TestConfig:
             load_config(None, ["model.d=4", "model.s=2.0"])  # 2s = d
 
 
+    @pytest.mark.parametrize("command", ["extremal", "simulate", "dichotomy",
+                                         "eps-study", "verify", "constants"])
+    def test_kernel_alpha_rule_exits_1_before_any_kernel(self, tmp_path, command,
+                                                        monkeypatch, capsys):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("a bad (d, s) must fail before a kernel is built")
+
+        monkeypatch.setattr(aggdiff.cli, "build_kernel", no_kernel)
+        # 2 < 2s < d holds, but the kernel power alpha = d - 2s = 2.6 does not
+        # lie in (0, 2)
+        bad = ["--set", "model.d=5", "--set", "model.s=1.2",
+               "--set", "grid.n_cells=16", "--out", str(tmp_path)]
+        profile = ["--profile", str(tmp_path / "p.csv")] if command == "constants" else []
+        assert run_cli(command, *bad, *profile) == 1
+        err = capsys.readouterr().err
+        assert "'model.d'/'model.s'" in err and "alpha=2.6" in err
+        assert "Traceback" not in err
+        if command == "constants":  # without a profile it builds no kernel
+            assert run_cli(command, *bad) == 0
+
+
 class TestConstants:
     def test_report_matches_library(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -215,7 +236,7 @@ def test_implicit_run_leaves_scipy_linalg_unloaded():
              "ad.build_kernel(g, p.s), p, "
              "ad.SolverConfig(t_end=1e-3, scheme='implicit')); "
              "F = [r.F for r in out.diagnostics]; "
-             "assert out.newton_iterations > 0 and F[-1] < F[0]; "
+             "assert out.final_state.step_count > 0 and F[-1] < F[0]; "
              "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
     assert run_probe(probe) == "[]"
 
@@ -302,6 +323,37 @@ class TestProfileHandoff:
                        "--out", str(tmp_path / "out"))
         assert code == 1
         assert "volumes do not match" in capsys.readouterr().err
+
+
+def nan_kernel(grid, s, epsilon=0.0):
+    """The real kernel with one NaN entry, so the first step goes non-finite."""
+    K = build_kernel(grid, s, epsilon=epsilon).K.copy()
+    K[0, -1] = np.nan
+    return RieszKernel(grid, s, epsilon, K)
+
+
+class TestFailedRun:
+    def test_simulate_writes_report_then_exits_3(self, tmp_path, monkeypatch,
+                                                 capsys):
+        monkeypatch.setattr(aggdiff.cli, "build_kernel", nan_kernel)
+        out = tmp_path / "out"
+        assert run_cli("simulate", *SMALL, "--out", str(out)) == 3
+        res = json.loads((out / "report.json").read_text())["results"]
+        assert (res["status"], res["reason"]) == ("failed", "non_finite")
+        err = capsys.readouterr().err
+        assert "runtime failure" in err and "Traceback" not in err
+
+    def test_dichotomy_writes_report_then_exits_3(self, tmp_path, extremal_profile,
+                                                  monkeypatch, capsys):
+        monkeypatch.setattr(aggdiff.cli, "build_kernel", nan_kernel)
+        out = tmp_path / "out"
+        code = run_cli("dichotomy", *SMALL, "--set", "experiment.mass_ratios=[0.5]",
+                       "--profile", str(extremal_profile), "--out", str(out))
+        assert code == 3
+        res = json.loads((out / "report.json").read_text())["results"]
+        assert res["table"][0]["status"] == "failed"
+        err = capsys.readouterr().err
+        assert "runtime failure" in err and "Traceback" not in err
 
 
 class TestSimulate:

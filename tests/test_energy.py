@@ -1,6 +1,5 @@
 """Free energy split, chemical potential, dissipation, sharp ratios."""
 
-import math
 
 import numpy as np
 import pytest

@@ -22,7 +22,6 @@ from aggdiff import (
     multiplier_defect,
     potential,
     vhls_constant_upper,
-    vhls_ratio,
 )
 
 

@@ -28,7 +28,6 @@ from aggdiff import (
     mass,
     potential,
     rearrange,
-    vhls_ratio,
 )
 from aggdiff import riesz
 from aggdiff.field import face_gradient
