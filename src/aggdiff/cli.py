@@ -16,7 +16,8 @@ are byte-stable for a fixed config and seed.
 
 Exit codes: 0 success, 1 usage/config error, 2 verification failures,
 3 runtime failure.  A ``simulate`` or ``dichotomy`` run that ends "failed"
-(a non-finite state) exits 3 after its report is written.
+(a non-finite state), and an ``eps-study`` with any run that does not
+complete, exit 3 after the report is written.
 """
 
 from __future__ import annotations
@@ -462,18 +463,24 @@ def cmd_eps_study(cfg: dict) -> int:
     consts = model.derived_constants(params)
     fp = cfg["experiment"]["fixed_point"]
     u0 = barenblatt_profile(grid, 0.5 * consts.M_star, fp["support_radius"], params.m)
-    distances = epsilon_convergence_study(
+    statuses, distances = epsilon_convergence_study(
         u0, params, cfg["experiment"]["eps_list"], cfg["experiment"]["t_fix"],
         config=_solver_config(cfg, t_end=cfg["experiment"]["t_fix"]),
     )
-    decreasing = all(a > b for a, b in zip(distances, distances[1:]))
+    decreasing = distances is not None and all(
+        a > b for a, b in zip(distances, distances[1:]))
     results = {
         "eps_list": cfg["experiment"]["eps_list"],
+        "statuses": statuses,
         "l1_distances": distances,
         "strictly_decreasing": decreasing,
     }
     _write_report(cfg, "eps-study", results, {})
     print(_canonical_json(results))
+    if distances is None:
+        print(f"runtime failure: eps-study runs ended {statuses}; "
+              "every run must complete", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -552,22 +552,24 @@ def weak_form_residual(trajectory, psi: RadialTestFunction, kernel: RieszKernel,
 
 def epsilon_convergence_study(u0: DensityField, params: ModelParams,
                               eps_list, t_fix: float,
-                              config: SolverConfig | None = None) -> list:
-    """L^1 distances at t_fix between runs with consecutive regularisation
-    lengths (one kernel per length, which also sets the epsilon-Laplacian);
-    every run must complete (subcritical data required)."""
+                              config: SolverConfig | None = None
+                              ) -> tuple[list, list | None]:
+    """Each run's status and the L^1 distances at t_fix between runs with
+    consecutive regularisation lengths (one kernel per length, which also
+    sets the epsilon-Laplacian).  The distances are None unless every run
+    completed (subcritical data required)."""
     cfg = replace(config or SolverConfig(t_end=t_fix), t_end=t_fix)
-    finals = []
+    statuses, finals = [], []
     for eps in eps_list:
         kernel = build_kernel(u0.grid, params.s, epsilon=eps)
         outcome = run(u0, kernel, params, cfg)
-        if outcome.status != "completed":
-            raise RuntimeError(
-                f"epsilon study run at eps={eps} ended with {outcome.status}"
-            )
+        statuses.append(outcome.status)
         finals.append(outcome.final_state.u.values)
+    if any(status != "completed" for status in statuses):
+        return statuses, None
     vols = u0.grid.shell_volumes
-    return [float(np.dot(np.abs(a - b), vols)) for a, b in zip(finals, finals[1:])]
+    return statuses, [float(np.dot(np.abs(a - b), vols))
+                      for a, b in zip(finals, finals[1:])]
 
 
 def diagnostics_to_csv(rows, path) -> None:

@@ -241,6 +241,18 @@ def test_implicit_run_leaves_scipy_linalg_unloaded():
     assert run_probe(probe) == "[]"
 
 
+def test_critical_mass_search_leaves_scipy_linalg_unloaded():
+    # the mixing's least-squares solve is numpy.linalg's
+    probe = ("import sys, aggdiff as ad, aggdiff.cli; "
+             "p = ad.ModelParams(d=3, s=1.25); c = ad.derived_constants(p); "
+             "g = ad.RadialGrid.uniform(96, 4.0); "
+             "M_c, res = ad.find_critical_mass(g, ad.build_kernel(g, p.s), p, "
+             "c.M_star, 1.08 * c.M_star, rel_tol=1e-3, support_radius_init=1.0); "
+             "assert c.M_star < M_c < 1.08 * c.M_star and res.iterations > 1; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+    assert run_probe(probe) == "[]"
+
+
 @pytest.fixture(scope="module")
 def extremal_profile(tmp_path_factory):
     """Steady profile written by ``aggdiff extremal`` on the SMALL grid."""
@@ -355,6 +367,20 @@ class TestFailedRun:
         err = capsys.readouterr().err
         assert "runtime failure" in err and "Traceback" not in err
 
+    def test_eps_study_writes_report_then_exits_3(self, tmp_path, monkeypatch,
+                                                  capsys):
+        # the study builds one kernel per epsilon inside the solver module
+        monkeypatch.setattr(aggdiff.solver, "build_kernel", nan_kernel)
+        out = tmp_path / "out"
+        code = run_cli("eps-study", *SMALL, "--set", "experiment.eps_list=[0.2,0.1]",
+                       "--out", str(out))
+        assert code == 3
+        res = json.loads((out / "report.json").read_text())["results"]
+        assert res["statuses"] == ["failed", "failed"]
+        assert res["l1_distances"] is None and res["strictly_decreasing"] is False
+        err = capsys.readouterr().err
+        assert "runtime failure" in err and "Traceback" not in err
+
 
 class TestSimulate:
     def test_diagnostics_written_and_byte_stable(self, tmp_path, capsys):
@@ -420,6 +446,7 @@ class TestEpsStudy:
         assert code == 0
         res = json.loads((out / "report.json").read_text())["results"]
         assert res["strictly_decreasing"] is True
+        assert res["statuses"] == ["completed"] * 3
         assert len(res["l1_distances"]) == 2
 
 

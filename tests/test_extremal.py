@@ -1,9 +1,12 @@
 """Steady-profile fixed point, critical-mass search, ratio maximiser."""
 
+import math
+
 import numpy as np
 import pytest
 
 from aggdiff import extremal
+from aggdiff.field import dilate
 from aggdiff import (
     ConvergenceError,
     DensityField,
@@ -21,6 +24,7 @@ from aggdiff import (
     maximize_vhls,
     multiplier_defect,
     potential,
+    second_moment,
     vhls_constant_upper,
 )
 
@@ -250,3 +254,170 @@ class TestMultiplierSolve:
         monkeypatch.setattr(extremal, "_NEWTON_STEPS", 3)
         with pytest.raises(ConvergenceError, match="3 Newton steps"):
             extremal._solve_multiplier(phi, params.m, grid256.shell_volumes, M_c)
+
+
+def full_grid_mass_of_multiplier(phi, lam, m, vols):
+    """Oracle: the power taken over every cell, zeros included."""
+    y = np.maximum((m - 1.0) / m * (phi + lam), 0.0)
+    y_pm1 = y ** ((2.0 - m) / (m - 1.0))
+    vals = y_pm1 * y
+    return vals, y_pm1, float(np.dot(vals, vols)), float(np.dot(y_pm1, vols))
+
+
+class TestMassOfMultiplier:
+    @pytest.mark.parametrize("shift", [-2.0, -0.5, 0.0, 0.5, 5.0])
+    def test_support_only_power_is_bitwise_full_grid(self, params, kernel4096, shift):
+        # shifts from an empty support through partial supports to the whole grid
+        grid = kernel4096.grid
+        u = barenblatt_profile(grid, 150.0, 1.0, params.m)
+        phi = potential(kernel4096, u, params.c_ds)
+        lam = -float(np.max(phi)) + shift * float(np.ptp(phi))
+        got = extremal._mass_of_multiplier(phi, lam, params.m, grid.shell_volumes)
+        want = full_grid_mass_of_multiplier(phi, lam, params.m, grid.shell_volumes)
+        for a, b in zip(got[:2], want[:2]):
+            assert np.array_equal(a, b) and not np.any(np.signbit(a))
+        assert got[2:] == want[2:]
+
+
+def plain_fixed_point(grid, kernel, params, M_target, tol, max_iter=500,
+                      support_radius_init=1.0):
+    """Oracle: the damped, re-anchored sweep iterated without mixing.
+    Returns the profile values, the last multiplier and the sweep count."""
+    init = barenblatt_profile(grid, M_target, support_radius_init, params.m)
+    vols = grid.shell_volumes
+    u_vals = init.values * (M_target / mass(init))
+    m2_anchor = second_moment(DensityField(grid, u_vals))
+    for sweeps in range(1, max_iter + 1):
+        phi = potential(kernel, DensityField(grid, u_vals), params.c_ds)
+        candidate, lam = extremal._solve_multiplier(phi, params.m, vols, M_target)
+        damped = DensityField(grid, 0.5 * u_vals + 0.5 * candidate)
+        new_vals = dilate(damped, math.sqrt(second_moment(damped) / m2_anchor)).values
+        change = float(np.dot(np.abs(new_vals - u_vals), vols)) / M_target
+        u_vals = new_vals
+        if change < tol:
+            return u_vals, lam, sweeps
+    raise ConvergenceError("plain iteration did not converge")
+
+
+def plain_el_fixed_point(grid, kernel, params, M_target, tol=1e-10, max_iter=500,
+                         support_radius_init=None):
+    """The oracle behind el_fixed_point's signature, for find_critical_mass."""
+    vals, lam, sweeps = plain_fixed_point(grid, kernel, params, M_target, tol,
+                                          max_iter, support_radius_init)
+    return extremal.ExtremalResult(DensityField(grid, vals), lam, math.nan,
+                                   math.nan, math.nan, sweeps)
+
+
+MIXING_CASES = [(n_cells, eps, ratio) for n_cells in (96, 1024)
+                for eps in (0.0, 0.05) for ratio in (0.5, 0.9, 1.0, 1.05, 1.5)]
+
+
+@pytest.fixture(scope="module")
+def mixing_matrix(params, consts):
+    """Per case: the mixed solve, every iterate it swept, and the oracle."""
+    grids = {96: RadialGrid.uniform(96, 3.0), 1024: RadialGrid.uniform(1024, 4.0)}
+    kernels = {(n, eps): build_kernel(grids[n], params.s, epsilon=eps)
+               for n in grids for eps in (0.0, 0.05)}
+    cases = {}
+    for n_cells, eps, ratio in MIXING_CASES:
+        grid, kernel = grids[n_cells], kernels[n_cells, eps]
+        M = ratio * consts.M_star
+        iterates = []
+
+        def recording(kernel, u, c_ds):
+            iterates.append(u.values.copy())
+            return potential(kernel, u, c_ds)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extremal, "potential", recording)
+            mixed = el_fixed_point(grid, kernel, params, M, tol=1e-9,
+                                   support_radius_init=1.0)
+        cases[n_cells, eps, ratio] = (M, mixed, iterates,
+                                      plain_fixed_point(grid, kernel, params, M, 1e-9))
+    return cases
+
+
+class TestAndersonMixing:
+    @pytest.mark.parametrize("case", MIXING_CASES)
+    def test_iterates_non_negative_at_target_mass(self, mixing_matrix, case):
+        M, mixed, iterates, _ = mixing_matrix[case]
+        # one potential per sweep, then el_residual's on the result
+        assert len(iterates) == mixed.iterations + 1
+        assert np.array_equal(iterates[-1], mixed.U.values)
+        vols = mixed.U.grid.shell_volumes
+        for vals in iterates:
+            assert np.all(vals >= 0.0)
+            held = float(np.dot(vals, vols))
+            if vals[-1] == 0.0:
+                assert held == pytest.approx(M, rel=1e-12, abs=0.0)
+            else:  # a sweep's dilation drops the mass it pushes past R_max
+                assert held <= M * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("case", MIXING_CASES)
+    def test_profile_matches_plain_iteration(self, mixing_matrix, case):
+        M, mixed, _, (plain_vals, plain_lam, _) = mixing_matrix[case]
+        vols = mixed.U.grid.shell_volumes
+        gap = float(np.dot(np.abs(mixed.U.values - plain_vals), vols)) / M
+        assert gap <= 1e-8
+        assert mixed.lambda_bar == pytest.approx(plain_lam, rel=1e-8)
+
+    @pytest.mark.parametrize("case", MIXING_CASES)
+    def test_never_twice_the_plain_sweeps(self, mixing_matrix, case):
+        _, mixed, _, (_, _, plain_sweeps) = mixing_matrix[case]
+        assert mixed.iterations <= 2 * plain_sweeps
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 1.5])
+    def test_history_follows_the_safeguard(self, params, consts, grid96, kernel96,
+                                           monkeypatch, ratio):
+        calls = []  # (history entries, residual norm) per sweep that did not stop
+        mix = extremal._anderson_mix
+
+        def recording(outputs, residuals, vols, M_target):
+            calls.append((len(outputs), float(np.linalg.norm(residuals[-1]))))
+            return mix(outputs, residuals, vols, M_target)
+
+        monkeypatch.setattr(extremal, "_anderson_mix", recording)
+        el_fixed_point(grid96, kernel96, params, ratio * consts.M_star, tol=1e-9,
+                       support_radius_init=1.0)
+        best = last = math.inf
+        since_best, mixing, entries = 0, True, 0
+        for got, norm in calls:
+            since_best = 0 if norm < best else since_best + 1
+            best = min(best, norm)
+            mixing = mixing and since_best < extremal._MIXING_STALL
+            grew = norm > last
+            entries = 1 if grew or not mixing else min(entries + 1,
+                                                       extremal._MIXING_DEPTH + 1)
+            last = norm
+            assert got == entries
+        assert calls[0][0] == 1  # the first sweep is a plain step
+        assert max(got for got, _ in calls) == extremal._MIXING_DEPTH + 1
+
+    def test_fewer_sweeps_over_the_matrix(self, mixing_matrix):
+        mixed = sum(c[1].iterations for c in mixing_matrix.values())
+        plain = sum(c[3][2] for c in mixing_matrix.values())
+        assert mixed < plain  # 486 vs 690
+
+    def test_critical_mass_in_half_the_sweeps(self, params, consts, grid256,
+                                              kernel256, monkeypatch):
+        def search():
+            sweeps = []
+            solve = extremal.el_fixed_point
+
+            def counted(*args, **kwargs):
+                result = solve(*args, **kwargs)
+                sweeps.append(result.iterations)
+                return result
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(extremal, "el_fixed_point", counted)
+                M_c, _ = find_critical_mass(grid256, kernel256, params, consts.M_star,
+                                            1.08 * consts.M_star, rel_tol=1e-6,
+                                            support_radius_init=1.0)
+            return M_c, sum(sweeps)
+
+        M_c, mixed_sweeps = search()
+        monkeypatch.setattr(extremal, "el_fixed_point", plain_el_fixed_point)
+        M_c_plain, plain_sweeps = search()
+        assert mixed_sweeps <= 0.5 * plain_sweeps  # 272 vs 799
+        assert M_c == pytest.approx(M_c_plain, rel=1e-12, abs=0.0)

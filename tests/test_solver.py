@@ -312,8 +312,9 @@ class TestEpsilonStudy:
         g = RadialGrid.uniform(128, 4.0)
         u0 = barenblatt_profile(g, 0.5 * consts.M_star, 1.0, params.m)
         cfg = SolverConfig(t_end=0.01, output_every=1000)
-        dists = epsilon_convergence_study(u0, params, [0.2, 0.1, 0.05, 0.025],
-                                          t_fix=0.01, config=cfg)
+        statuses, dists = epsilon_convergence_study(
+            u0, params, [0.2, 0.1, 0.05, 0.025], t_fix=0.01, config=cfg)
+        assert statuses == ["completed"] * 4
         assert len(dists) == 3
         assert all(a > b for a, b in zip(dists, dists[1:]))
 
@@ -321,13 +322,14 @@ class TestEpsilonStudy:
         g = RadialGrid.uniform(64, 4.0)
         u0 = barenblatt_profile(g, 0.5 * consts.M_star, 1.0, params.m)
         cfg = SolverConfig(t_end=0.001, output_every=1000)
-        assert epsilon_convergence_study(u0, params, [0.1], 0.001, cfg) == []
+        assert epsilon_convergence_study(u0, params, [0.1], 0.001, cfg) == (
+            ["completed"], [])
 
     def test_identical_pair_distance_zero(self, params, consts):
         g = RadialGrid.uniform(64, 4.0)
         u0 = barenblatt_profile(g, 0.5 * consts.M_star, 1.0, params.m)
         cfg = SolverConfig(t_end=0.001, output_every=1000)
-        dists = epsilon_convergence_study(u0, params, [0.1, 0.1], 0.001, cfg)
+        _, dists = epsilon_convergence_study(u0, params, [0.1, 0.1], 0.001, cfg)
         assert dists == [0.0]
 
 
