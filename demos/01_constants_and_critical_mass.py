@@ -32,7 +32,9 @@ kernel = ad.build_kernel(grid, params.s)
 
 print("measuring the extremal ratio by stochastic ascent (6 starts) ...")
 climbed = ad.maximize_vhls(grid, kernel, params, n_starts=6, seed=7)
-print(f"  best ratio from random starts:   {climbed.J_value:.6f}")
+# A lower bound: the ascent stops at its move budget, and a 1-ulp change
+# in the kernel moves its fifth decimal, so only four are printed.
+print(f"  lower bound from random starts:  {climbed.J_value:.4f}")
 
 print("measuring it again via the critical-mass bisection ...")
 M_c, steady = ad.find_critical_mass(grid, kernel, params, consts.M_star,

@@ -19,7 +19,10 @@ v = shell_volumes:
     interaction: omega(u) = (u*v) @ K @ (u*v)
 
 and the identity c_ds * omega(u) == sum(phi * u * v) holds to roundoff
-by construction.  On uniform d = 3 grids of at least
+by construction.  The pair averages are evaluated in blocks of at most
+``_BLOCK_PAIRS`` node pairs over the upper triangle and mirrored, so K
+equals K.T exactly and a build's temporaries do not grow with the grid.
+On uniform d = 3 grids of at least
 ``STRUCTURED_MIN_CELLS`` cells K is applied through FFTs of its Hankel
 and Toeplitz parts and never stored; elsewhere it is a dense matrix.
 """
@@ -33,7 +36,8 @@ from .errors import ParameterDomainError
 from .field import DensityField, RadialGrid, require_same_grid
 from .special import sphere_surface
 
-_CHUNK_ROWS = 1024  # node rows per evaluation block, caps peak memory
+# Node pairs per evaluation block: 512 KiB per temporary at any grid size.
+_BLOCK_PAIRS = 1 << 16
 _GAUSS_ORDER = 2  # Gauss nodes per cell in every pair average
 # Smallest uniform d = 3 grid that gets the FFT operator: the measured
 # single-thread matvec crossover (dense faster at 512 cells, a tie at 544,
@@ -114,19 +118,38 @@ def _gauss_nodes(grid: RadialGrid):
 
 
 def _pair_average(grid: RadialGrid, eval_fn, n_rows: int | None = None) -> np.ndarray:
-    """Cell-pair averages of a two-point radial function, in row chunks;
-    only the first ``n_rows`` rows if given."""
+    """Cell-pair averages of a symmetric two-point radial function.
+
+    ``eval_fn(r, rho)`` must equal ``eval_fn(rho, r)``; the d = 3 closed
+    form, the d != 3 quadrature and the weak-form integrand all do.  The
+    nodes are evaluated in blocks of whole cell rows holding at most
+    ``_BLOCK_PAIRS`` node pairs, so no temporary grows with the grid.  For
+    the full matrix each block starts at its own first cell column: the
+    upper triangle is evaluated once and mirrored, so the result equals its
+    transpose exactly.  With ``n_rows`` only the first ``n_rows`` rows are
+    built, over all columns.
+    """
     n = grid.n_cells
-    rows = n if n_rows is None else n_rows
     order = _GAUSS_ORDER
     nodes, weights = _gauss_nodes(grid)
+    full = n_rows is None
+    rows = n if full else n_rows
     out = np.empty((rows, n))
-    rows_per_chunk = max(1, _CHUNK_ROWS // order)
-    for i0 in range(0, rows, rows_per_chunk):
-        i1 = min(i0 + rows_per_chunk, rows)
-        block = eval_fn(nodes[i0 * order:i1 * order, None], nodes[None, :])
-        block = block.reshape(i1 - i0, order, n, order)
-        out[i0:i1] = np.einsum("ia,iajb,jb->ij", weights[i0:i1], block, weights)
+    rows_per_block = max(1, _BLOCK_PAIRS // (order * order * n))
+    for i0 in range(0, rows, rows_per_block):
+        i1 = min(i0 + rows_per_block, rows)
+        j0 = i0 if full else 0
+        block = eval_fn(nodes[i0 * order:i1 * order, None], nodes[None, j0 * order:])
+        block = block.reshape(i1 - i0, order, n - j0, order)
+        avg = np.einsum("ia,iajb,jb->ij", weights[i0:i1], block, weights[j0:])
+        if not full:
+            out[i0:i1] = avg
+            continue
+        width = i1 - i0
+        square = avg[:, :width]
+        out[i0:i1, i0:i1] = np.triu(square) + np.triu(square, 1).T
+        out[i0:i1, i1:] = avg[:, width:]
+        out[i1:, i0:i1] = avg[:, width:].T
     return out
 
 
@@ -144,7 +167,6 @@ def _dense_matrix(grid: RadialGrid, s: float, epsilon: float) -> np.ndarray:
     integrable for alpha < 2 and handled by the closed form itself.
     """
     K = _pair_average(grid, _kernel_fn(grid.d, grid.d - 2.0 * s, epsilon))
-    K = 0.5 * (K + K.T)  # symmetrise away roundoff
     K.setflags(write=False)
     return K
 
@@ -187,10 +209,18 @@ class _HankelToeplitzOperator:
         self.spectra = const * rfft(np.concatenate((hankel, -toeplitz), axis=1))
         self.head = _pair_average(grid, _kernel_fn(3, alpha, epsilon),
                                   n_rows=min(_EXACT_ROWS, n))
+        # Work buffers reused by every matvec.  A fresh product per call
+        # (0.5 MiB at 4096 cells) can sit above glibc's mmap threshold and
+        # would then be mapped and faulted in again on every call.
+        self._operand = np.empty(self.spectra.shape[1:], dtype=complex)
+        self._product = np.empty(self.spectra.shape, dtype=complex)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         Y = rfft(self.scale * v, n=self.size)
-        Z = (self.spectra * np.concatenate((Y.conj(), Y))).sum(axis=1)
+        order = len(Y)
+        np.conjugate(Y, out=self._operand[:order])
+        self._operand[order:] = Y
+        Z = np.multiply(self.spectra, self._operand, out=self._product).sum(axis=1)
         out = (self.scale * irfft(Z, n=self.size)[:, :self.n]).sum(axis=0)
         out[:_EXACT_ROWS] = self.head @ v
         return out
@@ -305,6 +335,5 @@ def build_weak_interaction_kernel(grid: RadialGrid, s: float, dpsi,
         term_b = b * _power_diff(t_plus, u, 1.0 - alpha / 2.0) / (1.0 - alpha / 2.0)
         return np.pi / (r * rho) * (term_a + term_b) / omega_d
 
-    M = _pair_average(grid, fn)
-    return 0.5 * (M + M.T)
+    return _pair_average(grid, fn)
 

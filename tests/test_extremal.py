@@ -69,6 +69,21 @@ class TestFixedPoint:
                            max_iter=2, support_radius_init=1.0)
         assert np.isfinite(excinfo.value.last_change)
 
+    @pytest.mark.parametrize("n_cells", [96, 256])
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 1.08, 1.5, 2.0])
+    def test_target_mass_held_until_the_support_meets_the_wall(
+            self, request, params, consts, n_cells, ratio):
+        # 96 cells end at R_max = 3, 256 at R_max = 4; from 1.5 M* on the
+        # support reaches the wall and the dilation drops what passes it
+        kernel = request.getfixturevalue(f"kernel{n_cells}")
+        M = ratio * consts.M_star
+        result = el_fixed_point(kernel.grid, kernel, params, M,
+                                support_radius_init=1.0)
+        held = mass(result.U)
+        assert held <= M * (1.0 + 1e-12)
+        if ratio <= 1.08:  # the critical-mass bracket [M*, 1.08 M*]
+            assert held == pytest.approx(M, rel=1e-12, abs=0.0)
+
     def test_free_energy_vanishes_at_steady_state(self, params, grid256,
                                                   kernel256, critical256):
         _, result = critical256

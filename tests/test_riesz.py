@@ -11,9 +11,11 @@ Frozen reference values, computed once with independent tools:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.fft import irfft, rfft
 
 from aggdiff import (
     DensityField,
@@ -32,7 +34,7 @@ from aggdiff import (
 from aggdiff import riesz
 from aggdiff.field import face_gradient
 from aggdiff.riesz import build_weak_interaction_kernel
-from conftest import random_bump_field
+from conftest import S, random_bump_field
 
 ALPHA = 0.5
 OMEGA_UNIT_BALL = 18.561966079063225  # frozen nested-quadrature oracle
@@ -337,3 +339,137 @@ class TestWeakInteractionKernel:
         g = RadialGrid(d=4, r_edges=np.linspace(0, 1, 9))
         with pytest.raises(ParameterDomainError):
             build_weak_interaction_kernel(g, 1.3, lambda r: r)
+
+
+def chunked_oracle(grid, eval_fn, n_rows=None):
+    """Reference pair average: every node pair evaluated, in chunks of
+    1024 node rows over all columns, then 0.5 * (K + K.T) for the full
+    matrix."""
+    n, order = grid.n_cells, riesz._GAUSS_ORDER
+    nodes, weights = riesz._gauss_nodes(grid)
+    rows = n if n_rows is None else n_rows
+    out = np.empty((rows, n))
+    step = 1024 // order
+    for i0 in range(0, rows, step):
+        i1 = min(i0 + step, rows)
+        block = eval_fn(nodes[i0 * order:i1 * order, None], nodes[None, :])
+        block = block.reshape(i1 - i0, order, n, order)
+        out[i0:i1] = np.einsum("ia,iajb,jb->ij", weights[i0:i1], block, weights)
+    return out if n_rows is not None else 0.5 * (out + out.T)
+
+
+def graded_grid(n_cells, r_max=4.0, a=3.0):
+    """Edges r_max * expm1(a i / N) / expm1(a): fine at the origin."""
+    i = np.arange(n_cells + 1)
+    return RadialGrid(d=3, r_edges=r_max * np.expm1(a * i / n_cells) / np.expm1(a))
+
+
+def rearranged_grid(n_cells, r_max=4.0):
+    uniform = RadialGrid.uniform(n_cells, r_max)
+    rng = np.random.default_rng(n_cells)
+    return rearrange(DensityField(uniform, random_bump_field(rng, uniform))).grid
+
+
+GRID_KINDS = {"uniform": lambda n_cells: RadialGrid.uniform(n_cells, 4.0),
+              "graded": graded_grid,
+              "rearranged": rearranged_grid}
+
+
+def assert_symmetric_near_oracle(K, oracle):
+    assert np.array_equal(K, K.T)
+    assert np.max(np.abs(K - oracle) / np.abs(oracle)) <= 4.5e-16
+
+
+class TestPairAverageBlocks:
+    @pytest.mark.parametrize("n_cells", [96, 256, 1024])
+    @pytest.mark.parametrize("kind", sorted(GRID_KINDS))
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    def test_dense_matrix_matches_chunked_oracle(self, n_cells, kind, epsilon):
+        grid = GRID_KINDS[kind](n_cells)
+        fn = riesz._kernel_fn(3, 3 - 2 * S, epsilon)
+        assert_symmetric_near_oracle(riesz._dense_matrix(grid, S, epsilon),
+                                     chunked_oracle(grid, fn))
+        rows = riesz._EXACT_ROWS
+        assert np.array_equal(riesz._pair_average(grid, fn, n_rows=rows),
+                              chunked_oracle(grid, fn, n_rows=rows))
+
+    @pytest.mark.parametrize("dpsi", [lambda r: 2.0 * r,
+                                      lambda r: r * np.exp(-r * r)],
+                             ids=["quadratic", "gaussian"])
+    def test_weak_form_kernel_matches_chunked_oracle(self, grid256, monkeypatch, dpsi):
+        integrands = []
+        pair_average = riesz._pair_average
+
+        def capture(grid, fn, n_rows=None):
+            integrands.append(fn)
+            return pair_average(grid, fn, n_rows)
+
+        monkeypatch.setattr(riesz, "_pair_average", capture)
+        M = build_weak_interaction_kernel(grid256, S, dpsi)
+        assert_symmetric_near_oracle(M, chunked_oracle(grid256, integrands[0]))
+
+    def test_general_dimension_matches_chunked_oracle(self):
+        grid = RadialGrid(d=4, r_edges=np.linspace(0.0, 1.0, 9))
+        K = riesz._dense_matrix(grid, 1.3, 0.0)  # quadrature path, alpha = 1.4
+        assert_symmetric_near_oracle(K, chunked_oracle(grid, riesz._kernel_fn(4, 1.4, 0.0)))
+
+    @pytest.mark.parametrize("n_cells", [1024, 4096])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    def test_head_rows_bitwise_equal_to_oracle(self, n_cells, epsilon):
+        grid = RadialGrid.uniform(n_cells, 4.0)
+        k = build_kernel(grid, S, epsilon=epsilon)
+        assert k.structured
+        oracle = chunked_oracle(grid, riesz._kernel_fn(3, 3 - 2 * S, epsilon),
+                                n_rows=riesz._EXACT_ROWS)
+        assert np.array_equal(k._operator.head, oracle)
+
+
+def unbuffered_matvec(op, v):
+    """The FFT matvec with fresh operand and product arrays per call."""
+    Y = rfft(op.scale * v, n=op.size)
+    Z = (op.spectra * np.concatenate((Y.conj(), Y))).sum(axis=1)
+    out = (op.scale * irfft(Z, n=op.size)[:, :op.n]).sum(axis=0)
+    out[:riesz._EXACT_ROWS] = op.head @ v
+    return out
+
+
+class TestOperatorBuffers:
+    @pytest.mark.parametrize("n_cells", [1024, 4096])
+    def test_apply_bitwise_equal_to_unbuffered(self, n_cells):
+        k = build_kernel(RadialGrid.uniform(n_cells, 4.0), S, epsilon=0.05)
+        rng = np.random.default_rng(n_cells)
+        for v in (rng.random(n_cells), rng.standard_normal(n_cells)):
+            assert np.array_equal(k.apply(v), unbuffered_matvec(k._operator, v))
+
+    @pytest.mark.parametrize("n_cells", [1024, 4096])
+    def test_result_survives_the_next_apply(self, n_cells):
+        k = build_kernel(RadialGrid.uniform(n_cells, 4.0), S)
+        rng = np.random.default_rng(n_cells + 1)
+        first = k.apply(rng.random(n_cells))
+        kept = first.copy()
+        k.apply(rng.standard_normal(n_cells))
+        assert np.array_equal(first, kept)
+        for buffer in (k._operator._operand, k._operator._product):
+            assert not np.shares_memory(first, buffer)
+
+
+BUILD_CASES = {
+    "fft4096": lambda: build_kernel(RadialGrid.uniform(4096, 4.0), S),
+    "dense256": lambda: build_kernel(RadialGrid.uniform(256, 4.0), S),
+    "graded1024": lambda: build_kernel(graded_grid(1024), S),
+    "weak512": lambda: build_weak_interaction_kernel(
+        RadialGrid.uniform(512, 4.0), S, lambda r: 2.0 * r),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILD_CASES))
+def test_build_transient_memory_budget(case):
+    """Traced allocations of a build, beyond what the result keeps, stay
+    within 8 MiB at any grid size."""
+    tracemalloc.start()
+    try:
+        result = BUILD_CASES[case]()  # still alive: `held` counts what it keeps
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= 8 * 2 ** 20
