@@ -19,30 +19,21 @@ M_c, steady = ad.find_critical_mass(grid, kernel, params, consts.M_star,
                                     1.08 * consts.M_star,
                                     support_radius_init=1.0)
 print(f"measured critical mass: {M_c:.4f}\n")
-two_s_over_d = 2 * params.s / params.d
 
 for ratio in (0.5, 0.9, 1.5, 2.0):
-    M = ratio * M_c
-    u0 = ad.blowup_initial_data(steady.U, M, params)
-    F0 = ad.free_energy(u0, kernel, params)
+    # dichotomy_run sets each side's time stepping and horizon: implicit over
+    # several diffusive times below M_c, explicit to twice the chord time above
+    entry, out = ad.dichotomy_run(steady.U, ratio, M_c, kernel, params,
+                                  ad.SolverConfig(t_end=1.0, output_every=500))
     side = "subcritical" if ratio < 1 else "supercritical"
-    print(f"mass ratio {ratio:.1f} ({side}): F(u0) = {F0:+.2f}")
+    print(f"mass ratio {ratio:.1f} ({side}): F(u0) = {entry['F0']:+.2f}")
     if ratio < 1:
-        # the long subcritical horizon runs implicitly: explicit steps would be
-        # limited by nonlinear diffusion, their count growing as (R/dr)^2
-        t_end = 5.0 * ad.diffusive_time(u0, params)
-        out = ad.run(u0, kernel, params,
-                     ad.SolverConfig(t_end=t_end, output_every=500, scheme="implicit"))
-        sup_lm = max(r.lm_norm ** params.m for r in out.diagnostics)
-        bound = F0 / (consts.C_star_upper * consts.c_ds / 2
-                      * (consts.M_star ** two_s_over_d - M ** two_s_over_d))
-        print(f"  ran to t = {t_end:.3f}: {out.status}; "
-              f"sup ||u||_m^m = {sup_lm:.1f} vs energy bound {bound:.1f}")
+        print(f"  ran to t = {entry['t_end']:.3f}: {entry['status']}; "
+              f"sup ||u||_m^m = {entry['sup_lm_norm_power_m']:.1f} "
+              f"vs energy bound {entry['ge_bound_lm_power_m']:.1f}")
     else:
-        chord = ad.blowup_time_upper_bound(u0, kernel, params)
-        out = ad.run(u0, kernel, params,
-                     ad.SolverConfig(t_end=2 * chord, blowup_factor=1e3,
-                                     output_every=100))
-        print(f"  second-moment chord hits zero by t = {chord:.4f}; "
-              f"detected {out.status} ({out.reason}) at t = {out.t_detect:.4f}")
+        print(f"  second-moment chord hits zero by "
+              f"t = {entry['blowup_time_upper_bound']:.4f}; "
+              f"detected {entry['status']} ({out.reason}) "
+              f"at t = {entry['t_detect']:.4f}")
     print()

@@ -54,6 +54,7 @@ from .solver import (
     SolverConfig,
     SolverState,
     blowup_time_upper_bound,
+    dichotomy_run,
     diffusive_time,
     epsilon_convergence_study,
     plateau_test_function,

@@ -25,8 +25,8 @@ from __future__ import annotations
 import argparse
 import copy
 import hashlib
+import inspect
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,9 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from . import model
-from .energy import free_energy, vhls_ratio
+from .energy import vhls_ratio
 from .errors import ConvergenceError, GridMismatchError, ParameterDomainError
-from .extremal import blowup_initial_data, el_fixed_point, find_critical_mass
+from .extremal import el_fixed_point, find_critical_mass
 from .field import (
     DensityField,
     RadialGrid,
@@ -49,12 +49,12 @@ from .field import (
     scale,
     write_field_csv,
 )
-from .riesz import RieszKernel, build_kernel, check_alpha, interaction_energy
+from .riesz import build_kernel, check_alpha, interaction_energy
 from .solver import (
     SolverConfig,
     blowup_time_upper_bound,
     diagnostics_to_csv,
-    diffusive_time,
+    dichotomy_run,
     epsilon_convergence_study,
     run,
 )
@@ -74,7 +74,8 @@ def _is_real(v) -> bool:
 # One row per config field: (path, default, type, predicate, description).
 # DEFAULT_CONFIG is built from these rows and validate_config walks them;
 # a predicate of None means the type is the whole check here.  Solver
-# defaults and ranges are SolverConfig's own, the 2 < 2s < d rule ModelParams'.
+# defaults and ranges are SolverConfig's own, the dichotomy horizon's default
+# dichotomy_run's, the 2 < 2s < d rule ModelParams'.
 _FIELDS = [
     ("seed", 1234, int, lambda v: v >= 0, "non-negative integer"),
     ("model.d", 3, int, None, "integer"),
@@ -93,8 +94,9 @@ _FIELDS = [
      lambda v: all(_is_real(x) and x >= 0 for x in v), "list of non-negative reals"),
     ("experiment.n_random_fields", 40, int, lambda v: v >= 1, "integer >= 1"),
     ("experiment.t_fix", 0.005, _REAL, lambda v: v > 0.0, "positive real"),
-    ("experiment.t_end_diffusive_times", 5.0, _REAL, lambda v: v > 0.0,
-     "positive real"),
+    ("experiment.t_end_diffusive_times",
+     inspect.signature(dichotomy_run).parameters["diffusive_times"].default,
+     _REAL, lambda v: v > 0.0, "positive real"),
     ("experiment.mass_target", "closed_form", str,
      lambda v: v in ("closed_form", "measured"), "'closed_form' or 'measured'"),
     ("experiment.fixed_point.tol", 1e-10, _REAL, lambda v: v > 0.0, "positive real"),
@@ -107,8 +109,6 @@ _FIELDS = [
                             ("virial", 0.05), ("dissipation", 0.05),
                             ("scaling", 0.01), ("energy_drift", 1e-8),
                             ("mass_drift", 1e-10)]),
-    ("experiment.fault", None, (str, type(None)),
-     lambda v: v in (None, "asymmetric_kernel"), "null or 'asymmetric_kernel'"),
     ("output.directory", "out", str, lambda v: len(v) > 0, "non-empty string"),
 ]
 _PATHS = [row[0] for row in _FIELDS]
@@ -243,10 +243,6 @@ def _build_workspace(cfg: dict, profile: str | None = None):
                               d=params.d)
     loaded = _load_profile(profile, params.d, grid) if profile is not None else None
     kernel = build_kernel(grid, params.s, epsilon=cfg["model"]["epsilon"])
-    if cfg["experiment"].get("fault") == "asymmetric_kernel":
-        K = kernel.K.copy()
-        K[0, -1] *= 1.01  # seeded fault for the verify suite
-        kernel = RieszKernel(grid, params.s, kernel.epsilon, K)
     return params, grid, kernel, loaded
 
 
@@ -258,13 +254,15 @@ def _solver_config(cfg: dict, **overrides) -> SolverConfig:
 def _load_profile(path: str, d: int, grid: RadialGrid | None = None):
     """Field, sidecar metadata and input hashes of a profile CSV.  A sidecar
     that records the uniform grid (``n_cells``, ``r_max``) rebuilds it
-    exactly; without one the edges come from the stored volumes.  Given
-    the configured ``grid``, the profile must live on it.  An unreadable
-    or malformed file is a :class:`ConfigError` naming it."""
+    exactly; without one the values go on the configured ``grid`` (its
+    volumes checked against the stored ones), and with no ``grid`` either
+    the edges come from the stored volumes.  Given the configured ``grid``,
+    the profile must live on it.  An unreadable or malformed file is a
+    :class:`ConfigError` naming it."""
     csv_path = Path(path)
     sidecar = csv_path.with_suffix(".json")
     meta = {}
-    stored = None
+    target = grid
     if sidecar.exists():
         try:
             meta = json.loads(sidecar.read_text())
@@ -272,12 +270,12 @@ def _load_profile(path: str, d: int, grid: RadialGrid | None = None):
                 raise ValueError("top level must be a JSON object")
             d = int(meta.get("d", d))
             if "n_cells" in meta and "r_max" in meta:
-                stored = RadialGrid.uniform(int(meta["n_cells"]), float(meta["r_max"]),
+                target = RadialGrid.uniform(int(meta["n_cells"]), float(meta["r_max"]),
                                             d=d)
         except (OSError, ValueError, TypeError) as exc:
             raise ConfigError(f"profile sidecar {sidecar}: {exc}") from exc
     try:
-        field = read_field_csv(csv_path, d=d, grid=stored)
+        field = read_field_csv(csv_path, d=d, grid=target)
     except GridMismatchError as exc:
         raise ConfigError(str(exc)) from exc
     except (OSError, ValueError, IndexError, StopIteration) as exc:
@@ -407,7 +405,6 @@ def cmd_simulate(cfg: dict, profile: str | None = None) -> int:
 
 def cmd_dichotomy(cfg: dict, profile: str | None = None) -> int:
     params, grid, kernel, loaded = _build_workspace(cfg, profile)
-    consts = model.derived_constants(params)
     input_hashes = {}
     if loaded is not None:
         U, meta, input_hashes = loaded
@@ -419,38 +416,11 @@ def cmd_dichotomy(cfg: dict, profile: str | None = None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     for ratio in cfg["experiment"]["mass_ratios"]:
-        u0 = blowup_initial_data(U, ratio * M_star, params)
-        F0 = free_energy(u0, kernel, params)
-        chord = blowup_time_upper_bound(u0, kernel, params)
-        # the long subcritical horizon runs implicitly: its explicit step
-        # count would grow as (R/dr)^2
-        if ratio < 1.0:
-            t_end = cfg["experiment"]["t_end_diffusive_times"] * diffusive_time(u0, params)
-            scheme = "implicit"
-        else:
-            t_end = 2.0 * chord if chord is not None else cfg["solver"]["t_end"]
-            scheme = "explicit"
-        outcome = run(u0, kernel, params,
-                      _solver_config(cfg, t_end=t_end, scheme=scheme))
+        entry, outcome = dichotomy_run(
+            U, ratio, M_star, kernel, params, _solver_config(cfg),
+            diffusive_times=cfg["experiment"]["t_end_diffusive_times"])
         tag = f"ratio_{ratio:g}".replace(".", "p")
         diagnostics_to_csv(outcome.diagnostics, outdir / f"diagnostics_{tag}.csv")
-        sup_lm_m = max(row.lm_norm ** params.m for row in outcome.diagnostics)
-        entry = {
-            "mass_ratio": ratio,
-            "mass": ratio * M_star,
-            "F0": F0,
-            "status": outcome.status,
-            "t_detect": outcome.t_detect,
-            "t_end": t_end,
-            "sup_lm_norm_power_m": sup_lm_m,
-            "blowup_time_upper_bound": chord,
-        }
-        if ratio < 1.0:
-            M = ratio * M_star
-            denom = (consts.C_star_upper * consts.c_ds / 2.0
-                     * (consts.M_star ** (2 * params.s / params.d)
-                        - M ** (2 * params.s / params.d)))
-            entry["ge_bound_lm_power_m"] = F0 / denom if denom > 0 else math.inf
         rows.append(entry)
     results = {"M_star": M_star, "table": rows}
     _write_report(cfg, "dichotomy", results, input_hashes)

@@ -30,9 +30,10 @@ import numpy as np
 
 from .energy import _mu, energy_report, free_energy, mu_values, upwind_face_values
 from .errors import ParameterDomainError
+from .extremal import blowup_initial_data
 from .field import (DensityField, face_gradient, lp_norm, mass, require_same_grid,
                     second_moment)
-from .model import ModelParams
+from .model import ModelParams, derived_constants
 from .riesz import (RieszKernel, build_kernel, build_weak_interaction_kernel,
                     potential_values)
 
@@ -110,11 +111,14 @@ class RunOutcome:
 
     status is one of "completed", "blowup", "stalled", "failed"; for
     blow-up, ``t_detect`` records the detection time and ``reason`` the
-    trigger ("linf_threshold" or "dt_collapse").  A step that produces a
-    non-finite value ends the run "failed" (reason "non_finite") with the
-    last finite state as the final state.  ``boundary_mass_flux_total``
-    accumulates the signed mass transported outward across the face at
-    95% of R_max, the observable for truncation artefacts.
+    trigger ("linf_threshold", "dt_collapse", or "chord_exhausted" for an
+    unregularised run from F(u0) < 0 that reaches the chord time T* of
+    :func:`blowup_time_upper_bound` first; see :func:`run`).  A step that
+    produces a non-finite value ends the run "failed" (reason
+    "non_finite") with the last finite state as the final state.
+    ``boundary_mass_flux_total`` accumulates the signed mass transported
+    outward across the face at 95% of R_max, the observable for
+    truncation artefacts.
     ``rejected_steps`` counts the implicit scheme's retried steps.
     """
 
@@ -350,7 +354,12 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
     initial and final states.  This is the one blow-up rule: L^inf above
     ``blowup_factor`` times its initial value ("linf_threshold"), or a
     stable dt below ``dt_min`` once L^inf has more than doubled
-    ("dt_collapse"); a collapsing dt without that growth is a stall.  A
+    ("dt_collapse"); a collapsing dt without that growth is a stall.
+    With an unregularised kernel and F(u0) < 0 the virial identity forces
+    blow-up by the chord time T* (:func:`blowup_time_upper_bound`, read
+    off the t = 0 diagnostics row), so a run that reaches T* without
+    the L^inf trigger ends "blowup" too ("chord_exhausted"); with
+    epsilon > 0 the chord bound does not hold and this rule is off.  A
     non-finite L^inf after a step ends the run "failed" ("non_finite").
     Raises :class:`ParameterDomainError` for a kernel built for another
     s or d.
@@ -366,6 +375,9 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
     clipped_total = 0.0
     band_flux_total = 0.0
     rows = [_diag_row(u0, kernel, params, c_ds, 0.0, math.nan)]
+    t_chord = math.inf
+    if kernel.epsilon == 0.0 and rows[0].F < 0.0:
+        t_chord = _chord_time(rows[0].m2, rows[0].F, params)
     fields = [(0.0, u_vals.copy())] if store_fields else []
     status, reason, t_detect = "completed", None, None
 
@@ -390,6 +402,9 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
         band_flux_total += band_rate * dt
         if u0_linf > 0.0 and linf_now > config.blowup_factor * u0_linf:
             status, reason, t_detect = "blowup", "linf_threshold", t
+            break
+        if t >= t_chord:
+            status, reason, t_detect = "blowup", "chord_exhausted", t
             break
         if steps % config.output_every == 0:
             rows.append(_diag_row(DensityField(kernel.grid, u_vals), kernel, params,
@@ -431,7 +446,12 @@ def blowup_time_upper_bound(u0: DensityField, kernel: RieszKernel,
     F0 = free_energy(u0, kernel, params)
     if F0 >= 0.0:
         return None
-    return second_moment(u0) / (2.0 * params.alpha * abs(F0))
+    return _chord_time(second_moment(u0), F0, params)
+
+
+def _chord_time(m2: float, F: float, params: ModelParams) -> float:
+    """Zero of the second-moment chord m2 + 2(d-2s) F t, for F < 0."""
+    return m2 / (2.0 * params.alpha * abs(F))
 
 
 def diffusive_time(u: DensityField, params: ModelParams) -> float:
@@ -444,6 +464,58 @@ def diffusive_time(u: DensityField, params: ModelParams) -> float:
     above = u.values > 1e-10 * u_max
     r_sup = float(u.grid.r_edges[1:][above].max())
     return r_sup ** 2 / (2.0 * params.d * params.m * u_max ** (params.m - 1.0))
+
+
+def dichotomy_run(U: DensityField, ratio: float, M_ref: float, kernel: RieszKernel,
+                  params: ModelParams, config: SolverConfig,
+                  diffusive_times: float = 5.0) -> tuple[dict, RunOutcome]:
+    """One run of the mass-ratio dichotomy, from the steady profile ``U``
+    rescaled to mass M = ``ratio * M_ref`` (:func:`blowup_initial_data`),
+    with free energy F0 and chord time T* (:func:`blowup_time_upper_bound`).
+
+    Below ratio 1 the run is implicit over ``diffusive_times`` diffusive
+    times of the initial data (its explicit step count would grow as
+    (R/dr)^2); at 1 or above it is explicit to 2 T*, or to
+    ``config.t_end`` when F0 >= 0.  ``config`` supplies every other
+    solver field; only ``t_end`` and ``scheme`` are set here.
+
+    Returns (entry, outcome).  The entry holds mass_ratio, mass, F0,
+    status, t_detect, t_end, sup_lm_norm_power_m (the largest ||u||_m^m
+    over the diagnostics rows) and blowup_time_upper_bound (T*, None
+    when F0 >= 0); below ratio 1 also ge_bound_lm_power_m, the
+    global-existence bound F0 / (C* c_ds/2 (M*^{2s/d} - M^{2s/d})) on
+    ||u||_m^m with the closed-form C* and M*, inf when the denominator
+    is not positive.
+    """
+    M = ratio * M_ref
+    u0 = blowup_initial_data(U, M, params)
+    F0 = free_energy(u0, kernel, params)
+    chord = blowup_time_upper_bound(u0, kernel, params)
+    if ratio < 1.0:
+        t_end = diffusive_times * diffusive_time(u0, params)
+        scheme = "implicit"
+    else:
+        t_end = 2.0 * chord if chord is not None else config.t_end
+        scheme = "explicit"
+    outcome = run(u0, kernel, params, replace(config, t_end=t_end, scheme=scheme))
+    entry = {
+        "mass_ratio": ratio,
+        "mass": M,
+        "F0": F0,
+        "status": outcome.status,
+        "t_detect": outcome.t_detect,
+        "t_end": t_end,
+        "sup_lm_norm_power_m": max(row.lm_norm ** params.m
+                                   for row in outcome.diagnostics),
+        "blowup_time_upper_bound": chord,
+    }
+    if ratio < 1.0:
+        consts = derived_constants(params)
+        two_s_over_d = 2 * params.s / params.d
+        denom = (consts.C_star_upper * consts.c_ds / 2.0
+                 * (consts.M_star ** two_s_over_d - M ** two_s_over_d))
+        entry["ge_bound_lm_power_m"] = F0 / denom if denom > 0 else math.inf
+    return entry, outcome
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ from aggdiff import (
     SolverConfig,
     barenblatt_profile,
     blowup_initial_data,
-    blowup_time_upper_bound,
     build_kernel,
     critical_mass,
+    dichotomy_run,
     diffusive_time,
     epsilon_convergence_study,
     free_energy,
@@ -35,7 +35,6 @@ from aggdiff import (
     riesz_constant,
     run,
     scale,
-    second_moment,
     vhls_constant_upper,
     vhls_ratio,
 )
@@ -164,20 +163,18 @@ def test_criterion_5_virial_identity(params, consts, refinement_runs):
     report(5, "virial identity within 5%, improving under refinement", ok)
 
 
-def test_criterion_6_dichotomy(params, consts, grid512, kernel512, critical512):
+def test_criterion_6_dichotomy(params, consts, kernel512, critical512):
     M_c, result = critical512
     U = result.U
     two_s_over_d = 2 * params.s / params.d
     checks = []
 
+    # dichotomy_run sets the time stepping and the horizon of each side
     for ratio in (0.5, 0.9):
         M = ratio * M_c
-        u0 = blowup_initial_data(U, M, params)
-        F0 = free_energy(u0, kernel512, params)
-        t_end = 5.0 * diffusive_time(u0, params)
-        out = run(u0, kernel512, params,
-                  SolverConfig(t_end=t_end, cfl=0.4, output_every=200,
-                               scheme="implicit"))
+        entry, out = dichotomy_run(U, ratio, M_c, kernel512, params,
+                                   SolverConfig(t_end=1.0, cfl=0.4, output_every=200))
+        F0 = entry["F0"]
         rows = out.diagnostics
         # lagged-phi backward Euler has no proven energy decay: check it
         assert max(abs(r.mass - rows[0].mass) / rows[0].mass for r in rows) <= 1e-12
@@ -191,13 +188,12 @@ def test_criterion_6_dichotomy(params, consts, grid512, kernel512, critical512):
               f"{sup_lm / bound:.4f}")
 
     for ratio in (1.5, 2.0):
-        u0 = blowup_initial_data(U, ratio * M_c, params)
-        F0 = free_energy(u0, kernel512, params)
-        chord_time = blowup_time_upper_bound(u0, kernel512, params)
-        m20 = second_moment(u0)
-        out = run(u0, kernel512, params,
-                  SolverConfig(t_end=2.0 * chord_time, cfl=0.4,
-                               blowup_factor=1e3, output_every=20))
+        entry, out = dichotomy_run(U, ratio, M_c, kernel512, params,
+                                   SolverConfig(t_end=1.0, cfl=0.4, blowup_factor=1e3,
+                                                output_every=20))
+        F0 = entry["F0"]
+        chord_time = entry["blowup_time_upper_bound"]
+        m20 = out.diagnostics[0].m2
         checks.append(out.status == "blowup")
         checks.append(out.t_detect is not None and out.t_detect <= 1.5 * chord_time)
         slope = 2 * (params.d - 2 * params.s) * F0
@@ -218,7 +214,7 @@ def test_criterion_7_steady_state(params, grid512, kernel512, critical512):
     tau = diffusive_time(result.U, params)
     F_before = free_energy(result.U, kernel512, params)
     out = run(result.U, kernel512, params,
-              SolverConfig(t_end=tau, cfl=0.4, output_every=2000))
+              SolverConfig(t_end=tau, cfl=0.4, output_every=2000, scheme="implicit"))
     drift = float(np.dot(np.abs(out.final_state.u.values - result.U.values),
                          grid512.shell_volumes)) / mass(result.U)
     # F(U) itself vanishes at the steady state, so the energy drift is

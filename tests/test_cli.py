@@ -108,14 +108,6 @@ class TestConfig:
         assert cfg["model"]["s"] == 1.2
         assert cfg["seed"] == 7
 
-    def test_fault_must_be_known(self, tmp_path, capsys):
-        assert load_config(None, ["experiment.fault=asymmetric_kernel"])
-        assert load_config(None, ["experiment.fault=null"])
-        code = run_cli("verify", "--set", "experiment.fault=asymetric_kernel",
-                       "--out", str(tmp_path / "out"))
-        assert code == 1
-        assert "experiment.fault" in capsys.readouterr().err
-
     def test_coupled_domain_constraint(self):
         with pytest.raises(ConfigError, match="2 < 2s < d"):
             load_config(None, ["model.s=1.6"])  # 2s = 3.2 > d = 3
@@ -299,6 +291,22 @@ class TestProfileHandoff:
             assert code == 1
             assert "does not match configured grid" in capsys.readouterr().err
 
+    def test_profile_without_sidecar_goes_on_configured_grid(self, tmp_path,
+                                                           extremal_profile, capsys):
+        csv_path = tmp_path / "profile.csv"  # no JSON sidecar beside it
+        csv_path.write_bytes(extremal_profile.read_bytes())
+        out = tmp_path / "out"
+        code = run_cli("simulate", *SMALL, "--set", "solver.t_end=0.001",
+                       "--profile", str(csv_path), "--out", str(out))
+        assert code == 0
+        res = json.loads((out / "report.json").read_text())["results"]
+        meta = json.loads(extremal_profile.with_suffix(".json").read_text())
+        assert res["mass_initial"] == pytest.approx(meta["M_target"], rel=1e-9)
+        code = run_cli("simulate", *SMALL, "--set", "grid.r_max=4.5",
+                       "--profile", str(csv_path), "--out", str(out))
+        assert code == 1
+        assert "volumes do not match" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["simulate", "dichotomy"])
     def test_missing_profile_is_config_error(self, tmp_path, command, monkeypatch,
                                              capsys):
@@ -341,6 +349,13 @@ def nan_kernel(grid, s, epsilon=0.0):
     """The real kernel with one NaN entry, so the first step goes non-finite."""
     K = build_kernel(grid, s, epsilon=epsilon).K.copy()
     K[0, -1] = np.nan
+    return RieszKernel(grid, s, epsilon, K)
+
+
+def asymmetric_kernel(grid, s, epsilon=0.0):
+    """The real kernel with one entry off its mirror image."""
+    K = build_kernel(grid, s, epsilon=epsilon).K.copy()
+    K[0, -1] *= 1.01
     return RieszKernel(grid, s, epsilon, K)
 
 
@@ -454,9 +469,9 @@ class TestVerify:
     def test_default_config_passes(self, tmp_path, capsys):
         assert run_cli("verify", "--out", str(tmp_path / "out")) == 0
 
-    def test_corrupted_kernel_fails(self, tmp_path, capsys):
-        code = run_cli("verify", "--set", "experiment.fault=asymmetric_kernel",
-                       "--out", str(tmp_path / "out"))
+    def test_corrupted_kernel_fails(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(aggdiff.cli, "build_kernel", asymmetric_kernel)
+        code = run_cli("verify", "--out", str(tmp_path / "out"))
         assert code == 2
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         failed = [c["name"] for c in report["results"]["checks"] if not c["passed"]]

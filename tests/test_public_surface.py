@@ -1,13 +1,16 @@
-"""The library surface that the demos and the benchmark harness use.
+"""The library surface that the demos, the benchmark harness and the
+README's examples use.
 
-Neither runs in the test suite, so their sources are parsed here: every
-name they take from aggdiff must still exist, and every call into it must
-still bind to the callee's signature (keyword names and positional count).
+None of them runs in the test suite, so their sources (the README's
+```python blocks) are parsed here: every name they take from aggdiff must
+still exist, and every call into it must still bind to the callee's
+signature (keyword names and positional count).
 """
 
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import aggdiff
@@ -46,11 +49,20 @@ def _imported_names(tree):
     return names
 
 
+def _sources():
+    """(file, source text, line offset) of every script and README example."""
+    for source in SOURCES:
+        yield source.relative_to(ROOT), source.read_text(), 0
+    readme = (ROOT / "README.md").read_text()
+    for block in re.finditer(r"^```python\n(.*?)^```", readme, re.S | re.M):
+        yield "README.md", block.group(1), readme.count("\n", 0, block.start(1))
+
+
 def _uses():
     """(where, description, object getter, call node or None) for every use."""
     uses = []
-    for source in SOURCES:
-        path, tree = source.relative_to(ROOT), ast.parse(source.read_text())
+    for path, text, offset in _sources():
+        tree = ast.parse(text)
         imported = _imported_names(tree)
         for module, attr in imported.values():
             uses.append((path, f"from {module} import {attr}",
@@ -67,12 +79,12 @@ def _uses():
             call = node if isinstance(node, ast.Call) else None
             chain = _package_chain(target)
             if chain is not None:
-                uses.append((f"{path}:{node.lineno}", "ad." + ".".join(chain),
+                uses.append((f"{path}:{node.lineno + offset}", "ad." + ".".join(chain),
                              lambda c=chain: _resolve(c), call))
             elif call is not None and isinstance(target, ast.Name) \
                     and target.id in imported:
                 module, attr = imported[target.id]
-                uses.append((f"{path}:{node.lineno}", f"{module}.{attr}",
+                uses.append((f"{path}:{node.lineno + offset}", f"{module}.{attr}",
                              lambda m=module, a=attr: getattr(importlib.import_module(m), a),
                              call))
     return uses
@@ -92,6 +104,8 @@ def test_every_name_used_resolves():
     described = {what for _, what, _, _ in uses}
     # the collector must see the uses it exists for
     assert {"ad.solver.run", "ad.cli.main", "ad.build_kernel"} <= described
+    readme = {what for where, what, _, _ in uses if str(where).startswith("README.md:")}
+    assert {"ad.find_critical_mass", "ad.run", "ad.SolverConfig"} <= readme
     missing = []
     for where, what, get, _ in uses:
         try:

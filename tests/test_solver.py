@@ -1,5 +1,9 @@
-"""Conservative upwind stepping, the blow-up rule, weak form, eps study."""
+"""Conservative upwind stepping, the blow-up rule, the dichotomy run, weak
+form, eps study."""
 
+import inspect
+import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -18,9 +22,13 @@ from aggdiff import (
     blowup_initial_data,
     blowup_time_upper_bound,
     build_kernel,
+    derived_constants,
+    dichotomy_run,
     diffusive_time,
     epsilon_convergence_study,
+    find_critical_mass,
     free_energy,
+    lp_norm,
     lr_lower_bound,
     mass,
     plateau_test_function,
@@ -29,8 +37,9 @@ from aggdiff import (
     second_moment,
     step,
     weak_form_residual,
+    write_field_csv,
 )
-from aggdiff import solver
+from aggdiff import cli, solver
 from aggdiff.solver import diagnostics_to_csv
 
 
@@ -145,6 +154,22 @@ class TestRun:
         last = out.diagnostics[-1]
         lb = lr_lower_bound(last.mass, last.m2, params.m, params.d)
         assert last.lm_norm >= lb * (1 - 1e-9)
+
+    def test_explicit_run_holds_the_steady_profile(self, params, grid256,
+                                                   kernel256, critical256):
+        # criterion 7's two gates over one diffusive time, explicitly
+        _, result = critical256
+        out = run(result.U, kernel256, params,
+                  SolverConfig(t_end=diffusive_time(result.U, params), cfl=0.4,
+                               output_every=2000))
+        assert out.status == "completed"
+        drift = l1_distance(out.final_state.u.values, result.U.values,
+                            grid256) / mass(result.U)
+        assert drift <= 0.01  # measured 7.4e-3
+        entropy_scale = lp_norm(result.U, params.m) ** params.m / (params.m - 1)
+        F_drift = abs(free_energy(out.final_state.u, kernel256, params)
+                      - free_energy(result.U, kernel256, params))
+        assert F_drift <= 1e-3 * entropy_scale  # measured 1.1e-6
 
     def test_stall_reported_when_dt_floor_hit(self, params, grid96, kernel96):
         u0 = barenblatt_profile(grid96, 20.0, 1.0, params.m)
@@ -264,6 +289,32 @@ class TestBlowupTimeBound:
             chord = m20 + slope * row.t
             assert row.m2 <= chord + 0.01 * m20  # first-order virial slack
 
+    def test_run_that_reaches_the_chord_time_is_blowup(self, params, kernel256,
+                                                       critical256):
+        # on 256 uniform cells 1.02 M_c freezes in a grid-scale state: L^inf
+        # reaches ~74x by T* and ~163x by 2 T*, below the 1e3 trigger
+        M_c, result = critical256
+        u0 = blowup_initial_data(result.U, 1.02 * M_c, params)
+        chord = blowup_time_upper_bound(u0, kernel256, params)
+        out = run(u0, kernel256, params,
+                  SolverConfig(t_end=2.0 * chord, scheme="implicit"))
+        assert (out.status, out.reason) == ("blowup", "chord_exhausted")
+        assert out.t_detect == out.final_state.t
+        assert chord * (1 - 1e-12) <= out.t_detect <= chord + out.final_state.dt_last
+        assert out.diagnostics[-1].linf_norm < 1e3 * out.diagnostics[0].linf_norm
+
+    def test_regularised_run_may_outlive_the_chord_time(self, params, grid96,
+                                                        dichotomy96):
+        # with epsilon > 0 the chord bound does not hold, so no chord rule
+        kernel = build_kernel(grid96, params.s, epsilon=0.05)
+        M_c, steady = dichotomy96["critical"]
+        u0 = blowup_initial_data(steady.U, 1.5 * M_c, params)
+        chord = blowup_time_upper_bound(u0, kernel, params)
+        out = run(u0, kernel, params,
+                  SolverConfig(t_end=1.2 * chord, scheme="implicit"))
+        assert out.status == "completed"
+        assert out.final_state.t > chord
+
 
 class TestWeakForm:
     def test_constant_plateau_recovers_mass_conservation(self, params, grid256,
@@ -343,6 +394,107 @@ class TestDiffusiveTime:
     def test_zero_field_rejected(self, params, grid96):
         with pytest.raises(ValueError):
             diffusive_time(DensityField(grid96, np.zeros(96)), params)
+
+
+@pytest.fixture(scope="module")
+def dichotomy96(params, consts, grid96, kernel96):
+    """The measured critical mass and steady profile on the 96-cell grid,
+    and dichotomy_run's (entry, outcome) at 0.5 and 1.5 M_c."""
+    M_c, steady = find_critical_mass(grid96, kernel96, params, consts.M_star,
+                                     1.08 * consts.M_star, rel_tol=1e-6,
+                                     support_radius_init=1.0)
+    runs = {ratio: dichotomy_run(steady.U, ratio, M_c, kernel96, params,
+                                 DICHOTOMY_CONFIG)
+            for ratio in (0.5, 1.5)}
+    return {"critical": (M_c, steady), "runs": runs}
+
+
+# the CLI's solver defaults
+DICHOTOMY_CONFIG = SolverConfig(t_end=0.05)
+
+
+def dichotomy_entry_oracle(U, ratio, M_star, kernel, params, config):
+    """The report entry as aggdiff dichotomy built it before dichotomy_run."""
+    consts = derived_constants(params)
+    u0 = blowup_initial_data(U, ratio * M_star, params)
+    F0 = free_energy(u0, kernel, params)
+    chord = blowup_time_upper_bound(u0, kernel, params)
+    if ratio < 1.0:
+        t_end = 5.0 * diffusive_time(u0, params)
+        scheme = "implicit"
+    else:
+        t_end = 2.0 * chord if chord is not None else config.t_end
+        scheme = "explicit"
+    outcome = run(u0, kernel, params, replace(config, t_end=t_end, scheme=scheme))
+    sup_lm_m = max(row.lm_norm ** params.m for row in outcome.diagnostics)
+    entry = {
+        "mass_ratio": ratio,
+        "mass": ratio * M_star,
+        "F0": F0,
+        "status": outcome.status,
+        "t_detect": outcome.t_detect,
+        "t_end": t_end,
+        "sup_lm_norm_power_m": sup_lm_m,
+        "blowup_time_upper_bound": chord,
+    }
+    if ratio < 1.0:
+        M = ratio * M_star
+        denom = (consts.C_star_upper * consts.c_ds / 2.0
+                 * (consts.M_star ** (2 * params.s / params.d)
+                    - M ** (2 * params.s / params.d)))
+        entry["ge_bound_lm_power_m"] = F0 / denom if denom > 0 else math.inf
+    return entry
+
+
+class TestDichotomyRun:
+    @pytest.mark.parametrize("ratio", [0.5, 1.5])
+    def test_entry_equals_the_former_cli_loop(self, params, kernel96, dichotomy96,
+                                              ratio):
+        M_c, steady = dichotomy96["critical"]
+        entry, out = dichotomy96["runs"][ratio]
+        assert entry == dichotomy_entry_oracle(steady.U, ratio, M_c, kernel96, params,
+                                               DICHOTOMY_CONFIG)
+        assert entry["status"] == out.status
+        assert entry["status"] == ("completed" if ratio < 1 else "blowup")
+
+    def test_global_existence_bound_is_criterion_6s(self, params, consts,
+                                                    dichotomy96):
+        M_c, _ = dichotomy96["critical"]
+        entry, _ = dichotomy96["runs"][0.5]
+        M = 0.5 * M_c
+        two_s_over_d = 2 * params.s / params.d
+        bound = entry["F0"] / (consts.C_star_upper * consts.c_ds / 2
+                               * (consts.M_star ** two_s_over_d - M ** two_s_over_d))
+        assert entry["ge_bound_lm_power_m"] == pytest.approx(bound, rel=1e-15)
+        assert entry["sup_lm_norm_power_m"] <= entry["ge_bound_lm_power_m"]
+
+    def test_bound_is_infinite_from_the_closed_form_mass(self, params, consts,
+                                                         kernel96, dichotomy96):
+        _, steady = dichotomy96["critical"]
+        entry, _ = dichotomy_run(steady.U, 0.5, 2.0 * consts.M_star, kernel96,
+                                 params, DICHOTOMY_CONFIG)
+        assert entry["mass"] == consts.M_star
+        assert entry["ge_bound_lm_power_m"] == math.inf
+
+    def test_cli_table_is_the_recipes_entries(self, tmp_path, params, dichotomy96,
+                                              capsys):
+        M_c, steady = dichotomy96["critical"]
+        profile = tmp_path / "steady.csv"
+        write_field_csv(steady.U, profile)
+        profile.with_suffix(".json").write_text(json.dumps(
+            {"d": params.d, "n_cells": 96, "r_max": 3.0, "M_target": M_c}))
+        out = tmp_path / "out"
+        code = cli.main(["dichotomy", "--set", "grid.n_cells=96",
+                         "--set", "grid.r_max=3.0",
+                         "--set", "experiment.mass_ratios=[0.5,1.5]",
+                         "--profile", str(profile), "--out", str(out)])
+        assert code == 0
+        table = json.loads((out / "report.json").read_text())["results"]["table"]
+        assert table == [dichotomy96["runs"][ratio][0] for ratio in (0.5, 1.5)]
+
+    def test_cli_default_horizon_is_the_recipes(self):
+        default = inspect.signature(dichotomy_run).parameters["diffusive_times"].default
+        assert cli.DEFAULT_CONFIG["experiment"]["t_end_diffusive_times"] == default
 
 
 @pytest.fixture(scope="module")
