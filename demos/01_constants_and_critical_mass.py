@@ -36,7 +36,7 @@ climbed = ad.maximize_vhls(grid, kernel, params, n_starts=6, seed=7)
 # in the kernel moves its fifth decimal, so only four are printed.
 print(f"  lower bound from random starts:  {climbed.J_value:.4f}")
 
-print("measuring it again via the critical-mass bisection ...")
+print("measuring it again via the critical-mass search ...")
 M_c, steady = ad.find_critical_mass(grid, kernel, params, consts.M_star,
                                     1.08 * consts.M_star,
                                     support_radius_init=1.0)

@@ -292,7 +292,7 @@ def _compute_extremal(cfg: dict, params, grid, kernel):
     consts = model.derived_constants(params)
     fp = cfg["experiment"]["fixed_point"]
     if cfg["experiment"]["mass_target"] == "measured":
-        # bisect for the mass where the steady profile is exact; the
+        # search for the mass where the steady profile is exact; the
         # closed-form bound is always on the subcritical side
         M_target, result = find_critical_mass(
             grid, kernel, params, consts.M_star, 1.1 * consts.M_star,

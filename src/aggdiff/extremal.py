@@ -31,8 +31,8 @@ mismatch between the converged multiplier and the variational value
 
     lam = (2s / (2s - d)) ||U||_m^m / M   (< 0 since 2s < d)
 
-then changes sign across the critical mass, which is what
-:func:`find_critical_mass` bisects on.  The residual reported
+then changes sign across the critical mass, and is smooth in it, which
+is what :func:`find_critical_mass` searches on.  The residual reported
 everywhere checks the steady equation against the variational
 multiplier, independently of the iteration's own value.
 """
@@ -284,14 +284,23 @@ def find_critical_mass(grid: RadialGrid, kernel: RieszKernel, params: ModelParam
                        fp_tol: float = 1e-9, max_iter: int = 500,
                        support_radius_init: float | None = None
                        ) -> tuple[float, ExtremalResult]:
-    """Bisection for the mass at which the anchored fixed point is an
-    exact steady state (zero multiplier defect).
+    """Bracketed search for the mass at which the anchored fixed point is
+    an exact steady state (zero multiplier defect).
 
-    Returns the measured critical mass and the converged profile there.
-    The bracket must straddle the sign change; the closed-form upper
-    bound for the interaction constant gives a natural lower endpoint
-    (its mass is always subcritical).
+    Illinois regula falsi on the defect (Dowell & Jarratt 1971), each
+    solve a cold start: a new mass is the secant root of the bracket ends,
+    held rel_tol M_hi / 2 inside both, and an end kept twice running has
+    its defect halved; after the first step, two steps that do not halve
+    the bracket are followed by a bisection.  Stops once the bracket is
+    within rel_tol M_hi and returns the evaluated mass with the smallest
+    |defect| and its profile.  The bracket must straddle the sign change;
+    the closed-form upper bound for the interaction constant gives a
+    natural lower endpoint (its mass is always subcritical).
     """
+    if not (0.0 < rel_tol < 1.0 and 0.0 < M_lo < M_hi):
+        raise ValueError(f"need 0 < rel_tol < 1 and 0 < M_lo < M_hi, got "
+                         f"rel_tol={rel_tol}, bracket [{M_lo}, {M_hi}]")
+
     def defect_at(M):
         res = el_fixed_point(grid, kernel, params, M, tol=fp_tol, max_iter=max_iter,
                              support_radius_init=support_radius_init)
@@ -308,20 +317,26 @@ def find_critical_mass(grid: RadialGrid, kernel: RieszKernel, params: ModelParam
             f"multiplier defect does not change sign on [{M_lo}, {M_hi}] "
             f"({d_lo:.3e} vs {d_hi:.3e}); widen the bracket"
         )
-    best = res_lo if abs(d_lo) < abs(d_hi) else res_hi
-    M_best = M_lo if abs(d_lo) < abs(d_hi) else M_hi
-    while (M_hi - M_lo) > rel_tol * M_hi:
-        M_mid = 0.5 * (M_lo + M_hi)
-        d_mid, res_mid = defect_at(M_mid)
-        if abs(d_mid) < abs(multiplier_defect(best, params, M_best)):
-            best, M_best = res_mid, M_mid
-        if d_mid == 0.0:
-            return M_mid, res_mid
-        if d_lo * d_mid < 0.0:
-            M_hi = M_mid
+    best = min((abs(d_lo), M_lo, res_lo), (abs(d_hi), M_hi, res_hi), key=lambda b: b[0])
+    M, f = [M_lo, M_hi], [d_lo, d_hi]  # bracket ends and their (Illinois) defects
+    widths, last = [], -1  # widths after each step; the end the last step replaced
+    while M[1] - M[0] > rel_tol * M[1]:
+        if len(widths) > 2 and widths[-1] > 0.5 * widths[-3]:
+            M_new = 0.5 * (M[0] + M[1])
         else:
-            M_lo, d_lo = M_mid, d_mid
-    return M_best, best
+            margin = 0.5 * rel_tol * M[1]
+            M_new = min(max((M[0] * f[1] - M[1] * f[0]) / (f[1] - f[0]),
+                            M[0] + margin), M[1] - margin)
+        d_new, res_new = defect_at(M_new)
+        best = min(best, (abs(d_new), M_new, res_new), key=lambda b: b[0])
+        if d_new == 0.0:
+            break
+        side = int(f[0] * d_new < 0.0)  # 1: the new mass replaces the upper end
+        if side == last:  # the other end is kept twice running
+            f[1 - side] *= 0.5
+        M[side], f[side], last = M_new, d_new, side
+        widths.append(M[1] - M[0])
+    return best[1], best[2]
 
 
 def maximize_vhls(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,

@@ -124,6 +124,22 @@ class TestCriticalMassSearch:
                                0.6 * consts.M_star, rel_tol=1e-3,
                                support_radius_init=1.0)
 
+    @pytest.mark.parametrize("lo, hi, rel_tol", [
+        (1.0, 1.08, 0.0),  # would never stop
+        (1.0, 1.08, math.nan),  # would return M* after two solves
+        (1.08, 1.0, 1e-6),  # so would a reversed bracket
+    ])
+    def test_degenerate_arguments_rejected_before_any_solve(
+            self, params, consts, grid96, kernel96, monkeypatch, lo, hi, rel_tol):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("el_fixed_point called")
+
+        monkeypatch.setattr(extremal, "el_fixed_point", no_solve)
+        with pytest.raises(ValueError, match="rel_tol"):
+            find_critical_mass(grid96, kernel96, params, lo * consts.M_star,
+                               hi * consts.M_star, rel_tol=rel_tol,
+                               support_radius_init=1.0)
+
     def test_measured_mass_exceeds_closed_form(self, consts, critical256):
         M_c, _ = critical256
         assert M_c > consts.M_star
@@ -133,6 +149,128 @@ class TestCriticalMassSearch:
         M_coarse, _ = critical256
         M_fine, _ = critical512
         assert M_coarse == pytest.approx(M_fine, rel=2e-3)
+
+    def test_4096_cells_in_seven_solves(self, params, consts, kernel4096):
+        evals = []
+        with pytest.MonkeyPatch.context() as mp:
+            M_c, _ = recorded_search(mp, evals, find_critical_mass, kernel4096.grid,
+                                     kernel4096, params, consts.M_star,
+                                     1.08 * consts.M_star, 1e-6)
+        assert len(evals) <= 7  # 5; bisection takes 19
+        assert M_c == pytest.approx(150.22863527300802, rel=1e-6, abs=0.0)
+
+
+def bisect_critical_mass(grid, kernel, params, M_lo, M_hi, rel_tol,
+                         support_radius_init):
+    """Oracle: bisection on the sign of the same multiplier defect, the
+    evaluated mass with the smallest |defect| returned."""
+    def defect_at(M):
+        res = extremal.el_fixed_point(grid, kernel, params, M, tol=1e-9,
+                                      support_radius_init=support_radius_init)
+        return multiplier_defect(res, params, M), res
+
+    (d_lo, res_lo), (d_hi, res_hi) = defect_at(M_lo), defect_at(M_hi)
+    best = min((abs(d_lo), M_lo, res_lo), (abs(d_hi), M_hi, res_hi),
+               key=lambda b: b[0])
+    while M_hi - M_lo > rel_tol * M_hi:
+        M_mid = 0.5 * (M_lo + M_hi)
+        d_mid, res_mid = defect_at(M_mid)
+        best = min(best, (abs(d_mid), M_mid, res_mid), key=lambda b: b[0])
+        if d_lo * d_mid < 0.0:
+            M_hi = M_mid
+        else:
+            M_lo, d_lo = M_mid, d_mid
+    return best[1], best[2]
+
+
+def recorded_search(mp, evals, search, grid, kernel, params, M_lo, M_hi, rel_tol):
+    """Run ``search`` with every solve's (mass, defect) appended to ``evals``."""
+    solve = extremal.el_fixed_point
+
+    def recording(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        evals.append((args[3], multiplier_defect(result, params, args[3])))
+        return result
+
+    mp.setattr(extremal, "el_fixed_point", recording)
+    return search(grid, kernel, params, M_lo, M_hi, rel_tol=rel_tol,
+                  support_radius_init=1.0)
+
+
+SEARCH_GRIDS = {"96": (96, 3.0, 0.0), "96-eps": (96, 3.0, 0.05), "512": (512, 4.0, 0.0)}
+SEARCH_TOLS = (1e-3, 1e-5, 1e-6, 1e-8)
+SEARCH_CASES = [(g, hi, tol) for g in SEARCH_GRIDS for hi in (1.08, 1.1)
+                for tol in SEARCH_TOLS]
+# Illinois solves measured on every grid and bracket: 4 / 5 / 5 / 7
+# (bisection: 9 / 15-16 / 19 / 25-26)
+SEARCH_SOLVES = dict(zip(SEARCH_TOLS, (5, 6, 6, 8)))
+
+
+@pytest.fixture(scope="module")
+def search_matrix(params, consts):
+    """Per case: (search's M_c, its (mass, defect) per solve) and the same
+    for the bisection oracle."""
+    cases = {}
+    for name, (n_cells, r_max, eps) in SEARCH_GRIDS.items():
+        grid = RadialGrid.uniform(n_cells, r_max)
+        kernel = build_kernel(grid, params.s, epsilon=eps)
+        for _, hi, tol in (c for c in SEARCH_CASES if c[0] == name):
+            runs = []
+            for search in (find_critical_mass, bisect_critical_mass):
+                evals = []
+                with pytest.MonkeyPatch.context() as mp:
+                    M_c, _ = recorded_search(mp, evals, search, grid, kernel, params,
+                                             consts.M_star, hi * consts.M_star, tol)
+                runs.append((M_c, evals))
+            cases[name, hi, tol] = runs
+    return cases
+
+
+class TestIllinoisSearch:
+    @pytest.mark.parametrize("case", SEARCH_CASES)
+    def test_matches_bisection_oracle(self, search_matrix, case):
+        (M_c, _), (M_bisect, _) = search_matrix[case]
+        assert abs(M_c - M_bisect) <= case[2] * M_bisect
+
+    @pytest.mark.parametrize("case", SEARCH_CASES)
+    def test_solve_count_bound(self, search_matrix, case):
+        (_, evals), (_, bisect_evals) = search_matrix[case]
+        assert len(evals) <= SEARCH_SOLVES[case[2]]
+        assert len(evals) < len(bisect_evals)
+
+    @pytest.mark.parametrize("case", SEARCH_CASES)
+    def test_final_bracket_closes_on_the_sign_change(self, search_matrix, case):
+        (M_c, evals), _ = search_matrix[case]
+        (M_lo, d_lo), (M_hi, d_hi) = evals[:2]
+        for M, d in evals[2:]:  # each new mass strictly inside the bracket
+            assert M_lo < M < M_hi
+            if d_lo * d < 0.0:
+                M_hi, d_hi = M, d
+            else:
+                M_lo, d_lo = M, d
+        assert d_lo * d_hi < 0.0
+        assert M_hi - M_lo <= case[2] * M_hi
+        assert M_lo <= M_c <= M_hi
+        assert M_c == min(evals, key=lambda e: abs(e[1]))[0]
+
+    # Synthetic defects with a root at 1.3 on [1, 2], rel_tol 1e-6, where
+    # bisection takes 22 solves.  On the ninth-order root the bisection
+    # steps hold the search to 52 solves (139 without them), under the
+    # bound of one halving per three steps; on the convex one the Illinois
+    # halving takes 12 (20 without it).
+    @pytest.mark.parametrize("defect, max_solves", [
+        (lambda M: (1.3 - M) ** 9, 2 + 3 * 20),
+        (lambda M: M ** -8 - 1.3 ** -8, 14),
+    ], ids=["ninth-order-root", "convex"])
+    def test_synthetic_defect(self, monkeypatch, defect, max_solves):
+        masses = []
+        monkeypatch.setattr(extremal, "el_fixed_point",
+                            lambda grid, kernel, params, M, **kw: masses.append(M))
+        monkeypatch.setattr(extremal, "multiplier_defect",
+                            lambda result, params, M: defect(M))
+        M_c, _ = find_critical_mass(None, None, None, 1.0, 2.0, rel_tol=1e-6)
+        assert M_c == pytest.approx(1.3, rel=1e-6, abs=0.0)
+        assert len(masses) <= max_solves
 
 
 class TestMaximizeVhls:
@@ -434,5 +572,7 @@ class TestAndersonMixing:
         M_c, mixed_sweeps = search()
         monkeypatch.setattr(extremal, "el_fixed_point", plain_el_fixed_point)
         M_c_plain, plain_sweeps = search()
-        assert mixed_sweeps <= 0.5 * plain_sweeps  # 272 vs 799
-        assert M_c == pytest.approx(M_c_plain, rel=1e-12, abs=0.0)
+        assert mixed_sweeps <= 0.5 * plain_sweeps  # 81 vs 209
+        # the search reads the defect's value, in which the two solves
+        # differ at ~1e-11; measured gap 2.4e-11, rel_tol is 1e-6
+        assert M_c == pytest.approx(M_c_plain, rel=1e-9, abs=0.0)
