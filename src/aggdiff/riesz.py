@@ -30,7 +30,7 @@ and Toeplitz parts and never stored; elsewhere it is a dense matrix.
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .errors import ParameterDomainError
 from .field import DensityField, RadialGrid, require_same_grid
@@ -46,6 +46,20 @@ STRUCTURED_MIN_CELLS = 576
 # The FFT operator's absolute error is spread evenly over the rows, and the
 # 1/r scaling amplifies it near the origin; its first rows are dense.
 _EXACT_ROWS = 32
+
+
+def _next_fast_len(target: int) -> int:
+    """The smallest 2^a 3^b 5^c >= target, the length scipy.fft's
+    ``next_fast_len(target, real=True)`` returns."""
+    n = max(target, 1)
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def _power_diff(t_plus: np.ndarray, u: np.ndarray, p: float) -> np.ndarray:
@@ -182,9 +196,9 @@ class _HankelToeplitzOperator:
     L >= 2N - 1 the Hankel product is a circular correlation and the
     Toeplitz product a circular convolution (standard circulant
     embedding), both exact at outputs 0 .. N-1; so a matvec is one real
-    FFT per Gauss node, a spectral multiply-add and one inverse FFT per
-    Gauss node.  The first ``_EXACT_ROWS`` rows are kept as dense matrix
-    rows instead.
+    FFT (numpy.fft) per Gauss node, a spectral multiply-add and one inverse
+    FFT per Gauss node.  The first ``_EXACT_ROWS`` rows are kept as dense
+    matrix rows instead.
     """
 
     def __init__(self, grid: RadialGrid, alpha: float, epsilon: float):
@@ -194,7 +208,7 @@ class _HankelToeplitzOperator:
         c = 0.5 * h * (1.0 + x)  # node offsets inside a cell
         nodes, weights = _gauss_nodes(grid)
         self.n = n
-        self.size = next_fast_len(2 * n - 1, real=True)
+        self.size = _next_fast_len(2 * n - 1)
         self.scale = np.ascontiguousarray((weights / nodes.reshape(n, order)).T)  # D_a
         G = lambda z: (z * z + epsilon * epsilon) ** (1.0 - 0.5 * alpha)
         c_sum = (c[:, None] + c[None, :])[..., None]
@@ -211,12 +225,15 @@ class _HankelToeplitzOperator:
                                   n_rows=min(_EXACT_ROWS, n))
         # Work buffers reused by every matvec.  A fresh product per call
         # (0.5 MiB at 4096 cells) can sit above glibc's mmap threshold and
-        # would then be mapped and faulted in again on every call.
+        # would then be mapped and faulted in again on every call.  D v goes
+        # before a zero tail, because numpy.fft pads a short input slowly.
+        self._padded = np.zeros((order, self.size))
         self._operand = np.empty(self.spectra.shape[1:], dtype=complex)
         self._product = np.empty(self.spectra.shape, dtype=complex)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        Y = rfft(self.scale * v, n=self.size)
+        np.multiply(self.scale, v, out=self._padded[:, :self.n])
+        Y = rfft(self._padded)
         order = len(Y)
         np.conjugate(Y, out=self._operand[:order])
         self._operand[order:] = Y

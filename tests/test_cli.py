@@ -211,11 +211,26 @@ def run_probe(code: str) -> str:
     return out.stdout.strip()
 
 
+# Prints every loaded module named scipy or scipy.*.  Only the d != 3
+# kernel quadrature imports scipy (scipy.integrate, lazily, on first use).
+SCIPY_MODULES = ("print(sorted(m for m in sys.modules "
+                 "if m == 'scipy' or m.startswith('scipy.')))")
+
+
 def test_import_leaves_scipy_optimize_and_integrate_unloaded():
-    # the kernel quadrature imports scipy.integrate lazily, on first use
-    probe = ("import sys, aggdiff, aggdiff.cli; "
-             "print(sorted(m for m in sys.modules "
-             "if m.startswith(('scipy.optimize', 'scipy.integrate'))))")
+    probe = "import sys, aggdiff, aggdiff.cli; " + SCIPY_MODULES
+    assert run_probe(probe) == "[]"
+
+
+def test_fft_operator_and_run_leave_scipy_unloaded():
+    # the structured operator's FFTs are numpy.fft's
+    probe = ("import sys, numpy as np, aggdiff as ad, aggdiff.cli; "
+             "p = ad.ModelParams(d=3, s=1.25); g = ad.RadialGrid.uniform(576, 4.0); "
+             "k = ad.build_kernel(g, p.s); assert k.structured; "
+             "assert np.all(k.apply(np.ones(576)) > 0); "
+             "out = ad.run(ad.barenblatt_profile(g, 20.0, 1.0, p.m), k, p, "
+             "ad.SolverConfig(t_end=1e-4, scheme='explicit')); "
+             "assert out.final_state.step_count > 0; " + SCIPY_MODULES)
     assert run_probe(probe) == "[]"
 
 
@@ -228,8 +243,7 @@ def test_implicit_run_leaves_scipy_linalg_unloaded():
              "ad.build_kernel(g, p.s), p, "
              "ad.SolverConfig(t_end=1e-3, scheme='implicit')); "
              "F = [r.F for r in out.diagnostics]; "
-             "assert out.final_state.step_count > 0 and F[-1] < F[0]; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+             "assert out.final_state.step_count > 0 and F[-1] < F[0]; " + SCIPY_MODULES)
     assert run_probe(probe) == "[]"
 
 
@@ -241,7 +255,7 @@ def test_critical_mass_search_leaves_scipy_linalg_unloaded():
              "M_c, res = ad.find_critical_mass(g, ad.build_kernel(g, p.s), p, "
              "c.M_star, 1.08 * c.M_star, rel_tol=1e-3, support_radius_init=1.0); "
              "assert c.M_star < M_c < 1.08 * c.M_star and res.iterations > 1; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+             + SCIPY_MODULES)
     assert run_probe(probe) == "[]"
 
 

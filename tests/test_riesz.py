@@ -15,7 +15,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.fft import irfft, rfft
+import scipy.fft
+from numpy.fft import irfft, rfft
 
 from aggdiff import (
     DensityField,
@@ -424,8 +425,9 @@ class TestPairAverageBlocks:
         assert np.array_equal(k._operator.head, oracle)
 
 
-def unbuffered_matvec(op, v):
-    """The FFT matvec with fresh operand and product arrays per call."""
+def unbuffered_matvec(op, v, rfft=rfft, irfft=irfft):
+    """The FFT matvec with fresh arrays per call, the input padded by rfft
+    itself; by default on numpy.fft, the library the operator uses."""
     Y = rfft(op.scale * v, n=op.size)
     Z = (op.spectra * np.concatenate((Y.conj(), Y))).sum(axis=1)
     out = (op.scale * irfft(Z, n=op.size)[:, :op.n]).sum(axis=0)
@@ -449,8 +451,40 @@ class TestOperatorBuffers:
         kept = first.copy()
         k.apply(rng.standard_normal(n_cells))
         assert np.array_equal(first, kept)
-        for buffer in (k._operator._operand, k._operator._product):
+        for buffer in (k._operator._padded, k._operator._operand,
+                       k._operator._product):
             assert not np.shares_memory(first, buffer)
+
+
+class TestFFTLibrary:
+    """The operator's FFTs are numpy.fft's; scipy.fft serves as the oracle."""
+
+    def test_next_fast_len_matches_scipy(self):
+        # 8191 = 2 * 4096 - 1, the buffer target of the largest grid below
+        for n in range(1, 8192):
+            assert riesz._next_fast_len(n) == scipy.fft.next_fast_len(n, real=True)
+
+    def test_buffer_length_unchanged(self):
+        """The length the operator picks for every grid from the threshold to
+        4096 cells, and the length a sample of built operators uses, is the
+        one scipy.fft.next_fast_len gave."""
+        for n in range(riesz.STRUCTURED_MIN_CELLS, 4097):
+            assert riesz._next_fast_len(2 * n - 1) == scipy.fft.next_fast_len(
+                2 * n - 1, real=True)
+        for n in (riesz.STRUCTURED_MIN_CELLS, 577, 1000, 1024, 2049, 3001, 4096):
+            op = build_kernel(RadialGrid.uniform(n, 4.0), S)._operator
+            assert op.size == scipy.fft.next_fast_len(2 * n - 1, real=True)
+            assert op.spectra.shape[-1] == op.size // 2 + 1
+
+    @pytest.mark.parametrize("n_cells", [1024, 4096])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    def test_matvec_matches_scipy_fft(self, n_cells, epsilon):
+        k = build_kernel(RadialGrid.uniform(n_cells, 4.0), S, epsilon=epsilon)
+        rng = np.random.default_rng(n_cells + 2)
+        for v in (rng.random(n_cells), rng.standard_normal(n_cells)):
+            Kv = k.apply(v)
+            ref = unbuffered_matvec(k._operator, v, scipy.fft.rfft, scipy.fft.irfft)
+            assert np.max(np.abs(Kv - ref)) <= 1e-14 * np.max(np.abs(Kv))
 
 
 BUILD_CASES = {
