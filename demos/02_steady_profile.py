@@ -50,4 +50,4 @@ drift = float(np.dot(np.abs(out.final_state.u.values - U.values),
 print(f"relative L1 drift over one diffusive time ({tau:.3f}): {drift:.2e}")
 
 ad.write_field_csv(U, "steady_profile.csv")
-print("profile written to steady_profile.csv (r_center,volume,value)")
+print("profile written to steady_profile.csv (r_center,volume,value,r_outer)")

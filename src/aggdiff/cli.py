@@ -35,11 +35,12 @@ import numpy as np
 
 from . import model
 from .energy import vhls_ratio
-from .errors import ConvergenceError, GridMismatchError, ParameterDomainError
+from .errors import ConvergenceError, ParameterDomainError
 from .extremal import el_fixed_point, find_critical_mass
 from .field import (
     DensityField,
     RadialGrid,
+    _random_bump_field,
     barenblatt_profile,
     hls_extremizer_profile,
     lp_norm,
@@ -252,36 +253,28 @@ def _solver_config(cfg: dict, **overrides) -> SolverConfig:
 
 
 def _load_profile(path: str, d: int, grid: RadialGrid | None = None):
-    """Field, sidecar metadata and input hashes of a profile CSV.  A sidecar
-    that records the uniform grid (``n_cells``, ``r_max``) rebuilds it
-    exactly; without one the values go on the configured ``grid`` (its
-    volumes checked against the stored ones), and with no ``grid`` either
-    the edges come from the stored volumes.  Given the configured ``grid``,
+    """Field, sidecar metadata and input hashes of a profile CSV, which
+    holds the exact grid.  A JSON sidecar beside it gives the dimension
+    ``d`` and metadata such as ``M_target``.  Given the configured ``grid``,
     the profile must live on it.  An unreadable or malformed file is a
     :class:`ConfigError` naming it."""
     csv_path = Path(path)
     sidecar = csv_path.with_suffix(".json")
     meta = {}
-    target = grid
     if sidecar.exists():
         try:
             meta = json.loads(sidecar.read_text())
             if not isinstance(meta, dict):
                 raise ValueError("top level must be a JSON object")
             d = int(meta.get("d", d))
-            if "n_cells" in meta and "r_max" in meta:
-                target = RadialGrid.uniform(int(meta["n_cells"]), float(meta["r_max"]),
-                                            d=d)
         except (OSError, ValueError, TypeError) as exc:
             raise ConfigError(f"profile sidecar {sidecar}: {exc}") from exc
     try:
-        field = read_field_csv(csv_path, d=d, grid=target)
-    except GridMismatchError as exc:
-        raise ConfigError(str(exc)) from exc
-    except (OSError, ValueError, IndexError, StopIteration) as exc:
+        field = read_field_csv(csv_path, d=d)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"profile {csv_path}: {exc}") from exc
     if grid is not None and field.grid != grid:
-        raise ConfigError("profile grid does not match configured grid")
+        raise ConfigError(f"profile {csv_path}: grid does not match configured grid")
     hashes = {str(csv_path): _sha256_bytes(csv_path.read_bytes())}
     if sidecar.exists():
         hashes[str(sidecar)] = _sha256_bytes(sidecar.read_bytes())
@@ -356,8 +349,6 @@ def cmd_extremal(cfg: dict) -> int:
     sidecar = {
         "d": params.d,
         "s": params.s,
-        "n_cells": grid.n_cells,
-        "r_max": grid.r_max,
         "J_value": result.J_value,
         "lambda_bar": result.lambda_bar,
         "el_residual": result.el_residual,
@@ -475,8 +466,7 @@ def _verify_checks(cfg: dict):
 
     worst = 0.0
     for _ in range(cfg["experiment"]["n_random_fields"]):
-        vals = _random_verify_field(rng, grid)
-        u = DensityField(grid, vals)
+        u = DensityField(grid, _random_bump_field(rng, grid))
         worst = max(worst, vhls_ratio(u, kernel, params) / consts.C_hls)
     yield "vhls_bound_random_fields", worst <= 1.0 + tol["vhls_margin"], {
         "worst_ratio_over_C": worst}
@@ -485,8 +475,7 @@ def _verify_checks(cfg: dict):
     small_grid = RadialGrid.uniform(96, grid.r_max, d=params.d)
     small_kernel = build_kernel(small_grid, params.s)
     for _ in range(cfg["experiment"]["n_random_fields"]):
-        vals = _random_verify_field(rng, small_grid)
-        u = DensityField(small_grid, vals)
+        u = DensityField(small_grid, _random_bump_field(rng, small_grid))
         u_star = rearrange(u)
         k_star = build_kernel(u_star.grid, params.s)
         if interaction_energy(k_star, u_star) < interaction_energy(small_kernel, u) * (1 - 1e-9):
@@ -549,18 +538,6 @@ def _max_identity_gap(rows, pair_fn):
     return worst
 
 
-def _random_verify_field(rng, grid):
-    centers = grid.centers
-    vals = np.zeros_like(centers)
-    for _ in range(rng.integers(1, 4)):
-        c = rng.uniform(0.0, 0.6 * grid.r_max)
-        w = rng.uniform(0.05, 0.3) * grid.r_max
-        vals += rng.uniform(0.1, 1.0) * np.exp(-0.5 * ((centers - c) / w) ** 2)
-    if rng.random() < 0.25:
-        vals += rng.uniform(0.2, 1.0) * (centers < rng.uniform(0.2, 0.6) * grid.r_max)
-    return vals
-
-
 def cmd_verify(cfg: dict) -> int:
     checks = []
     failures = 0
@@ -607,7 +584,7 @@ def _build_parser(commands: dict) -> _Parser:
     for name, (_, takes_profile) in commands.items():
         p = sub.add_parser(name, parents=[common])
         if takes_profile:
-            p.add_argument("--profile", help="steady profile CSV (with JSON sidecar)")
+            p.add_argument("--profile", help="steady profile CSV (sidecar optional)")
     return parser
 
 

@@ -48,6 +48,7 @@ from .errors import ConvergenceError
 from .field import (
     DensityField,
     RadialGrid,
+    _random_bump_field,
     barenblatt_profile,
     dilate,
     lp_norm,
@@ -363,7 +364,7 @@ def maximize_vhls(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
         return vhls_ratio(DensityField(grid, vals), kernel, params)
 
     for _ in range(n_starts):
-        vals = _random_bump_field(rng, centers, r_max)
+        vals = _random_bump_field(rng, grid)
         vals = rearrange(DensityField(grid, vals), onto=grid).values
         J = ratio(vals)
         moves = 0
@@ -401,21 +402,6 @@ def maximize_vhls(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
         support_radius=_support_radius(U),
         iterations=best_moves,
     )
-
-
-def _random_bump_field(rng, centers, r_max):
-    """Non-negative mixture of Gaussian bumps plus an occasional slab."""
-    n_bumps = rng.integers(1, 5)
-    vals = np.zeros_like(centers)
-    for _ in range(n_bumps):
-        c = rng.uniform(0.0, 0.6 * r_max)
-        w = rng.uniform(0.05, 0.4) * r_max
-        a = rng.uniform(0.1, 1.0)
-        vals += a * np.exp(-0.5 * ((centers - c) / w) ** 2)
-    if rng.random() < 0.3:
-        edge = rng.uniform(0.1, 0.5) * r_max
-        vals += rng.uniform(0.1, 1.0) * (centers < edge)
-    return vals
 
 
 def blowup_initial_data(U: DensityField, M: float, params: ModelParams) -> DensityField:

@@ -278,40 +278,50 @@ def barenblatt_profile(grid: RadialGrid, total_mass: float, radius: float,
     return DensityField(grid, vals * (total_mass / mass(raw)))
 
 
+def _random_bump_field(rng, grid: RadialGrid) -> np.ndarray:
+    """Non-negative mixture of Gaussian bumps plus an occasional slab, as
+    values at the grid's cell centers."""
+    centers = grid.centers
+    r_max = grid.r_max
+    n_bumps = rng.integers(1, 5)
+    vals = np.zeros_like(centers)
+    for _ in range(n_bumps):
+        c = rng.uniform(0.0, 0.6 * r_max)
+        w = rng.uniform(0.05, 0.4) * r_max
+        a = rng.uniform(0.1, 1.0)
+        vals += a * np.exp(-0.5 * ((centers - c) / w) ** 2)
+    if rng.random() < 0.3:
+        edge = rng.uniform(0.1, 0.5) * r_max
+        vals += rng.uniform(0.1, 1.0) * (centers < edge)
+    return vals
+
+
+_CSV_HEADER = ["r_center", "volume", "value", "r_outer"]
+
+
 def write_field_csv(u: DensityField, path) -> None:
-    """Serialise as CSV with header ``r_center,volume,value``."""
-    centers = u.grid.centers
-    vols = u.grid.shell_volumes
+    """Serialise as CSV with header ``r_center,volume,value,r_outer``, every
+    number written with ``repr`` so that it reads back exactly."""
+    grid = u.grid
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["r_center", "volume", "value"])
-        for c, v, x in zip(centers, vols, u.values):
-            writer.writerow([repr(float(c)), repr(float(v)), repr(float(x))])
+        writer.writerow(_CSV_HEADER)
+        for row in zip(grid.centers, grid.shell_volumes, u.values, grid.r_edges[1:]):
+            writer.writerow([repr(float(x)) for x in row])
 
 
-def read_field_csv(path, d: int = 3, grid: RadialGrid | None = None) -> DensityField:
-    """Rebuild a field from the ``r_center,volume,value`` format.
-
-    The values go on ``grid`` if given (its shell volumes must match the
-    stored ones to 1e-12 relative); otherwise edges are recovered, to
-    roundoff, from the cumulative volumes in dimension ``d``.
-    """
-    vols = []
-    vals = []
+def read_field_csv(path, d: int = 3) -> DensityField:
+    """Rebuild a field written by :func:`write_field_csv` in dimension ``d``.
+    Its grid has edges 0 and the stored ``r_outer``, so it is the writer's
+    grid bit for bit.  Any other header raises ``ValueError``."""
+    vals, outer = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[:3] != ["r_center", "volume", "value"]:
-            raise ValueError(f"unexpected field CSV header: {header}")
-        for row in reader:
-            vols.append(float(row[1]))
-            vals.append(float(row[2]))
-    vols_arr = np.asarray(vols)
-    if grid is None:
-        cum = np.concatenate(([0.0], np.cumsum(vols_arr)))
-        edges = (d * cum / sphere_surface(d)) ** (1.0 / d)
-        grid = RadialGrid(d=d, r_edges=edges)
-    elif (vols_arr.shape != grid.shell_volumes.shape
-          or not np.allclose(vols_arr, grid.shell_volumes, rtol=1e-12, atol=0.0)):
-        raise GridMismatchError(f"{path}: stored cell volumes do not match the grid")
-    return DensityField(grid, np.asarray(vals))
+        header = next(reader, None)
+        if header != _CSV_HEADER:
+            raise ValueError(f"field CSV header must be {','.join(_CSV_HEADER)}, "
+                             f"got {header}")
+        for _, _, value, r_outer in reader:
+            vals.append(float(value))
+            outer.append(float(r_outer))
+    return DensityField(RadialGrid(d=d, r_edges=[0.0, *outer]), np.array(vals))

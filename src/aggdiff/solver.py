@@ -326,10 +326,7 @@ def step(state: SolverState, kernel: RieszKernel, params: ModelParams,
 
 
 def _diag_row(u: DensityField, kernel, params, c_ds, t, dt) -> DiagnosticsRow:
-    rep = energy_report(u, kernel, params, c_ds=c_ds) if mass(u) > 0.0 else None
-    if rep is None:
-        return DiagnosticsRow(t=t, mass=0.0, lm_norm=0.0, linf_norm=0.0, m2=0.0,
-                              F=0.0, S=0.0, W=0.0, D=0.0, virial_rhs=0.0, dt=dt)
+    rep = energy_report(u, kernel, params, c_ds=c_ds)
     return DiagnosticsRow(
         t=t,
         mass=mass(u),

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import aggdiff
-from aggdiff import (RieszKernel, SolverConfig, build_kernel, hls_sharp_constant,
-                     riesz_constant, vhls_constant_upper)
+from aggdiff import (RadialGrid, RieszKernel, SolverConfig, build_kernel,
+                     hls_sharp_constant, read_field_csv, riesz_constant,
+                     vhls_constant_upper)
 from aggdiff.cli import _FIELDS, DEFAULT_CONFIG, ConfigError, load_config, main
 
 
@@ -187,6 +188,15 @@ class TestExtremalAndProfileFlow:
         assert res["C_star_measured"] <= res["C_star_upper"] * 1.02
         assert res["M_star_measured"] >= res["M_star"] * 0.95
 
+        # the CSV carries the grid, so the sidecar cannot change the result
+        bare = tmp_path / "bare" / "profile.csv"
+        bare.parent.mkdir()
+        bare.write_bytes(profile.read_bytes())
+        out3 = tmp_path / "out3"
+        assert run_cli("constants", "--profile", str(bare), "--out", str(out3)) == 0
+        bare_res = json.loads((out3 / "report.json").read_text())["results"]
+        assert bare_res["C_star_measured"] == res["C_star_measured"]
+
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         code = run_cli("extremal", *SMALL, "--set",
                        "experiment.fixed_point.max_iter=1",
@@ -272,9 +282,10 @@ def kernel_must_not_be_built(*args, **kwargs):
 
 
 class TestProfileHandoff:
-    def test_sidecar_records_grid(self, extremal_profile):
+    def test_csv_records_grid(self, extremal_profile):
+        assert read_field_csv(extremal_profile).grid == RadialGrid.uniform(96, 4.0)
         meta = json.loads(extremal_profile.with_suffix(".json").read_text())
-        assert (meta["d"], meta["n_cells"], meta["r_max"]) == (3, 96, 4.0)
+        assert meta["d"] == 3 and not {"n_cells", "r_max"} & set(meta)
 
     def test_simulate_from_profile(self, tmp_path, extremal_profile, capsys):
         out = tmp_path / "out"
@@ -319,7 +330,8 @@ class TestProfileHandoff:
         code = run_cli("simulate", *SMALL, "--set", "grid.r_max=4.5",
                        "--profile", str(csv_path), "--out", str(out))
         assert code == 1
-        assert "volumes do not match" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(csv_path) in err and "does not match configured grid" in err
 
     @pytest.mark.parametrize("command", ["simulate", "dichotomy"])
     def test_missing_profile_is_config_error(self, tmp_path, command, monkeypatch,
@@ -346,17 +358,33 @@ class TestProfileHandoff:
         err = capsys.readouterr().err
         assert str(sidecar) in err and "Traceback" not in err
 
-    def test_sidecar_volume_mismatch_is_config_error(self, tmp_path, extremal_profile,
-                                                     capsys):
+    def test_sidecar_dimension_mismatch_is_config_error(self, tmp_path,
+                                                        extremal_profile, monkeypatch,
+                                                        capsys):
+        monkeypatch.setattr(aggdiff.cli, "build_kernel", kernel_must_not_be_built)
         csv_path = tmp_path / "profile.csv"
         csv_path.write_bytes(extremal_profile.read_bytes())
         meta = json.loads(extremal_profile.with_suffix(".json").read_text())
-        meta["r_max"] = 4.5
+        meta["d"] = 4  # the CSV's edges are then read as a grid in R^4
         csv_path.with_suffix(".json").write_text(json.dumps(meta))
         code = run_cli("simulate", *SMALL, "--profile", str(csv_path),
                        "--out", str(tmp_path / "out"))
         assert code == 1
-        assert "volumes do not match" in capsys.readouterr().err
+        assert "does not match configured grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["constants", "simulate", "dichotomy"])
+    def test_three_column_profile_is_config_error(self, tmp_path, extremal_profile,
+                                                  command, monkeypatch, capsys):
+        monkeypatch.setattr(aggdiff.cli, "build_kernel", kernel_must_not_be_built)
+        csv_path = tmp_path / "profile.csv"  # the format before r_outer
+        csv_path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in
+                                    extremal_profile.read_text().splitlines()))
+        code = run_cli(command, *SMALL, "--profile", str(csv_path),
+                       "--out", str(tmp_path / "out"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(csv_path) in err and "r_center,volume,value,r_outer" in err
+        assert "Traceback" not in err
 
 
 def nan_kernel(grid, s, epsilon=0.0):

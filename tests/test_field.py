@@ -10,6 +10,7 @@ from aggdiff import (
     GridMismatchError,
     RadialGrid,
     barenblatt_profile,
+    build_kernel,
     hls_extremizer_profile,
     lp_norm,
     mass,
@@ -250,30 +251,64 @@ class TestProfiles:
         assert np.all(np.diff(u.values) <= 0)
 
 
+def uniform_test_field(n_cells, d=3):
+    g = RadialGrid.uniform(n_cells, 4.0, d=d)
+    return DensityField(g, random_bump_field(np.random.default_rng(n_cells), g))
+
+
+def graded_test_field(n_cells):
+    i = np.arange(n_cells + 1)
+    g = RadialGrid(d=3, r_edges=4.0 * np.expm1(3.0 * i / n_cells) / np.expm1(3.0))
+    return DensityField(g, random_bump_field(np.random.default_rng(n_cells), g))
+
+
+ROUND_TRIP_FIELDS = {
+    "uniform-96": lambda: uniform_test_field(96),
+    "uniform-576": lambda: uniform_test_field(576),
+    "uniform-4096": lambda: uniform_test_field(4096),
+    "uniform-96-d5": lambda: uniform_test_field(96, d=5),
+    "rearranged": lambda: rearrange(uniform_test_field(96)),
+    "scaled": lambda: scale(uniform_test_field(96), 2.0, 1.7),
+    "graded": lambda: graded_test_field(256),
+}
+
+
+def csv_round_trip(u, path):
+    write_field_csv(u, path)
+    return read_field_csv(path, d=u.grid.d)
+
+
 class TestCsvRoundTrip:
     def test_write_read(self, tmp_path):
         g = RadialGrid.uniform(48, 2.0)
         u = DensityField(g, np.random.default_rng(9).uniform(0, 3, 48))
         path = tmp_path / "field.csv"
-        write_field_csv(u, path)
+        back = csv_round_trip(u, path)
         header = path.read_text().splitlines()[0]
-        assert header == "r_center,volume,value"
-        back = read_field_csv(path, d=3)
-        assert np.allclose(back.values, u.values, rtol=0, atol=0)
-        assert np.allclose(back.grid.r_edges, g.r_edges, rtol=1e-12)
-
-    def test_read_onto_grid_is_exact(self, tmp_path):
-        g = RadialGrid.uniform(96, 4.0)
-        u = DensityField(g, np.random.default_rng(9).uniform(0, 3, 96))
-        path = tmp_path / "field.csv"
-        write_field_csv(u, path)
-        back = read_field_csv(path, grid=RadialGrid.uniform(96, 4.0))
+        assert header == "r_center,volume,value,r_outer"
+        columns = np.loadtxt(path, delimiter=",", skiprows=1).T
+        for column, expected in zip(columns, [g.centers, g.shell_volumes, u.values,
+                                              g.r_edges[1:]]):
+            assert np.array_equal(column, expected)
         assert back.grid == g
         assert np.array_equal(back.values, u.values)
-        with pytest.raises(GridMismatchError, match="volumes"):
-            read_field_csv(path, grid=RadialGrid.uniform(96, 4.0 * (1 + 1e-11)))
-        with pytest.raises(GridMismatchError):
-            read_field_csv(path, grid=RadialGrid.uniform(95, 4.0))
+
+    @pytest.mark.parametrize("kind", ROUND_TRIP_FIELDS)
+    def test_round_trip_is_exact(self, tmp_path, kind):
+        u = ROUND_TRIP_FIELDS[kind]()
+        back = csv_round_trip(u, tmp_path / "field.csv")
+        assert back.grid == u.grid
+        assert np.array_equal(back.values, u.values)
+
+    def test_reloaded_uniform_grid_gets_fft_operator(self, tmp_path):
+        back = csv_round_trip(uniform_test_field(576), tmp_path / "field.csv")
+        assert build_kernel(back.grid, 1.25).structured
+
+    def test_three_column_file_rejected(self, tmp_path):
+        path = tmp_path / "old.csv"
+        path.write_text("r_center,volume,value\n0.5,0.5,1.0\n")
+        with pytest.raises(ValueError, match="r_center,volume,value,r_outer"):
+            read_field_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -4,7 +4,7 @@ form, eps study."""
 import inspect
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -118,10 +118,13 @@ class TestStep:
 class TestRun:
     def test_zero_initial_condition(self, params, grid96, kernel96):
         u0 = DensityField(grid96, np.zeros(96))
-        out = run(u0, kernel96, params, SolverConfig(t_end=0.1))
-        assert out.status == "completed"
-        for row in out.diagnostics:
-            assert row.mass == 0.0 and row.F == 0.0 and row.linf_norm == 0.0
+        for kernel in (kernel96, build_kernel(grid96, params.s, epsilon=0.1)):
+            for scheme in ("explicit", "implicit"):
+                out = run(u0, kernel, params, SolverConfig(t_end=0.1, scheme=scheme))
+                assert out.status == "completed"
+                for row in out.diagnostics:
+                    assert all(getattr(row, f.name) == 0.0 for f in fields(row)
+                               if f.name not in ("t", "dt"))
 
     def test_subcritical_completes_with_monotone_energy(self, params, grid256,
                                                         kernel256, critical256):
@@ -482,7 +485,7 @@ class TestDichotomyRun:
         profile = tmp_path / "steady.csv"
         write_field_csv(steady.U, profile)
         profile.with_suffix(".json").write_text(json.dumps(
-            {"d": params.d, "n_cells": 96, "r_max": 3.0, "M_target": M_c}))
+            {"d": params.d, "M_target": M_c}))
         out = tmp_path / "out"
         code = cli.main(["dichotomy", "--set", "grid.n_cells=96",
                          "--set", "grid.r_max=3.0",

@@ -1,6 +1,6 @@
 """Every imported name is used: the package (its ``__init__`` re-exports
-aside), the tests and the demos.  No linter is required to run the suite,
-so this stands in for one."""
+aside), the tests, the demos and the benchmark harness.  No linter is
+required to run the suite, so this stands in for one."""
 
 import ast
 from pathlib import Path
@@ -9,7 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
-    path for folder in ("src/aggdiff", "tests", "demos")
+    path for folder in ("src/aggdiff", "tests", "demos", "perfbench")
     for path in (ROOT / folder).glob("*.py")
     if path != ROOT / "src/aggdiff/__init__.py"
 )
