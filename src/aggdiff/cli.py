@@ -242,7 +242,7 @@ def _build_workspace(cfg: dict, profile: str | None = None):
     _check_kernel_params(params)
     grid = RadialGrid.uniform(cfg["grid"]["n_cells"], cfg["grid"]["r_max"],
                               d=params.d)
-    loaded = _load_profile(profile, params.d, grid) if profile is not None else None
+    loaded = _load_profile(profile, params, grid) if profile is not None else None
     kernel = build_kernel(grid, params.s, epsilon=cfg["model"]["epsilon"])
     return params, grid, kernel, loaded
 
@@ -252,11 +252,14 @@ def _solver_config(cfg: dict, **overrides) -> SolverConfig:
     return SolverConfig(**{**cfg["solver"], **overrides})
 
 
-def _load_profile(path: str, d: int, grid: RadialGrid | None = None):
+def _load_profile(path: str, params: model.ModelParams,
+                  grid: RadialGrid | None = None):
     """Field, sidecar metadata and input hashes of a profile CSV, which
-    holds the exact grid.  A JSON sidecar beside it gives the dimension
-    ``d`` and metadata such as ``M_target``.  Given the configured ``grid``,
-    the profile must live on it.  An unreadable or malformed file is a
+    holds the exact grid and is read in the configured dimension.  A JSON
+    sidecar beside it holds metadata such as ``M_target``; its ``d`` and
+    ``s``, when present, must equal the configured ``model.d`` and
+    ``model.s``.  Given the configured ``grid``, the profile must live on
+    it.  An unreadable, malformed or mismatched file is a
     :class:`ConfigError` naming it."""
     csv_path = Path(path)
     sidecar = csv_path.with_suffix(".json")
@@ -266,11 +269,16 @@ def _load_profile(path: str, d: int, grid: RadialGrid | None = None):
             meta = json.loads(sidecar.read_text())
             if not isinstance(meta, dict):
                 raise ValueError("top level must be a JSON object")
-            d = int(meta.get("d", d))
-        except (OSError, ValueError, TypeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"profile sidecar {sidecar}: {exc}") from exc
+        for key, what, configured in (("d", "grid dimension", params.d),
+                                      ("s", "kernel order", params.s)):
+            if key in meta and meta[key] != configured:
+                raise ConfigError(
+                    f"profile sidecar {sidecar}: '{key}' = {meta[key]!r} does not "
+                    f"match configured {what} 'model.{key}' = {configured!r}")
     try:
-        field = read_field_csv(csv_path, d=d)
+        field = read_field_csv(csv_path, d=params.d)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"profile {csv_path}: {exc}") from exc
     if grid is not None and field.grid != grid:
@@ -326,7 +334,7 @@ def cmd_constants(cfg: dict, profile: str | None = None) -> int:
     input_hashes = {}
     if profile is not None:
         _check_kernel_params(params)
-        field, meta, hashes = _load_profile(profile, params.d)
+        field, meta, hashes = _load_profile(profile, params)
         input_hashes.update(hashes)
         kernel = build_kernel(field.grid, params.s, epsilon=cfg["model"]["epsilon"])
         measured = vhls_ratio(field, kernel, params)

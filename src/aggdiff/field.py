@@ -313,15 +313,22 @@ def write_field_csv(u: DensityField, path) -> None:
 def read_field_csv(path, d: int = 3) -> DensityField:
     """Rebuild a field written by :func:`write_field_csv` in dimension ``d``.
     Its grid has edges 0 and the stored ``r_outer``, so it is the writer's
-    grid bit for bit.  Any other header raises ``ValueError``."""
-    vals, outer = [], []
+    grid bit for bit, and its shell volumes equal the stored ``volume``
+    column bit for bit.  Any other header, or volumes of another dimension,
+    raise ``ValueError``."""
+    vals, vols, outer = [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != _CSV_HEADER:
             raise ValueError(f"field CSV header must be {','.join(_CSV_HEADER)}, "
                              f"got {header}")
-        for _, _, value, r_outer in reader:
+        for _, volume, value, r_outer in reader:
+            vols.append(float(volume))
             vals.append(float(value))
             outer.append(float(r_outer))
-    return DensityField(RadialGrid(d=d, r_edges=[0.0, *outer]), np.array(vals))
+    grid = RadialGrid(d=d, r_edges=[0.0, *outer])
+    if not np.array_equal(grid.shell_volumes, vols):
+        raise ValueError(f"volume column is not the d = {d} shell volumes of the "
+                         f"r_outer edges (written in another dimension?)")
+    return DensityField(grid, np.array(vals))

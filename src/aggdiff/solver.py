@@ -15,9 +15,12 @@ leak and discrete steady profiles stay put.
 Two time discretisations share that flux, chosen by
 ``SolverConfig.scheme``: explicit forward Euler at the CFL limit (the
 default; nonlinear diffusion makes its step count grow as (R/dr)^2), and
-backward Euler with phi lagged one step, linearised at the current state
-so each step is one tridiagonal solve, whose step count does not depend
-on dr.  The implicit scheme is meant for long subcritical horizons.
+the second-order Rosenbrock method ROS2 with a tridiagonal approximate
+Jacobian (one factorization and two solves per step), which falls back
+to linearised backward Euler at the same dt where its update would leave
+a cell negative.  The implicit step aims at a change of ``_STEP_CHANGE``
+times max u, so its step count does not depend on dr.  It is meant for
+long subcritical horizons.
 """
 
 from __future__ import annotations
@@ -49,9 +52,10 @@ class SolverConfig:
     kernel's regularisation length, so the mollifier and the added
     diffusion can never disagree.
 
-    ``scheme`` is "explicit" or "implicit" (one linear solve per step).
-    ``cfl`` sets every explicit step and the first implicit one; later
-    implicit steps follow ``_STEP_CHANGE``.  A run that takes
+    ``scheme`` is "explicit" or "implicit" (a ROS2 step with a
+    backward-Euler fallback, see ``_ImplicitStepper``).  ``cfl`` sets every
+    explicit step and the first implicit one; later implicit steps aim at
+    a change of ``_STEP_CHANGE`` * max u.  A run that takes
     ``_MAX_STEPS`` steps ends "stalled".  Each range check names its field
     and value, and NaN fails every range.
     """
@@ -119,7 +123,9 @@ class RunOutcome:
     ``boundary_mass_flux_total`` accumulates the signed mass transported
     outward across the face at 95% of R_max, the observable for
     truncation artefacts.
-    ``rejected_steps`` counts the implicit scheme's retried steps.
+    ``rejected_steps`` counts the implicit scheme's retried steps and
+    ``fallback_steps`` its steps taken by backward Euler because the ROS2
+    update had a negative cell (see ``_ImplicitStepper``).
     """
 
     status: str
@@ -131,6 +137,7 @@ class RunOutcome:
     clipped_mass_total: float = 0.0
     fields: list = field(default_factory=list)
     rejected_steps: int = 0
+    fallback_steps: int = 0
 
 
 class _Stepper:
@@ -138,7 +145,7 @@ class _Stepper:
     looked up once: built per :func:`run` and per :func:`step` call.
     Rejects a kernel built for another order s or dimension d."""
 
-    rejected_steps = 0
+    rejected_steps = fallback_steps = 0
 
     def __init__(self, kernel: RieszKernel, params: ModelParams,
                  config: SolverConfig, c_ds: float):
@@ -203,23 +210,35 @@ class _Stepper:
         return new_vals, dt, dt_stab, clipped, band_rate
 
 
-_STEP_CHANGE = 0.002  # the implicit step's aim for max|u_new - u| / max u
+_STEP_CHANGE = 0.006  # the implicit step's aim for max|u_new - u| / max u
+_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)  # ROS2's stage coefficient
 
 
 class _ImplicitStepper(_Stepper):
-    """Linearised backward-Euler steps on the explicit scheme's upwind
-    mu-flux, with phi lagged one step (one matvec per step).
+    """Second-order Rosenbrock (ROS2) steps on the explicit scheme's upwind
+    mu-flux, with a backward-Euler fallback that keeps every cell
+    non-negative.
 
-    Each step solves J delta = -dt/V div(A F(u^n)) once, J being the
-    tridiagonal Jacobian of u + dt/V div(A F(u)) at u^n, with the donor side
-    frozen and dmu/du = m u^{m-2} taken as 0 in vacuum cells.  Its columns
-    satisfy V^T J = V^T, so the update keeps the mass of u^n exactly.  dt
-    starts at the explicit stable step of the first state, then aims at
-    max|delta| = ``_STEP_CHANGE`` * max u and grows at most 1.5-fold per
-    step.  A step that leaves a cell negative, or changes u by more than
-    twice the aim with dt above that start, is retried at half its dt; a
-    proposal below ``dt_min`` is handed back to :func:`run`'s collapse
-    rule, and a non-finite update is handed back as it is.
+    ROS2 (Verwer, Spee, Blom & Hundsdorfer, SIAM J. Sci. Comput. 20, 1999)
+    stays second order for any approximate Jacobian, so W is the
+    tridiagonal ``_jacobian`` at u^n with step gamma dt: phi and the donor
+    side frozen, dmu/du = m u^{m-2} taken as 0 in vacuum cells.  W is
+    factored once and solved twice, W K1 = dt f(u^n) and
+    W K2 = dt f(u*) - 2 K1 with u* = max(u^n + K1, 0) and phi recomputed
+    at u* (two matvecs per step), and u^{n+1} = u^n + 3/2 K1 + 1/2 K2.
+    Where that leaves a cell negative (mass moving into vacuum), the try
+    takes the linearised backward-Euler update J delta = dt f(u^n) at the
+    same dt instead, J being ``_jacobian`` at step dt; ``fallback_steps``
+    counts the steps so taken.  W and J satisfy V^T W = V^T, so every
+    update keeps the mass of u^n exactly, and nothing is clipped.
+
+    dt starts at the explicit stable step of the first state, then aims at
+    max|u^{n+1} - u^n| = ``_STEP_CHANGE`` * max u and grows at most
+    1.5-fold per step.  A try whose update leaves a cell negative, or
+    changes u by more than twice the aim with dt above that start, is
+    retried at half its dt; a proposal below ``dt_min`` is handed back to
+    :func:`run`'s collapse rule, and a non-finite update is handed back as
+    it is.
     """
 
     def __init__(self, kernel: RieszKernel, params: ModelParams,
@@ -229,32 +248,49 @@ class _ImplicitStepper(_Stepper):
         self.dt_next = None  # step proposal, first the explicit stable step
         self.dt_explicit = None
 
+    def _rate(self, u_vals: np.ndarray):
+        """Face velocity and f(u) = -div(A F(u)) / V, phi evaluated at u."""
+        phi = potential_values(self.kernel, u_vals, self.c_ds)
+        w, flux = self._flux(u_vals, _mu(u_vals, phi, self.m))
+        return w, -self._divergence(flux) / self.vols
+
     def advance(self, u_vals: np.ndarray, t_left: float):
         """Same contract as :meth:`_Stepper.advance`, with the step proposal
         as the stable dt (u comes back unchanged below ``dt_min``), no
         clipping, and the band flux read off the update itself."""
-        phi = potential_values(self.kernel, u_vals, self.c_ds)
-        w, flux = self._flux(u_vals, _mu(u_vals, phi, self.m))
+        w, rate = self._rate(u_vals)
         if self.dt_next is None:
             self.dt_next = self.dt_explicit = self._stable_dt(u_vals, w)
-        div = self._divergence(flux)
         aim = _STEP_CHANGE * float(u_vals.max())
         dt_try = self.dt_next
         while dt_try >= self.dt_min:
             dt = min(dt_try, t_left)
-            delta = _solve_tridiagonal(*self._jacobian(u_vals, w, dt),
-                                       -dt * div / self.vols)
+            delta = self._ros2_update(u_vals, w, rate, dt)
             new_vals = u_vals + delta
+            fallback = bool(new_vals.min() < 0.0)
+            if fallback:
+                delta = _solve_tridiagonal(*self._jacobian(u_vals, w, dt), dt * rate)
+                new_vals = u_vals + delta
             change = float(np.max(np.abs(delta)))
             small = change <= 2.0 * aim or dt <= self.dt_explicit
             if (new_vals.min() >= 0.0 and small) or not math.isfinite(change):
                 self.dt_next = dt * (min(1.5, aim / change) if change > 0.0 else 1.5)
+                self.fallback_steps += fallback
                 band = self.band_face
                 band_rate = -float(np.dot(self.vols[:band], delta[:band])) / dt
                 return new_vals, dt, dt_try, 0.0, band_rate
             self.rejected_steps += 1
             dt_try = 0.5 * dt
         return u_vals, 0.0, dt_try, 0.0, 0.0
+
+    def _ros2_update(self, u: np.ndarray, w: np.ndarray, rate: np.ndarray,
+                     dt: float) -> np.ndarray:
+        """u^{n+1} - u^n of one ROS2 step of size dt from u with f(u) = rate."""
+        factors = _factor_tridiagonal(*self._jacobian(u, w, _GAMMA * dt))
+        k1 = _substitute(factors, dt * rate)
+        _, rate_star = self._rate(np.maximum(u + k1, 0.0))
+        k2 = _substitute(factors, dt * rate_star - 2.0 * k1)
+        return 1.5 * k1 + 0.5 * k2
 
     def _jacobian(self, u: np.ndarray, w: np.ndarray, dt: float):
         """(lower, diagonal, upper) of d/du [u + dt/V div(A F(u))] with phi
@@ -280,19 +316,32 @@ class _ImplicitStepper(_Stepper):
         return -s[1:] * d_left, diag, s[:-1] * d_right
 
 
-def _solve_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-                       rhs: np.ndarray) -> np.ndarray:
-    """Thomas algorithm; no pivoting, since the implicit Jacobian is a
-    column diagonally dominant M-matrix."""
-    b, c, d = diag.tolist(), upper.tolist(), rhs.tolist()  # Python floats
-    e = c[0] / b[0]
-    y = d[0] / b[0]
-    es, ys = [e], [y]
-    for a_i, b_i, c_i, d_i in zip(lower.tolist(), b[1:], c[1:] + [0.0], d[1:]):
+def _factor_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
+    """Thomas elimination of a tridiagonal matrix, for :func:`_substitute`:
+    the lower band, the pivots and the upper band divided by the pivots,
+    as lists of Python floats.  No pivoting, since the implicit Jacobian is
+    a column diagonally dominant M-matrix."""
+    a, b, c = lower.tolist(), diag.tolist(), upper.tolist()
+    pivot = b[0]
+    e = c[0] / pivot
+    pivots, es = [pivot], [e]
+    for a_i, b_i, c_i in zip(a, b[1:], c[1:] + [0.0]):
         pivot = b_i - a_i * e
-        y = (d_i - a_i * y) / pivot
         e = c_i / pivot
+        pivots.append(pivot)
         es.append(e)
+    return a, pivots, es
+
+
+def _substitute(factors, rhs: np.ndarray) -> np.ndarray:
+    """Solution of the factored tridiagonal system for one right-hand side:
+    forward and back substitution."""
+    a, pivots, es = factors
+    d = rhs.tolist()
+    y = d[0] / pivots[0]
+    ys = [y]
+    for a_i, p_i, d_i in zip(a, pivots[1:], d[1:]):
+        y = (d_i - a_i * y) / p_i
         ys.append(y)
     x = y
     out = [x]
@@ -300,6 +349,12 @@ def _solve_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
         x = y_i - e_i * x
         out.append(x)
     return np.array(out[::-1])
+
+
+def _solve_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                       rhs: np.ndarray) -> np.ndarray:
+    """Thomas algorithm: one factorization, one substitution."""
+    return _substitute(_factor_tridiagonal(lower, diag, upper), rhs)
 
 
 _STEPPERS = {"explicit": _Stepper, "implicit": _ImplicitStepper}
@@ -429,6 +484,7 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
         clipped_mass_total=clipped_total,
         fields=fields,
         rejected_steps=stepper.rejected_steps,
+        fallback_steps=stepper.fallback_steps,
     )
 
 

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import aggdiff
-from aggdiff import (RadialGrid, RieszKernel, SolverConfig, build_kernel,
-                     hls_sharp_constant, read_field_csv, riesz_constant,
-                     vhls_constant_upper)
+from aggdiff import (DensityField, RadialGrid, RieszKernel, SolverConfig,
+                     build_kernel, hls_sharp_constant, read_field_csv,
+                     riesz_constant, vhls_constant_upper, write_field_csv)
 from aggdiff.cli import _FIELDS, DEFAULT_CONFIG, ConfigError, load_config, main
 
 
@@ -371,6 +371,44 @@ class TestProfileHandoff:
                        "--out", str(tmp_path / "out"))
         assert code == 1
         assert "does not match configured grid" in capsys.readouterr().err
+
+    def test_sidecar_order_mismatch_is_config_error(self, extremal_profile, tmp_path,
+                                                    monkeypatch, capsys):
+        # the profile is the s = 1.25 extremal
+        monkeypatch.setattr(aggdiff.cli, "build_kernel", kernel_must_not_be_built)
+        code = run_cli("dichotomy", *SMALL, "--set", "model.s=1.3",
+                       "--profile", str(extremal_profile), "--out", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'s' = 1.25" in err and "'model.s' = 1.3" in err
+        assert "Traceback" not in err
+
+    def test_constants_rejects_a_sidecar_of_another_dimension(
+            self, tmp_path, extremal_profile, monkeypatch, capsys):
+        monkeypatch.setattr(aggdiff.cli, "build_kernel", kernel_must_not_be_built)
+        csv_path = tmp_path / "profile.csv"
+        csv_path.write_bytes(extremal_profile.read_bytes())
+        meta = json.loads(extremal_profile.with_suffix(".json").read_text())
+        csv_path.with_suffix(".json").write_text(json.dumps({**meta, "d": 4}))
+        code = run_cli("constants", "--profile", str(csv_path),
+                       "--out", str(tmp_path / "out"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'d' = 4" in err and "'model.d' = 3" in err
+        assert "Traceback" not in err
+
+    def test_profile_of_another_dimension_without_sidecar(self, tmp_path,
+                                                          monkeypatch, capsys):
+        monkeypatch.setattr(aggdiff.cli, "build_kernel", kernel_must_not_be_built)
+        csv_path = tmp_path / "profile.csv"
+        grid = RadialGrid.uniform(96, 4.0, d=4)
+        write_field_csv(DensityField(grid, np.exp(-grid.centers ** 2)), csv_path)
+        code = run_cli("constants", "--profile", str(csv_path),
+                       "--out", str(tmp_path / "out"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(csv_path) in err and "d = 3 shell volumes" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["constants", "simulate", "dichotomy"])
     def test_three_column_profile_is_config_error(self, tmp_path, extremal_profile,

@@ -304,6 +304,15 @@ class TestCsvRoundTrip:
         back = csv_round_trip(uniform_test_field(576), tmp_path / "field.csv")
         assert build_kernel(back.grid, 1.25).structured
 
+    def test_volumes_pin_the_dimension(self, tmp_path):
+        path = tmp_path / "field.csv"
+        u4 = DensityField(RadialGrid.uniform(48, 2.0, d=4), np.ones(48))
+        write_field_csv(u4, path)
+        assert read_field_csv(path, d=4).grid == u4.grid
+        for d in (3, 5):
+            with pytest.raises(ValueError, match=f"d = {d} shell volumes"):
+                read_field_csv(path, d=d)
+
     def test_three_column_file_rejected(self, tmp_path):
         path = tmp_path / "old.csv"
         path.write_text("r_center,volume,value\n0.5,0.5,1.0\n")
