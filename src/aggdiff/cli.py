@@ -69,13 +69,18 @@ _REAL = (int, float)
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, _REAL) and not isinstance(v, bool)
+    """An int or float, not a bool, whose size a float holds: JSON reads
+    Infinity and integers of any size.  NaN gets through here and fails
+    every field's range check instead."""
+    return (isinstance(v, _REAL) and not isinstance(v, bool)
+            and not abs(v) > sys.float_info.max)
 
 
 # One row per config field: (path, default, type, predicate, description).
 # DEFAULT_CONFIG is built from these rows and validate_config walks them;
-# a predicate of None means the type is the whole check here.  Solver
-# defaults and ranges are SolverConfig's own, the dichotomy horizon's default
+# a _REAL value must pass _is_real (so it is no infinity), and a predicate
+# of None means that type check is the whole check here.  Solver defaults and
+# ranges are SolverConfig's own, the dichotomy horizon's default
 # dichotomy_run's, the 2 < 2s < d rule ModelParams'.
 _FIELDS = [
     ("seed", 1234, int, lambda v: v >= 0, "non-negative integer"),
@@ -187,6 +192,7 @@ def validate_config(cfg: dict) -> None:
         for part in path.split("."):
             value = value[part]
         if (isinstance(value, bool) or not isinstance(value, types)
+                or (types is _REAL and not _is_real(value))
                 or (pred is not None and not pred(value))):
             raise ConfigError(f"config field '{path}' must be {desc}, got {value!r}")
     try:

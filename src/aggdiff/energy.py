@@ -38,13 +38,7 @@ def chemical_potential(u: DensityField, kernel: RieszKernel,
     require_same_grid(u.grid, kernel.grid, "field and kernel")
     if c_ds is None:
         c_ds = params.c_ds
-    return mu_values(u.values, kernel, params.m, c_ds)
-
-
-def mu_values(values: np.ndarray, kernel: RieszKernel, m: float,
-              c_ds: float) -> np.ndarray:
-    """Chemical potential of raw cell values on the kernel's grid (unchecked)."""
-    return _mu(values, potential_values(kernel, values, c_ds), m)
+    return _mu(u.values, potential_values(kernel, u.values, c_ds), params.m)
 
 
 def _mu(values: np.ndarray, phi: np.ndarray, m: float) -> np.ndarray:

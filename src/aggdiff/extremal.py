@@ -53,6 +53,7 @@ from .field import (
     dilate,
     lp_norm,
     mass,
+    project_onto,
     rearrange,
     second_moment,
 )
@@ -86,10 +87,8 @@ def _support_mask(values: np.ndarray) -> np.ndarray:
 
 
 def _support_radius(u: DensityField) -> float:
-    above = _support_mask(u.values)
-    if not np.any(above):
-        return 0.0
-    return float(u.grid.r_edges[1:][above].max())
+    """Outer edge of the last support cell, for a field of positive mass."""
+    return float(u.grid.r_edges[1:][_support_mask(u.values)].max())
 
 
 def variational_multiplier(u: DensityField, params: ModelParams,
@@ -365,7 +364,7 @@ def maximize_vhls(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
 
     for _ in range(n_starts):
         vals = _random_bump_field(rng, grid)
-        vals = rearrange(DensityField(grid, vals), onto=grid).values
+        vals = project_onto(rearrange(DensityField(grid, vals)), grid).values
         J = ratio(vals)
         moves = 0
         stalls = 0
@@ -379,7 +378,7 @@ def maximize_vhls(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
             if not np.any(proposal > 0.0):
                 stalls += 1
                 continue
-            proposal = rearrange(DensityField(grid, proposal), onto=grid).values
+            proposal = project_onto(rearrange(DensityField(grid, proposal)), grid).values
             J_new = ratio(proposal)
             if J_new > J:  # accept-only-improving keeps J non-decreasing
                 vals, J = proposal, J_new

@@ -127,16 +127,12 @@ class DensityField:
                 f"values shape {vals.shape} does not match grid with "
                 f"{self.grid.n_cells} cells"
             )
-        check_density(vals)
+        # NaN fails both comparisons, so this also rejects it
+        if not (vals.min() >= 0.0 and vals.max() < np.inf):
+            raise ValueError("density values must be finite and non-negative")
 
     def with_values(self, values: np.ndarray) -> "DensityField":
         return DensityField(grid=self.grid, values=values)
-
-
-def check_density(values: np.ndarray) -> None:
-    # NaN fails both comparisons, so this also rejects it
-    if not (values.min() >= 0.0 and values.max() < np.inf):
-        raise ValueError("density values must be finite and non-negative")
 
 
 def require_same_grid(a: RadialGrid, b: RadialGrid, what: str = "operands"):
@@ -159,7 +155,7 @@ def mass(u: DensityField) -> float:
 def lp_norm(u: DensityField, p: float) -> float:
     """L^p norm; p = inf returns the max cell value."""
     if p == np.inf:
-        return float(np.max(u.values)) if u.values.size else 0.0
+        return float(np.max(u.values))
     if p < 1.0:
         raise ValueError(f"p must be >= 1 (or inf), got {p}")
     return float(np.dot(u.values ** p, u.grid.shell_volumes) ** (1.0 / p))
@@ -169,7 +165,7 @@ def second_moment(u: DensityField) -> float:
     return float(np.dot(u.values * u.grid.mean_r2, u.grid.shell_volumes))
 
 
-def rearrange(u: DensityField, onto: RadialGrid | None = None) -> DensityField:
+def rearrange(u: DensityField) -> DensityField:
     """Symmetric decreasing rearrangement of a cell-averaged field.
 
     Cells are sorted by value (descending, stable) and refilled from the
@@ -177,28 +173,19 @@ def rearrange(u: DensityField, onto: RadialGrid | None = None) -> DensityField:
     cumulative-volume radii of the sorted blocks.  On that grid the
     rearranged function is represented exactly: the distribution
     function, the mass and every L^p norm are preserved to roundoff.
-
-    With ``onto`` the exact rearrangement is additionally projected back
-    onto a caller-supplied grid by volume averaging (mass stays exact,
-    norms pick up the usual projection error).
     """
     vals = u.values
     vols = u.grid.shell_volumes
     order = np.argsort(-vals, kind="stable")
     if np.array_equal(order, np.arange(vals.size)):
-        out = u  # already non-increasing; keep edges bitwise identical
-    else:
-        sorted_vals = vals[order]
-        cum = np.cumsum(vols[order])
-        d = u.grid.d
-        edges = np.empty(vals.size + 1)
-        edges[0] = 0.0
-        edges[1:] = (d * cum / sphere_surface(d)) ** (1.0 / d)
-        edges[-1] = u.grid.r_max  # cumulative sum closes the total volume
-        out = DensityField(RadialGrid(d=u.grid.d, r_edges=edges), sorted_vals)
-    if onto is not None:
-        out = project_onto(out, onto)
-    return out
+        return u  # already non-increasing; keep edges bitwise identical
+    cum = np.cumsum(vols[order])
+    d = u.grid.d
+    edges = np.empty(vals.size + 1)
+    edges[0] = 0.0
+    edges[1:] = (d * cum / sphere_surface(d)) ** (1.0 / d)
+    edges[-1] = u.grid.r_max  # cumulative sum closes the total volume
+    return DensityField(RadialGrid(d=d, r_edges=edges), vals[order])
 
 
 def project_onto(u: DensityField, grid: RadialGrid) -> DensityField:
@@ -238,9 +225,10 @@ def scale(u: DensityField, lam: float, mu: float) -> DensityField:
     return DensityField(new_grid, lam * u.values)
 
 
-def _cell_average(grid: RadialGrid, fn, gauss_order: int = 6) -> np.ndarray:
-    """Volume-weighted cell averages of a radial profile."""
-    nodes, weights = np.polynomial.legendre.leggauss(gauss_order)
+def _cell_average(grid: RadialGrid, fn) -> np.ndarray:
+    """Volume-weighted cell averages of a radial profile, by 6-point
+    Gauss-Legendre quadrature on each cell."""
+    nodes, weights = np.polynomial.legendre.leggauss(6)
     lo = grid.r_edges[:-1][:, None]
     hi = grid.r_edges[1:][:, None]
     r = 0.5 * (hi - lo) * nodes[None, :] + 0.5 * (hi + lo)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .energy import _mu, energy_report, free_energy, mu_values, upwind_face_values
+from .energy import _mu, energy_report, free_energy, upwind_face_values
 from .errors import ParameterDomainError
 from .extremal import blowup_initial_data
 from .field import (DensityField, face_gradient, lp_norm, mass, require_same_grid,
@@ -197,7 +197,8 @@ class _Stepper:
         """Returns (new values, dt taken, stable dt, clipped mass, outward
         flux rate at the 95% R_max face)."""
         vols = self.vols
-        w, flux = self._flux(u_vals, mu_values(u_vals, self.kernel, self.m, self.c_ds))
+        phi = potential_values(self.kernel, u_vals, self.c_ds)
+        w, flux = self._flux(u_vals, _mu(u_vals, phi, self.m))
         dt_stab = self._stable_dt(u_vals, w)
         dt = min(dt_stab, t_left)
         new_vals = u_vals - dt * self._divergence(flux) / vols
@@ -269,7 +270,8 @@ class _ImplicitStepper(_Stepper):
             new_vals = u_vals + delta
             fallback = bool(new_vals.min() < 0.0)
             if fallback:
-                delta = _solve_tridiagonal(*self._jacobian(u_vals, w, dt), dt * rate)
+                factors = _factor_tridiagonal(*self._jacobian(u_vals, w, dt))
+                delta = _substitute(factors, dt * rate)
                 new_vals = u_vals + delta
             change = float(np.max(np.abs(delta)))
             small = change <= 2.0 * aim or dt <= self.dt_explicit
@@ -349,12 +351,6 @@ def _substitute(factors, rhs: np.ndarray) -> np.ndarray:
         x = y_i - e_i * x
         out.append(x)
     return np.array(out[::-1])
-
-
-def _solve_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-                       rhs: np.ndarray) -> np.ndarray:
-    """Thomas algorithm: one factorization, one substitution."""
-    return _substitute(_factor_tridiagonal(lower, diag, upper), rhs)
 
 
 _STEPPERS = {"explicit": _Stepper, "implicit": _ImplicitStepper}
@@ -615,29 +611,15 @@ def plateau_test_function(a: float, b: float) -> RadialTestFunction:
 
 
 def quadratic_test_function(a: float, b: float) -> RadialTestFunction:
-    """psi = r^2 on [0, a], smoothly truncated to 0 at b (virial probe)."""
-    if not (0.0 < a < b):
-        raise ValueError("requires 0 < a < b")
-    span = b - a
-
-    def parts(r):
-        r = np.asarray(r, dtype=float)
-        x = (r - a) / span
-        return r, _smoothstep(x), _smoothstep_d1(x) / span, _smoothstep_d2(x) / span ** 2
-
-    def psi(r):
-        r, s0, _, _ = parts(r)
-        return r * r * s0
-
-    def dpsi(r):
-        r, s0, s1, _ = parts(r)
-        return 2.0 * r * s0 + r * r * s1
-
-    def ddpsi(r):
-        r, s0, s1, s2 = parts(r)
-        return 2.0 * s0 + 4.0 * r * s1 + r * r * s2
-
-    return RadialTestFunction(psi=psi, dpsi=dpsi, ddpsi=ddpsi, support_radius=b)
+    """psi = r^2 on [0, a], smoothly truncated to 0 at b (virial probe):
+    r^2 times :func:`plateau_test_function`, by the product rule."""
+    f = plateau_test_function(a, b)
+    return RadialTestFunction(
+        psi=lambda r: r * r * f.psi(r),
+        dpsi=lambda r: 2.0 * r * f.psi(r) + r * r * f.dpsi(r),
+        ddpsi=lambda r: 2.0 * f.psi(r) + 4.0 * r * f.dpsi(r) + r * r * f.ddpsi(r),
+        support_radius=b,
+    )
 
 
 def weak_form_residual(trajectory, psi: RadialTestFunction, kernel: RieszKernel,

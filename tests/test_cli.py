@@ -15,7 +15,7 @@ import aggdiff
 from aggdiff import (DensityField, RadialGrid, RieszKernel, SolverConfig,
                      build_kernel, hls_sharp_constant, read_field_csv,
                      riesz_constant, vhls_constant_upper, write_field_csv)
-from aggdiff.cli import _FIELDS, DEFAULT_CONFIG, ConfigError, load_config, main
+from aggdiff.cli import _FIELDS, _REAL, DEFAULT_CONFIG, ConfigError, load_config, main
 
 
 def run_cli(*argv):
@@ -63,6 +63,26 @@ class TestConfig:
         err = capsys.readouterr().err
         assert setting.split("=")[0] in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("setting", [
+        "experiment.mass_ratios=[0.5,Infinity]",
+        "experiment.eps_list=[0.1,-Infinity]",
+        "experiment.mass_ratios=[NaN]",
+        pytest.param(f"grid.r_max={10 ** 400}", id="grid.r_max=10**400"),
+        *(f"{row[0]}={value}" for row in _FIELDS if row[2] is _REAL
+          for value in ("Infinity", "-Infinity", "NaN")),
+    ])
+    def test_non_finite_real_names_field(self, setting):
+        with pytest.raises(ConfigError, match=re.escape(setting.split("=")[0])):
+            load_config(None, [setting])
+
+    def test_non_finite_value_exits_1_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--set", "grid.r_max=Infinity",
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "grid.r_max" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_file_of_defaults_equals_no_file(self, tmp_path):
         path = tmp_path / "defaults.json"

@@ -204,7 +204,7 @@ class TestRearrange:
         g = RadialGrid.uniform(96, 3.0)
         rng = np.random.default_rng(12)
         u = DensityField(g, random_bump_field(rng, g))
-        out = rearrange(u, onto=g)
+        out = project_onto(rearrange(u), g)
         assert out.grid is g
         assert mass(out) == pytest.approx(mass(u), rel=1e-12)
 
@@ -386,8 +386,6 @@ class TestProjectionAgainstOracle:
         for target in (grid, coarse):
             assert max_rel_gap(project_onto(u_star, target).values,
                                projection_oracle(u_star, target)) <= 1e-12
-        assert np.array_equal(rearrange(u, onto=grid).values,
-                              project_onto(u_star, grid).values)
 
     def test_mass_exact_when_target_covers_source(self):
         g = RadialGrid.uniform(256, 3.0)

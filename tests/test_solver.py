@@ -319,6 +319,34 @@ class TestBlowupTimeBound:
         assert out.final_state.t > chord
 
 
+class TestTestFunctions:
+    @pytest.mark.parametrize("make", [plateau_test_function, quadratic_test_function])
+    def test_derivatives_match_central_differences(self, make):
+        a, b, h = 3.0, 3.9, 1e-5
+        psi = make(a, b)
+        r = np.linspace(0.0, b, 781)
+        # psi is only C^2 at a and b, so the kinks of ddpsi there make the
+        # second difference first order in h
+        for f, df, rel in ((psi.psi, psi.dpsi, 1e-8), (psi.dpsi, psi.ddpsi, 1e-4)):
+            fd = (f(r + h) - f(r - h)) / (2.0 * h)
+            exact = df(r)
+            assert np.max(np.abs(fd - exact)) <= rel * np.max(np.abs(exact))
+
+    def test_quadratic_is_r_squared_inside_and_zero_outside(self):
+        psi = quadratic_test_function(3.0, 3.9)
+        inside = np.linspace(0.0, 3.0, 61)
+        assert np.array_equal(psi.psi(inside), inside * inside)
+        outside = np.linspace(3.9, 5.0, 23)
+        for f in (psi.psi, psi.dpsi, psi.ddpsi):
+            assert np.all(f(outside) == 0.0)
+
+    @pytest.mark.parametrize("make", [plateau_test_function, quadratic_test_function])
+    @pytest.mark.parametrize("a, b", [(2.0, 2.0), (3.0, 2.0)])
+    def test_support_must_lie_beyond_the_plateau(self, make, a, b):
+        with pytest.raises(ValueError, match="0 < a < b"):
+            make(a, b)
+
+
 class TestWeakForm:
     def test_constant_plateau_recovers_mass_conservation(self, params, grid256,
                                                          kernel256, critical256):
@@ -670,15 +698,6 @@ class TestImplicit:
         h = 1e-6
         fd = (residual(u + h * v) - residual(u - h * v)) / (2.0 * h)
         assert np.max(np.abs(J @ v - fd)) <= 1e-7 * np.max(np.abs(J @ v))
-
-    def test_tridiagonal_solve_matches_dense_solve(self):
-        rng = np.random.default_rng(5)
-        lower, upper = -rng.random(63), -rng.random(63)
-        diag = 2.5 + rng.random(64)
-        rhs = rng.standard_normal(64)
-        dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-        x = solver._solve_tridiagonal(lower, diag, upper, rhs)
-        assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=0.0, atol=1e-13)
 
     def test_one_factorization_solves_two_right_hand_sides(self):
         rng = np.random.default_rng(5)
