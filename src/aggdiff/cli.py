@@ -27,6 +27,7 @@ import copy
 import hashlib
 import inspect
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -195,10 +196,15 @@ def validate_config(cfg: dict) -> None:
                 or (types is _REAL and not _is_real(value))
                 or (pred is not None and not pred(value))):
             raise ConfigError(f"config field '{path}' must be {desc}, got {value!r}")
+    d, s = cfg["model"]["d"], cfg["model"]["s"]
     try:
-        model.ModelParams(d=cfg["model"]["d"], s=cfg["model"]["s"])
+        model.derived_constants(model.ModelParams(d=d, s=s))
     except ParameterDomainError as exc:
         raise ConfigError(f"config fields 'model.d'/'model.s': {exc}") from exc
+    except OverflowError as exc:  # special.gamma's range ends near 142
+        raise ConfigError(f"config fields 'model.d'/'model.s': the closed-form "
+                          f"constants overflow double precision at d={d}, s={s}"
+                          ) from exc
     # one field at a time over the (valid) defaults, so a failure is that field's
     solver_defaults = SolverConfig(**DEFAULT_CONFIG["solver"])
     for name, value in cfg["solver"].items():
@@ -408,6 +414,46 @@ def cmd_simulate(cfg: dict, profile: str | None = None) -> int:
     return _exit_code([outcome.status])
 
 
+# A dichotomy worker's inputs, set in each worker by the pool's initializer
+# (never in the parent): the forked worker inherits them, so they are never
+# pickled.
+_dichotomy_inputs: tuple = ()
+
+
+def _set_dichotomy_inputs(*inputs) -> None:
+    global _dichotomy_inputs
+    _dichotomy_inputs = inputs
+
+
+def _dichotomy_task(ratio):
+    """One mass ratio's run in a worker: (report table entry, diagnostics)."""
+    U, M_ref, kernel, params, config, diffusive_times = _dichotomy_inputs
+    entry, outcome = dichotomy_run(U, ratio, M_ref, kernel, params, config,
+                                   diffusive_times=diffusive_times)
+    return entry, outcome.diagnostics
+
+
+def _in_ratio_order(pool, workers, ratios):
+    """Yield the pool's (entry, diagnostics) for each ratio, in ratio order.
+    A pool waits forever for the task of a worker that was killed (by the
+    OOM killer, say), so a dead worker raises instead."""
+    import multiprocessing
+
+    results = pool.imap(_dichotomy_task, ratios)
+    for _ in ratios:
+        while True:
+            try:
+                result = results.next(timeout=0.1)
+                break
+            except multiprocessing.TimeoutError:
+                for worker in workers:
+                    if worker.exitcode is not None:
+                        raise RuntimeError(
+                            f"dichotomy worker {worker.pid} ended with exit code "
+                            f"{worker.exitcode}") from None
+        yield result
+
+
 def cmd_dichotomy(cfg: dict, profile: str | None = None) -> int:
     params, grid, kernel, loaded = _build_workspace(cfg, profile)
     input_hashes = {}
@@ -419,14 +465,34 @@ def cmd_dichotomy(cfg: dict, profile: str | None = None) -> int:
         U = result.U
     outdir = Path(cfg["output"]["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
+    ratios = cfg["experiment"]["mass_ratios"]
     rows = []
-    for ratio in cfg["experiment"]["mass_ratios"]:
-        entry, outcome = dichotomy_run(
-            U, ratio, M_star, kernel, params, _solver_config(cfg),
-            diffusive_times=cfg["experiment"]["t_end_diffusive_times"])
-        tag = f"ratio_{ratio:g}".replace(".", "p")
-        diagnostics_to_csv(outcome.diagnostics, outdir / f"diagnostics_{tag}.csv")
-        rows.append(entry)
+    if ratios:
+        # the runs are independent: one worker per ratio, up to the usable
+        # cores; results come back in ratio order.  Forked, not spawned: a
+        # forked worker inherits the kernel and profile and imports nothing,
+        # and this command starts no thread before it forks.
+        import multiprocessing
+
+        others = set(multiprocessing.active_children())
+        pool = multiprocessing.get_context("fork").Pool(
+            min(len(ratios), len(os.sched_getaffinity(0))),
+            initializer=_set_dichotomy_inputs,
+            initargs=(U, M_star, kernel, params, _solver_config(cfg),
+                      cfg["experiment"]["t_end_diffusive_times"]))
+        workers = set(multiprocessing.active_children()) - others
+        try:
+            for ratio, (entry, diagnostics) in zip(
+                    ratios, _in_ratio_order(pool, workers, ratios)):
+                tag = f"ratio_{ratio:g}".replace(".", "p")
+                diagnostics_to_csv(diagnostics, outdir / f"diagnostics_{tag}.csv")
+                rows.append(entry)
+            pool.close()
+        except BaseException:
+            pool.terminate()
+            raise
+        finally:
+            pool.join()
     results = {"M_star": M_star, "table": rows}
     _write_report(cfg, "dichotomy", results, input_hashes)
     print(_canonical_json(results))

@@ -103,6 +103,8 @@ class RadialGrid:
         return _read_only(sphere_surface(self.d) * self.r_edges ** (self.d - 1))
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, RadialGrid):
             return NotImplemented
         return self.d == other.d and bool(np.array_equal(self.r_edges, other.r_edges))

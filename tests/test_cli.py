@@ -2,8 +2,10 @@
 
 import csv
 import json
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,10 +14,13 @@ import numpy as np
 import pytest
 
 import aggdiff
-from aggdiff import (DensityField, RadialGrid, RieszKernel, SolverConfig,
-                     build_kernel, hls_sharp_constant, read_field_csv,
-                     riesz_constant, vhls_constant_upper, write_field_csv)
+from aggdiff import (DensityField, ModelParams, RadialGrid, RieszKernel,
+                     SolverConfig, build_kernel, derived_constants,
+                     dichotomy_run, el_fixed_point, hls_sharp_constant,
+                     read_field_csv, riesz_constant, vhls_constant_upper,
+                     write_field_csv)
 from aggdiff.cli import _FIELDS, _REAL, DEFAULT_CONFIG, ConfigError, load_config, main
+from aggdiff.solver import diagnostics_to_csv
 
 
 def run_cli(*argv):
@@ -156,6 +161,20 @@ class TestConfig:
         if command == "constants":  # without a profile it builds no kernel
             assert run_cli(command, *bad) == 0
 
+    @pytest.mark.parametrize("command, d, s", [("constants", 400, 150),
+                                               ("dichotomy", 400, 199.5)])
+    def test_overflowing_constants_exit_1_before_any_output(self, tmp_path, capsys,
+                                                            command, d, s):
+        # 2 < 2s < d holds (and alpha = 1 for dichotomy), but Gamma(200) is
+        # past the double range
+        out = tmp_path / "out"
+        assert run_cli(command, "--set", f"model.d={d}", "--set", f"model.s={s}",
+                       "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "'model.d'/'model.s'" in captured.err and "overflow" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestConstants:
     def test_report_matches_library(self, tmp_path, capsys):
@@ -249,6 +268,13 @@ SCIPY_MODULES = ("print(sorted(m for m in sys.modules "
 
 def test_import_leaves_scipy_optimize_and_integrate_unloaded():
     probe = "import sys, aggdiff, aggdiff.cli; " + SCIPY_MODULES
+    assert run_probe(probe) == "[]"
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # only `aggdiff dichotomy` forks workers, and it imports the pool itself
+    probe = ("import sys, aggdiff, aggdiff.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'multiprocessing'))")
     assert run_probe(probe) == "[]"
 
 
@@ -481,6 +507,48 @@ class TestFailedRun:
         assert res["table"][0]["status"] == "failed"
         err = capsys.readouterr().err
         assert "runtime failure" in err and "Traceback" not in err
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fault, message", [
+        ("raise", "injected failure at ratio 0.9"),
+        ("kill", "ended with exit code -9"),
+    ])
+    def test_dichotomy_worker_fault_keeps_earlier_csvs(self, tmp_path,
+                                                       extremal_profile, monkeypatch,
+                                                       capsys, fault, message):
+        real_run = aggdiff.cli.dichotomy_run
+        parent = os.getpid()
+
+        def fault_at_0p9(U, ratio, *args, **kwargs):
+            if ratio == 0.9:
+                if fault == "raise":
+                    raise RuntimeError("injected failure at ratio 0.9")
+                if os.getpid() == parent:
+                    raise RuntimeError("the run must be in a worker")
+                os.kill(os.getpid(), signal.SIGKILL)  # as the OOM killer would
+            return real_run(U, ratio, *args, **kwargs)
+
+        def hung(signum, frame):
+            raise TimeoutError("dichotomy still waiting for its workers after 60 s")
+
+        monkeypatch.setattr(aggdiff.cli, "dichotomy_run", fault_at_0p9)
+        out = tmp_path / "out"
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            code = run_cli("dichotomy", *SMALL,
+                           "--set", "experiment.mass_ratios=[0.5,0.9,1.5]",
+                           "--set", "experiment.t_end_diffusive_times=0.05",
+                           "--set", "solver.blowup_factor=100",
+                           "--profile", str(extremal_profile), "--out", str(out))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 3
+        assert message in capsys.readouterr().err
+        # what the serial loop left: the CSVs before the failure, no report
+        assert sorted(p.name for p in out.iterdir()) == ["diagnostics_ratio_0p5.csv"]
+        assert multiprocessing.active_children() == []
 
     def test_eps_study_writes_report_then_exits_3(self, tmp_path, monkeypatch,
                                                   capsys):
@@ -541,6 +609,41 @@ class TestDichotomy:
             rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
         assert max(abs(r["mass"] / rows[0]["mass"] - 1.0) for r in rows) <= 1e-12
         assert all(b["F"] <= a["F"] for a, b in zip(rows, rows[1:]))
+
+    def test_workers_write_the_serial_loop_bytes(self, tmp_path, capsys):
+        settings = [*SMALL, "--set", "experiment.t_end_diffusive_times=0.2",
+                    "--set", "solver.blowup_factor=100"]
+        out = tmp_path / "out"
+        assert run_cli("dichotomy", *settings, "--out", str(out)) == 0
+        assert multiprocessing.active_children() == []
+
+        # one process, one ratio after another, on the same config
+        cfg = load_config(None, settings[1::2])
+        params = ModelParams(d=3, s=1.25)
+        M_star = derived_constants(params).M_star
+        grid = RadialGrid.uniform(96, 4.0)
+        kernel = build_kernel(grid, params.s)
+        U = el_fixed_point(grid, kernel, params, M_star, tol=1e-8, max_iter=500,
+                           support_radius_init=1.0).U
+        serial = tmp_path / "serial"
+        serial.mkdir()
+        table = []
+        assert cfg["experiment"]["mass_ratios"] == [0.5, 0.9, 1.5, 2.0]
+        for ratio in cfg["experiment"]["mass_ratios"]:
+            entry, outcome = dichotomy_run(
+                U, ratio, M_star, kernel, params, SolverConfig(**cfg["solver"]),
+                diffusive_times=cfg["experiment"]["t_end_diffusive_times"])
+            tag = f"ratio_{ratio:g}".replace(".", "p")
+            diagnostics_to_csv(outcome.diagnostics, serial / f"diagnostics_{tag}.csv")
+            table.append(entry)
+
+        results = json.loads((out / "report.json").read_text())["results"]
+        assert results == json.loads(json.dumps({"M_star": M_star, "table": table}))
+        csvs = sorted(p.name for p in serial.iterdir())
+        assert sorted(p.name for p in out.glob("diagnostics_*.csv")) == csvs
+        assert len(csvs) == 4
+        for name in csvs:
+            assert (out / name).read_bytes() == (serial / name).read_bytes()
 
     def test_empty_ratio_list(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -94,6 +94,14 @@ class TestGrid:
         signed_zero = RadialGrid(d=3, r_edges=np.concatenate(([-0.0], a.r_edges[1:])))
         assert signed_zero == a and hash(signed_zero) == hash(a)
 
+    def test_equal_copies_and_one_edge_off(self):
+        a = RadialGrid.uniform(8, 1.0)
+        copy = RadialGrid(d=3, r_edges=a.r_edges.copy())
+        assert a == a and a == copy and hash(copy) == hash(a)
+        edges = a.r_edges.copy()
+        edges[4] = np.nextafter(edges[4], 1.0)
+        assert a != RadialGrid(d=3, r_edges=edges)
+
     def test_nan_edges_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             RadialGrid(d=3, r_edges=np.array([0.0, 0.5, np.nan, 1.0]))
