@@ -8,9 +8,10 @@ On its support a steady profile U with multiplier lam satisfies
 so the natural iteration is U <- [ (m-1)/m (phi_U + lam)_+ ]^{1/(m-1)}
 with lam re-solved each sweep to hold the mass constraint: Newton's
 method on mass(lam)^(m-1), which is convex and increasing in lam, from
-a lower bound, about 7 evaluations and no bracket search.  Undamped
-Picard oscillates for the degenerate exponent, so a sweep averages the
-candidate with the current iterate (factor 0.5).  That damped sweep
+the previous sweep's lam or a lower bound, whichever is larger: about 7
+evaluations from the bound, 2 to 4 from the previous lam, and no bracket
+search.  Undamped Picard oscillates for the degenerate exponent, so a
+sweep averages the candidate with the current iterate (factor 0.5).  That damped sweep
 converges only linearly (about 42 sweeps per solve near the critical
 mass), so the solve runs type-II Anderson mixing on top of it: each new
 iterate is the least-squares combination of the last six sweep outputs
@@ -32,9 +33,13 @@ mismatch between the converged multiplier and the variational value
     lam = (2s / (2s - d)) ||U||_m^m / M   (< 0 since 2s < d)
 
 then changes sign across the critical mass, and is smooth in it, which
-is what :func:`find_critical_mass` searches on.  The residual reported
-everywhere checks the steady equation against the variational
-multiplier, independently of the iteration's own value.
+is what :func:`find_critical_mass` searches on.  Its solves after the
+first start from the evaluated profile nearest in mass but keep the
+anchor of a cold start (the default guess at the new mass), so the
+defect stays the cold solve's to within the fixed-point tolerance while
+a search takes fewer sweeps (72 instead of 84 at 4096 cells).  The
+residual reported everywhere checks the steady equation against the
+variational multiplier, independently of the iteration's own value.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ from .model import ModelParams
 from .riesz import RieszKernel, potential
 
 
-_NEWTON_STEPS = 100  # multiplier solve budget; a solve takes about 7 steps
+_NEWTON_STEPS = 100  # multiplier solve budget; a cold solve takes about 7 steps
 _MIXING_DEPTH = 5  # sweep-output differences per Anderson step
 _MIXING_STALL = 4  # sweeps without a new smallest residual before plain steps
 _MAX_MOVES = 400  # accepted moves per start of maximize_vhls
@@ -127,18 +132,24 @@ def _mass_of_multiplier(phi: np.ndarray, lam: float, m: float, vols: np.ndarray)
 
 
 def _solve_multiplier(phi: np.ndarray, m: float, vols: np.ndarray,
-                      M_target: float) -> tuple[np.ndarray, float]:
+                      M_target: float, lam_start: float = math.nan
+                      ) -> tuple[np.ndarray, float]:
     """Newton's method on mass(lam)^(m-1) = M_target^(m-1).  The left side
-    is a p-norm of convex increasing functions of lam, so from the lower
-    bound lam_0 (the peak value on the whole volume holds M_target) the
-    first step lands right of the root and later steps decrease lam.  It
-    stops once a step is below 1e-14 + 4 eps |lam| (brentq's tolerances)
-    and applies that step to the values to first order."""
+    is a p-norm of convex increasing functions of lam, so from any start
+    at or above the lower bound lam_0 (the peak value on the whole volume
+    holds M_target) that is left of the root the first step lands right of
+    it, and from right of the root the steps decrease lam.  The start is
+    ``lam_start`` (the previous sweep's multiplier) where that is finite and
+    above lam_0, else lam_0.  It stops once a step is below
+    1e-14 + 4 eps |lam| (brentq's tolerances) and applies that step to the
+    values to first order."""
     phi_max = float(np.max(phi))
     if not (math.isfinite(phi_max) and math.isfinite(np.min(phi))):
         raise ValueError("potential must be finite")
     c = (m - 1.0) / m
     lam = -phi_max + (M_target / float(np.sum(vols))) ** (m - 1.0) / c
+    if lam_start > lam and math.isfinite(lam_start):  # a NaN start compares False
+        lam = lam_start
     rtol = 4.0 * np.finfo(float).eps
     for _ in range(_NEWTON_STEPS):
         vals, y_pm1, M, S1 = _mass_of_multiplier(phi, lam, m, vols)
@@ -169,13 +180,16 @@ def el_fixed_point(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
     safeguard: a sweep whose residual norm grows clears the history, so
     the next step is a plain G step, and after ``_MIXING_STALL`` sweeps
     without a new smallest residual norm every remaining step is plain.
-    The first sweep is always a plain step.
+    The first sweep is always a plain step.  Each sweep's multiplier solve
+    starts from the previous sweep's multiplier where that lies above the
+    solve's lower bound.
 
     ``tol`` bounds the L^1 change of the last sweep relative to M_target;
     the result is that sweep's output, with its multiplier, and
     ``iterations`` counts the sweeps.  The default initial guess is a
-    compact truncated-parabola bump of the right mass.  Raises
-    :class:`ConvergenceError` if the budget runs out.
+    compact truncated-parabola bump of the right mass, of radius
+    ``support_radius_init`` (default R_max / 4; a radius <= 0 raises
+    ValueError).  Raises :class:`ConvergenceError` if the budget runs out.
 
     The result holds M_target to roundoff while its support stays off
     R_max: within 5e-14 relative at 0.5, 1.0 and 1.08 M* on 96 cells
@@ -188,15 +202,36 @@ def el_fixed_point(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
     """
     if M_target <= 0.0:
         raise ValueError("M_target must be positive")
-    c_ds = params.c_ds
     if init is None:
-        radius = support_radius_init or 0.25 * grid.r_max
-        init = barenblatt_profile(grid, M_target, radius, params.m)
+        init = _cold_guess(grid, params, M_target, support_radius_init)
+    return _anchored_fixed_point(grid, kernel, params, M_target, init, init,
+                                 tol, max_iter)
+
+
+def _cold_guess(grid: RadialGrid, params: ModelParams, M_target: float,
+                support_radius_init: float | None) -> DensityField:
+    """The default initial guess: a Barenblatt bump of mass M_target and
+    radius ``support_radius_init``, R_max / 4 when that is None."""
+    radius = 0.25 * grid.r_max if support_radius_init is None else support_radius_init
+    return barenblatt_profile(grid, M_target, radius, params.m)
+
+
+def _anchored_fixed_point(grid: RadialGrid, kernel: RieszKernel,
+                          params: ModelParams, M_target: float,
+                          start: DensityField, anchor: DensityField, tol: float,
+                          max_iter: int) -> ExtremalResult:
+    """:func:`el_fixed_point`'s iteration from ``start``, with every sweep
+    dilated back to the second moment of ``anchor``; both are first
+    rescaled to M_target.  The anchor sets the fixed point, and so the
+    multiplier defect: solves from different starts stop within ``tol``
+    of the same one."""
+    c_ds = params.c_ds
     vols = grid.shell_volumes
     weights = np.sqrt(vols)
-    u_vals = init.values * (M_target / mass(init))
+    u_vals = start.values * (M_target / mass(start))
     m = params.m
-    m2_anchor = second_moment(DensityField(grid, u_vals))
+    anchor_vals = anchor.values * (M_target / mass(anchor))
+    m2_anchor = second_moment(DensityField(grid, anchor_vals))
     lam = math.nan
     change = math.inf
     best = last_norm = math.inf
@@ -204,7 +239,7 @@ def el_fixed_point(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
     outputs, residuals = [], []  # sweep outputs G(u) and weighted G(u) - u
     for iteration in range(1, max_iter + 1):
         phi = potential(kernel, DensityField(grid, u_vals), c_ds)
-        candidate, lam = _solve_multiplier(phi, m, vols, M_target)
+        candidate, lam = _solve_multiplier(phi, m, vols, M_target, lam)
         damped = DensityField(grid, 0.5 * u_vals + 0.5 * candidate)
         # the mass-invariant dilation back to the anchored second moment
         g_vals = dilate(damped, math.sqrt(second_moment(damped) / m2_anchor)).values
@@ -287,23 +322,33 @@ def find_critical_mass(grid: RadialGrid, kernel: RieszKernel, params: ModelParam
     """Bracketed search for the mass at which the anchored fixed point is
     an exact steady state (zero multiplier defect).
 
-    Illinois regula falsi on the defect (Dowell & Jarratt 1971), each
-    solve a cold start: a new mass is the secant root of the bracket ends,
-    held rel_tol M_hi / 2 inside both, and an end kept twice running has
-    its defect halved; after the first step, two steps that do not halve
-    the bracket are followed by a bisection.  Stops once the bracket is
-    within rel_tol M_hi and returns the evaluated mass with the smallest
-    |defect| and its profile.  The bracket must straddle the sign change;
-    the closed-form upper bound for the interaction constant gives a
-    natural lower endpoint (its mass is always subcritical).
+    Illinois regula falsi on the defect (Dowell & Jarratt 1971): a new
+    mass is the secant root of the bracket ends, held rel_tol M_hi / 2
+    inside both, and an end kept twice running has its defect halved;
+    after the first step, two steps that do not halve the bracket are
+    followed by a bisection.  Stops once the bracket is within rel_tol M_hi
+    and returns the evaluated mass with the smallest |defect| and its
+    profile.  The bracket must straddle the sign change; the closed-form
+    upper bound for the interaction constant gives a natural lower
+    endpoint (its mass is always subcritical).
+
+    Every solve after the first starts from the evaluated profile nearest
+    in mass, rescaled to the new mass, but keeps the cold start's anchor:
+    the second moment of :func:`el_fixed_point`'s default guess at that
+    mass.  The anchor sets the fixed point, so the defect is the cold
+    solve's to within ``fp_tol`` while the warm solve takes fewer sweeps.
     """
     if not (0.0 < rel_tol < 1.0 and 0.0 < M_lo < M_hi):
         raise ValueError(f"need 0 < rel_tol < 1 and 0 < M_lo < M_hi, got "
                          f"rel_tol={rel_tol}, bracket [{M_lo}, {M_hi}]")
+    solved = []  # (mass, result) of every solve so far
 
     def defect_at(M):
-        res = el_fixed_point(grid, kernel, params, M, tol=fp_tol, max_iter=max_iter,
-                             support_radius_init=support_radius_init)
+        cold = _cold_guess(grid, params, M, support_radius_init)
+        start = min(solved, key=lambda e: abs(e[0] - M))[1].U if solved else cold
+        res = _anchored_fixed_point(grid, kernel, params, M, start, cold, fp_tol,
+                                    max_iter)
+        solved.append((M, res))
         return multiplier_defect(res, params, M), res
 
     d_lo, res_lo = defect_at(M_lo)

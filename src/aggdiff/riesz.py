@@ -197,8 +197,10 @@ class _HankelToeplitzOperator:
     Toeplitz product a circular convolution (standard circulant
     embedding), both exact at outputs 0 .. N-1; so a matvec is one real
     FFT (numpy.fft) per Gauss node, a spectral multiply-add and one inverse
-    FFT per Gauss node.  The first ``_EXACT_ROWS`` rows are kept as dense
-    matrix rows instead.
+    FFT per Gauss node.  The multiply-add adds the 2 order^2 spectral
+    products into the result in place, one term at a time, so no array of
+    all of them is formed.  The first ``_EXACT_ROWS`` rows are kept as
+    dense matrix rows instead.
     """
 
     def __init__(self, grid: RadialGrid, alpha: float, epsilon: float):
@@ -223,21 +225,19 @@ class _HankelToeplitzOperator:
         self.spectra = const * rfft(np.concatenate((hankel, -toeplitz), axis=1))
         self.head = _pair_average(grid, _kernel_fn(3, alpha, epsilon),
                                   n_rows=min(_EXACT_ROWS, n))
-        # Work buffers reused by every matvec.  A fresh product per call
-        # (0.5 MiB at 4096 cells) can sit above glibc's mmap threshold and
-        # would then be mapped and faulted in again on every call.  D v goes
-        # before a zero tail, because numpy.fft pads a short input slowly.
+        # Work buffer reused by every matvec: D v goes before a zero tail,
+        # because numpy.fft pads a short input slowly.
         self._padded = np.zeros((order, self.size))
-        self._operand = np.empty(self.spectra.shape[1:], dtype=complex)
-        self._product = np.empty(self.spectra.shape, dtype=complex)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         np.multiply(self.scale, v, out=self._padded[:, :self.n])
         Y = rfft(self._padded)
         order = len(Y)
-        np.conjugate(Y, out=self._operand[:order])
-        self._operand[order:] = Y
-        Z = np.multiply(self.spectra, self._operand, out=self._product).sum(axis=1)
+        # Z_a = sum_b H_ab conj(Y_b) - T_ab Y_b, summed in the order of the
+        # stacked spectra [H_a. | -T_a.]
+        Z = self.spectra[:, 0] * Y[0].conj()
+        for b in range(1, 2 * order):
+            Z += self.spectra[:, b] * (Y[b].conj() if b < order else Y[b - order])
         out = (self.scale * irfft(Z, n=self.size)[:, :self.n]).sum(axis=0)
         out[:_EXACT_ROWS] = self.head @ v
         return out

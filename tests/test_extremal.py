@@ -1,6 +1,7 @@
 """Steady-profile fixed point, critical-mass search, ratio maximiser."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -61,6 +62,27 @@ class TestFixedPoint:
         res = el_fixed_point(grid256, kernel256, params, consts.M_star,
                              tol=1e-9, max_iter=500, support_radius_init=1.0)
         assert multiplier_defect(res, params, consts.M_star) > 0.0
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_nonpositive_support_radius_rejected(self, params, grid96, kernel96,
+                                                 radius):
+        with pytest.raises(ValueError, match="positive mass and radius"):
+            el_fixed_point(grid96, kernel96, params, 100.0,
+                           support_radius_init=radius)
+        with pytest.raises(ValueError, match="positive mass and radius"):
+            find_critical_mass(grid96, kernel96, params, 100.0, 110.0,
+                               support_radius_init=radius)
+
+    def test_default_support_radius_is_a_quarter_of_r_max(self, params, grid96,
+                                                          kernel96):
+        M = 100.0
+        guess = barenblatt_profile(grid96, M, 0.25 * grid96.r_max, params.m)
+        cold = extremal._cold_guess(grid96, params, M, None)
+        assert np.array_equal(cold.values, guess.values)
+        got = el_fixed_point(grid96, kernel96, params, M, tol=1e-9)
+        want = el_fixed_point(grid96, kernel96, params, M, init=guess, tol=1e-9)
+        assert np.array_equal(got.U.values, want.U.values)
+        assert got.lambda_bar == want.lambda_bar
 
     def test_budget_exhaustion_raises_with_context(self, params, grid96,
                                                    kernel96):
@@ -159,6 +181,51 @@ class TestCriticalMassSearch:
         assert len(evals) <= 7  # 5; bisection takes 19
         assert M_c == pytest.approx(150.22863527300802, rel=1e-6, abs=0.0)
 
+    def test_4096_cells_sweeps_and_newton_evaluations(self, params, consts,
+                                                      kernel4096, monkeypatch,
+                                                      count_evaluations):
+        # warm-started solves and multipliers: 72 sweeps and 204 evaluations;
+        # cold ones took 84 and 582
+        sweeps = []
+        solve = extremal._anchored_fixed_point
+
+        def counted(*args):
+            result = solve(*args)
+            sweeps.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(extremal, "_anchored_fixed_point", counted)
+        find_critical_mass(kernel4096.grid, kernel4096, params, consts.M_star,
+                           1.08 * consts.M_star, rel_tol=1e-6,
+                           support_radius_init=1.0)
+        assert sum(sweeps) <= 76
+        assert len(count_evaluations) <= 250
+
+    def test_solves_start_warm_and_keep_the_cold_anchor(self, params, consts,
+                                                         grid256, kernel256,
+                                                         monkeypatch):
+        solves = []  # (mass, start values, anchor values, result) per solve
+        solve = extremal._anchored_fixed_point
+
+        def recording(grid, kernel, params, M, start, anchor, tol, max_iter):
+            result = solve(grid, kernel, params, M, start, anchor, tol, max_iter)
+            solves.append((M, start.values, anchor.values, result))
+            return result
+
+        monkeypatch.setattr(extremal, "_anchored_fixed_point", recording)
+        find_critical_mass(grid256, kernel256, params, consts.M_star,
+                           1.08 * consts.M_star, rel_tol=1e-6,
+                           support_radius_init=1.0)
+        assert len(solves) >= 3
+        for k, (M, start, anchor, _) in enumerate(solves):
+            cold = barenblatt_profile(grid256, M, 1.0, params.m).values
+            assert np.array_equal(anchor, cold)
+            if k == 0:
+                assert np.array_equal(start, cold)
+                continue
+            nearest = min(solves[:k], key=lambda e: abs(e[0] - M))
+            assert start is nearest[3].U.values
+
 
 def bisect_critical_mass(grid, kernel, params, M_lo, M_hi, rel_tol,
                          support_radius_init):
@@ -183,16 +250,51 @@ def bisect_critical_mass(grid, kernel, params, M_lo, M_hi, rel_tol,
     return best[1], best[2]
 
 
-def recorded_search(mp, evals, search, grid, kernel, params, M_lo, M_hi, rel_tol):
-    """Run ``search`` with every solve's (mass, defect) appended to ``evals``."""
-    solve = extremal.el_fixed_point
+def cold_critical_mass(grid, kernel, params, M_lo, M_hi, rel_tol,
+                       support_radius_init):
+    """Oracle: the Illinois search with every solve a cold start from the
+    default guess (the search before warm starts), on the same defect."""
+    def defect_at(M):
+        res = extremal.el_fixed_point(grid, kernel, params, M, tol=1e-9,
+                                      support_radius_init=support_radius_init)
+        return multiplier_defect(res, params, M), res
 
-    def recording(*args, **kwargs):
-        result = solve(*args, **kwargs)
+    d_lo, res_lo = defect_at(M_lo)
+    d_hi, res_hi = defect_at(M_hi)
+    best = min((abs(d_lo), M_lo, res_lo), (abs(d_hi), M_hi, res_hi), key=lambda b: b[0])
+    M, f = [M_lo, M_hi], [d_lo, d_hi]
+    widths, last = [], -1
+    while M[1] - M[0] > rel_tol * M[1]:
+        if len(widths) > 2 and widths[-1] > 0.5 * widths[-3]:
+            M_new = 0.5 * (M[0] + M[1])
+        else:
+            margin = 0.5 * rel_tol * M[1]
+            M_new = min(max((M[0] * f[1] - M[1] * f[0]) / (f[1] - f[0]),
+                            M[0] + margin), M[1] - margin)
+        d_new, res_new = defect_at(M_new)
+        best = min(best, (abs(d_new), M_new, res_new), key=lambda b: b[0])
+        if d_new == 0.0:
+            break
+        side = int(f[0] * d_new < 0.0)
+        if side == last:
+            f[1 - side] *= 0.5
+        M[side], f[side], last = M_new, d_new, side
+        widths.append(M[1] - M[0])
+    return best[1], best[2]
+
+
+def recorded_search(mp, evals, search, grid, kernel, params, M_lo, M_hi, rel_tol):
+    """Run ``search`` with every solve's (mass, defect) appended to ``evals``;
+    a solve is a call of the anchored iteration behind ``el_fixed_point``
+    and ``find_critical_mass``."""
+    solve = extremal._anchored_fixed_point
+
+    def recording(*args):
+        result = solve(*args)
         evals.append((args[3], multiplier_defect(result, params, args[3])))
         return result
 
-    mp.setattr(extremal, "el_fixed_point", recording)
+    mp.setattr(extremal, "_anchored_fixed_point", recording)
     return search(grid, kernel, params, M_lo, M_hi, rel_tol=rel_tol,
                   support_radius_init=1.0)
 
@@ -209,14 +311,15 @@ SEARCH_SOLVES = dict(zip(SEARCH_TOLS, (5, 6, 6, 8)))
 @pytest.fixture(scope="module")
 def search_matrix(params, consts):
     """Per case: (search's M_c, its (mass, defect) per solve) and the same
-    for the bisection oracle."""
+    for the bisection oracle and the cold-start search."""
     cases = {}
     for name, (n_cells, r_max, eps) in SEARCH_GRIDS.items():
         grid = RadialGrid.uniform(n_cells, r_max)
         kernel = build_kernel(grid, params.s, epsilon=eps)
         for _, hi, tol in (c for c in SEARCH_CASES if c[0] == name):
             runs = []
-            for search in (find_critical_mass, bisect_critical_mass):
+            for search in (find_critical_mass, bisect_critical_mass,
+                           cold_critical_mass):
                 evals = []
                 with pytest.MonkeyPatch.context() as mp:
                     M_c, _ = recorded_search(mp, evals, search, grid, kernel, params,
@@ -229,18 +332,23 @@ def search_matrix(params, consts):
 class TestIllinoisSearch:
     @pytest.mark.parametrize("case", SEARCH_CASES)
     def test_matches_bisection_oracle(self, search_matrix, case):
-        (M_c, _), (M_bisect, _) = search_matrix[case]
+        (M_c, _), (M_bisect, _), _ = search_matrix[case]
         assert abs(M_c - M_bisect) <= case[2] * M_bisect
 
     @pytest.mark.parametrize("case", SEARCH_CASES)
+    def test_warm_starts_keep_the_cold_search_mass(self, search_matrix, case):
+        (M_c, _), _, (M_cold, _) = search_matrix[case]
+        assert M_c == pytest.approx(M_cold, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("case", SEARCH_CASES)
     def test_solve_count_bound(self, search_matrix, case):
-        (_, evals), (_, bisect_evals) = search_matrix[case]
+        (_, evals), (_, bisect_evals), _ = search_matrix[case]
         assert len(evals) <= SEARCH_SOLVES[case[2]]
         assert len(evals) < len(bisect_evals)
 
     @pytest.mark.parametrize("case", SEARCH_CASES)
     def test_final_bracket_closes_on_the_sign_change(self, search_matrix, case):
-        (M_c, evals), _ = search_matrix[case]
+        (M_c, evals), _, _ = search_matrix[case]
         (M_lo, d_lo), (M_hi, d_hi) = evals[:2]
         for M, d in evals[2:]:  # each new mass strictly inside the bracket
             assert M_lo < M < M_hi
@@ -264,8 +372,13 @@ class TestIllinoisSearch:
     ], ids=["ninth-order-root", "convex"])
     def test_synthetic_defect(self, monkeypatch, defect, max_solves):
         masses = []
-        monkeypatch.setattr(extremal, "el_fixed_point",
-                            lambda grid, kernel, params, M, **kw: masses.append(M))
+
+        def solve(grid, kernel, params, M, start, anchor, tol, max_iter):
+            masses.append(M)
+            return SimpleNamespace(U=None)
+
+        monkeypatch.setattr(extremal, "_cold_guess", lambda *args: None)
+        monkeypatch.setattr(extremal, "_anchored_fixed_point", solve)
         monkeypatch.setattr(extremal, "multiplier_defect",
                             lambda result, params, M: defect(M))
         M_c, _ = find_critical_mass(None, None, None, 1.0, 2.0, rel_tol=1e-6)
@@ -384,6 +497,46 @@ class TestMultiplierSolve:
         assert steps[0] > 0.0 and np.all(steps[1:] < 0.0)
         assert count_evaluations[-1] >= lam
 
+    def test_warm_start_left_or_right_of_the_root(self, params, grid256, kernel256,
+                                                  critical256, count_evaluations):
+        M_c, result = critical256
+        phi = potential(kernel256, result.U, params.c_ds)
+        vols = grid256.shell_volumes
+        _, lam = extremal._solve_multiplier(phi, params.m, vols, M_c)
+        lam_0 = count_evaluations[0]
+        for start in (0.5 * (lam_0 + lam), lam + 0.1 * (lam - lam_0)):
+            count_evaluations.clear()
+            _, warm = extremal._solve_multiplier(phi, params.m, vols, M_c, start)
+            assert count_evaluations[0] == start
+            assert warm == pytest.approx(lam, rel=1e-13, abs=0.0)
+            # right of the root after at most the first step, then decreasing
+            right = count_evaluations[int(start < lam):]
+            assert np.all(np.diff(right) < 0.0) and right[-1] >= warm
+
+    @pytest.mark.parametrize("start", [np.nan, np.inf, -np.inf, "below"])
+    def test_start_falls_back_to_the_lower_bound(self, params, grid256, kernel256,
+                                                 critical256, count_evaluations,
+                                                 start):
+        # max(nan, lam_0) would be nan: a NaN start must never reach Newton
+        M_c, result = critical256
+        phi = potential(kernel256, result.U, params.c_ds)
+        vols = grid256.shell_volumes
+        cold = extremal._solve_multiplier(phi, params.m, vols, M_c)
+        cold_calls = list(count_evaluations)
+        count_evaluations.clear()
+        if start == "below":
+            start = cold_calls[0] - 1.0
+        warm = extremal._solve_multiplier(phi, params.m, vols, M_c, start)
+        assert count_evaluations == cold_calls
+        assert np.array_equal(warm[0], cold[0]) and warm[1] == cold[1]
+
+    def test_fixed_point_starts_newton_at_finite_multipliers(
+            self, params, consts, grid96, kernel96, count_evaluations):
+        result = el_fixed_point(grid96, kernel96, params, consts.M_star, tol=1e-9,
+                                support_radius_init=1.0)
+        assert result.iterations > 1
+        assert all(math.isfinite(lam) for lam in count_evaluations)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_potential_rejected_before_iterating(self, params, grid96,
                                                             bad, count_evaluations):
@@ -433,13 +586,16 @@ class TestMassOfMultiplier:
 
 
 def plain_fixed_point(grid, kernel, params, M_target, tol, max_iter=500,
-                      support_radius_init=1.0):
-    """Oracle: the damped, re-anchored sweep iterated without mixing.
-    Returns the profile values, the last multiplier and the sweep count."""
+                      support_radius_init=1.0, start=None):
+    """Oracle: the damped, re-anchored sweep iterated without mixing, each
+    multiplier solved from the lower bound.  It starts from ``start`` (by
+    default the Barenblatt guess) and is anchored on the guess.  Returns
+    the profile values, the last multiplier and the sweep count."""
     init = barenblatt_profile(grid, M_target, support_radius_init, params.m)
     vols = grid.shell_volumes
-    u_vals = init.values * (M_target / mass(init))
-    m2_anchor = second_moment(DensityField(grid, u_vals))
+    start = init if start is None else start
+    u_vals = start.values * (M_target / mass(start))
+    m2_anchor = second_moment(DensityField(grid, init.values * (M_target / mass(init))))
     for sweeps in range(1, max_iter + 1):
         phi = potential(kernel, DensityField(grid, u_vals), params.c_ds)
         candidate, lam = extremal._solve_multiplier(phi, params.m, vols, M_target)
@@ -452,11 +608,12 @@ def plain_fixed_point(grid, kernel, params, M_target, tol, max_iter=500,
     raise ConvergenceError("plain iteration did not converge")
 
 
-def plain_el_fixed_point(grid, kernel, params, M_target, tol=1e-10, max_iter=500,
-                         support_radius_init=None):
-    """The oracle behind el_fixed_point's signature, for find_critical_mass."""
+def plain_anchored_fixed_point(grid, kernel, params, M_target, start, anchor, tol,
+                               max_iter):
+    """The oracle behind the anchored iteration's signature, for
+    find_critical_mass with its default guess (radius 1.0) as the anchor."""
     vals, lam, sweeps = plain_fixed_point(grid, kernel, params, M_target, tol,
-                                          max_iter, support_radius_init)
+                                          max_iter, start=start)
     return extremal.ExtremalResult(DensityField(grid, vals), lam, math.nan,
                                    math.nan, math.nan, sweeps)
 
@@ -555,24 +712,25 @@ class TestAndersonMixing:
                                               kernel256, monkeypatch):
         def search():
             sweeps = []
-            solve = extremal.el_fixed_point
+            solve = extremal._anchored_fixed_point
 
-            def counted(*args, **kwargs):
-                result = solve(*args, **kwargs)
+            def counted(*args):
+                result = solve(*args)
                 sweeps.append(result.iterations)
                 return result
 
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(extremal, "el_fixed_point", counted)
+                mp.setattr(extremal, "_anchored_fixed_point", counted)
                 M_c, _ = find_critical_mass(grid256, kernel256, params, consts.M_star,
                                             1.08 * consts.M_star, rel_tol=1e-6,
                                             support_radius_init=1.0)
             return M_c, sum(sweeps)
 
         M_c, mixed_sweeps = search()
-        monkeypatch.setattr(extremal, "el_fixed_point", plain_el_fixed_point)
+        monkeypatch.setattr(extremal, "_anchored_fixed_point",
+                            plain_anchored_fixed_point)
         M_c_plain, plain_sweeps = search()
-        assert mixed_sweeps <= 0.5 * plain_sweeps  # 81 vs 209
+        assert mixed_sweeps <= 0.5 * plain_sweeps  # 64 vs 146, both warm-started
         # the search reads the defect's value, in which the two solves
-        # differ at ~1e-11; measured gap 2.4e-11, rel_tol is 1e-6
+        # differ at ~1e-11; measured gap 5.9e-11, rel_tol is 1e-6
         assert M_c == pytest.approx(M_c_plain, rel=1e-9, abs=0.0)
