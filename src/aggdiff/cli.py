@@ -69,6 +69,11 @@ class ConfigError(Exception):
 _REAL = (int, float)
 
 
+def _ratio_tag(ratio) -> str:
+    """A mass ratio's part of its diagnostics CSV name: 6 significant digits."""
+    return f"ratio_{ratio:g}".replace(".", "p")
+
+
 def _is_real(v) -> bool:
     """An int or float, not a bool, whose size a float holds: JSON reads
     Infinity and integers of any size.  NaN gets through here and fails
@@ -92,11 +97,12 @@ _FIELDS = [
     ("grid.r_max", 4.0, _REAL, lambda v: v > 0.0, "positive real"),
     ("solver.cfl", SolverConfig.cfl, _REAL, None, "real"),
     ("solver.t_end", 0.05, _REAL, None, "real"),
-    ("solver.dt_min", SolverConfig.dt_min, _REAL, None, "real"),
     ("solver.blowup_factor", SolverConfig.blowup_factor, _REAL, None, "real"),
     ("solver.output_every", SolverConfig.output_every, int, None, "integer"),
     ("experiment.mass_ratios", [0.5, 0.9, 1.5, 2.0], list,
-     lambda v: all(_is_real(x) and x > 0 for x in v), "list of positive reals"),
+     lambda v: (all(_is_real(x) and x > 0 for x in v)
+                and len({_ratio_tag(x) for x in v}) == len(v)),
+     "list of positive reals distinct to 6 significant digits"),
     ("experiment.eps_list", [0.2, 0.1, 0.05, 0.025], list,
      lambda v: all(_is_real(x) and x >= 0 for x in v), "list of non-negative reals"),
     ("experiment.n_random_fields", 40, int, lambda v: v >= 1, "integer >= 1"),
@@ -266,12 +272,13 @@ def _solver_config(cfg: dict, **overrides) -> SolverConfig:
 
 def _load_profile(path: str, params: model.ModelParams,
                   grid: RadialGrid | None = None):
-    """Field, sidecar metadata and input hashes of a profile CSV, which
+    """Field, reference mass and input hashes of a profile CSV, which
     holds the exact grid and is read in the configured dimension.  A JSON
-    sidecar beside it holds metadata such as ``M_target``; its ``d`` and
-    ``s``, when present, must equal the configured ``model.d`` and
-    ``model.s``.  Given the configured ``grid``, the profile must live on
-    it.  An unreadable, malformed or mismatched file is a
+    sidecar beside it may hold metadata: its ``d`` and ``s`` must equal
+    the configured ``model.d`` and ``model.s``, and its ``M_target``, the
+    reference mass (the profile's own mass without it), must be a
+    positive real.  Given the configured ``grid``, the profile must live
+    on it.  An unreadable, malformed or mismatched file is a
     :class:`ConfigError` naming it."""
     csv_path = Path(path)
     sidecar = csv_path.with_suffix(".json")
@@ -289,6 +296,10 @@ def _load_profile(path: str, params: model.ModelParams,
                 raise ConfigError(
                     f"profile sidecar {sidecar}: '{key}' = {meta[key]!r} does not "
                     f"match configured {what} 'model.{key}' = {configured!r}")
+        if "M_target" in meta and not (_is_real(meta["M_target"])
+                                       and meta["M_target"] > 0):
+            raise ConfigError(f"profile sidecar {sidecar}: 'M_target' must be a "
+                              f"positive real, got {meta['M_target']!r}")
     try:
         field = read_field_csv(csv_path, d=params.d)
     except (OSError, ValueError) as exc:
@@ -298,7 +309,15 @@ def _load_profile(path: str, params: model.ModelParams,
     hashes = {str(csv_path): _sha256_bytes(csv_path.read_bytes())}
     if sidecar.exists():
         hashes[str(sidecar)] = _sha256_bytes(sidecar.read_bytes())
-    return field, meta, hashes
+    return field, float(meta.get("M_target", mass(field))), hashes
+
+
+def _start_profile(cfg: dict, params, grid) -> DensityField:
+    """The start of simulate, eps-study and verify: half of M* in a
+    Barenblatt bump of radius ``experiment.fixed_point.support_radius``."""
+    return barenblatt_profile(grid, 0.5 * model.derived_constants(params).M_star,
+                              cfg["experiment"]["fixed_point"]["support_radius"],
+                              params.m)
 
 
 def _compute_extremal(cfg: dict, params, grid, kernel):
@@ -346,7 +365,7 @@ def cmd_constants(cfg: dict, profile: str | None = None) -> int:
     input_hashes = {}
     if profile is not None:
         _check_kernel_params(params)
-        field, meta, hashes = _load_profile(profile, params)
+        field, _, hashes = _load_profile(profile, params)
         input_hashes.update(hashes)
         kernel = build_kernel(field.grid, params.s, epsilon=cfg["model"]["epsilon"])
         measured = vhls_ratio(field, kernel, params)
@@ -384,14 +403,10 @@ def cmd_extremal(cfg: dict) -> int:
 
 def cmd_simulate(cfg: dict, profile: str | None = None) -> int:
     params, grid, kernel, loaded = _build_workspace(cfg, profile)
-    consts = model.derived_constants(params)
     if loaded is not None:
         u0, _, input_hashes = loaded
     else:
-        fp = cfg["experiment"]["fixed_point"]
-        u0 = barenblatt_profile(grid, 0.5 * consts.M_star, fp["support_radius"],
-                                params.m)
-        input_hashes = {}
+        u0, input_hashes = _start_profile(cfg, params, grid), {}
     outcome = run(u0, kernel, params, _solver_config(cfg))
     outdir = Path(cfg["output"]["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -458,8 +473,7 @@ def cmd_dichotomy(cfg: dict, profile: str | None = None) -> int:
     params, grid, kernel, loaded = _build_workspace(cfg, profile)
     input_hashes = {}
     if loaded is not None:
-        U, meta, input_hashes = loaded
-        M_star = float(meta.get("M_target", mass(U)))
+        U, M_star, input_hashes = loaded
     else:
         result, M_star = _compute_extremal(cfg, params, grid, kernel)
         U = result.U
@@ -475,24 +489,18 @@ def cmd_dichotomy(cfg: dict, profile: str | None = None) -> int:
         import multiprocessing
 
         others = set(multiprocessing.active_children())
-        pool = multiprocessing.get_context("fork").Pool(
-            min(len(ratios), len(os.sched_getaffinity(0))),
-            initializer=_set_dichotomy_inputs,
-            initargs=(U, M_star, kernel, params, _solver_config(cfg),
-                      cfg["experiment"]["t_end_diffusive_times"]))
-        workers = set(multiprocessing.active_children()) - others
-        try:
+        # leaving the block terminates the workers and joins them
+        with multiprocessing.get_context("fork").Pool(
+                min(len(ratios), len(os.sched_getaffinity(0))),
+                initializer=_set_dichotomy_inputs,
+                initargs=(U, M_star, kernel, params, _solver_config(cfg),
+                          cfg["experiment"]["t_end_diffusive_times"])) as pool:
+            workers = set(multiprocessing.active_children()) - others
             for ratio, (entry, diagnostics) in zip(
                     ratios, _in_ratio_order(pool, workers, ratios)):
-                tag = f"ratio_{ratio:g}".replace(".", "p")
-                diagnostics_to_csv(diagnostics, outdir / f"diagnostics_{tag}.csv")
+                diagnostics_to_csv(diagnostics,
+                                   outdir / f"diagnostics_{_ratio_tag(ratio)}.csv")
                 rows.append(entry)
-            pool.close()
-        except BaseException:
-            pool.terminate()
-            raise
-        finally:
-            pool.join()
     results = {"M_star": M_star, "table": rows}
     _write_report(cfg, "dichotomy", results, input_hashes)
     print(_canonical_json(results))
@@ -501,13 +509,9 @@ def cmd_dichotomy(cfg: dict, profile: str | None = None) -> int:
 
 def cmd_eps_study(cfg: dict) -> int:
     params, grid, _, _ = _build_workspace(cfg)
-    consts = model.derived_constants(params)
-    fp = cfg["experiment"]["fixed_point"]
-    u0 = barenblatt_profile(grid, 0.5 * consts.M_star, fp["support_radius"], params.m)
     statuses, distances = epsilon_convergence_study(
-        u0, params, cfg["experiment"]["eps_list"], cfg["experiment"]["t_fix"],
-        config=_solver_config(cfg, t_end=cfg["experiment"]["t_fix"]),
-    )
+        _start_profile(cfg, params, grid), params, cfg["experiment"]["eps_list"],
+        cfg["experiment"]["t_fix"], config=_solver_config(cfg))
     decreasing = distances is not None and all(
         a > b for a, b in zip(distances, distances[1:]))
     results = {
@@ -563,9 +567,8 @@ def _verify_checks(cfg: dict):
     yield "rearrangement_interaction_monotone", violations == 0, {
         "violations": violations}
 
-    u0 = barenblatt_profile(grid, 0.5 * consts.M_star, 0.25 * grid.r_max, params.m)
     cfg_run = _solver_config(cfg, t_end=cfg["experiment"]["t_fix"], output_every=5)
-    outcome = run(u0, kernel, params, cfg_run)
+    outcome = run(_start_profile(cfg, params, grid), kernel, params, cfg_run)
     rows = outcome.diagnostics
     mass_drift = max(abs(r.mass - rows[0].mass) / rows[0].mass for r in rows)
     yield "mass_conservation", mass_drift <= tol["mass_drift"], {

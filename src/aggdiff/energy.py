@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import (DensityField, RadialGrid, face_gradient, lp_norm, mass,
-                    require_same_grid)
+from .field import DensityField, face_gradient, lp_norm, mass, require_same_grid
 from .model import ModelParams
 from .riesz import RieszKernel, interaction_energy, potential_values
 from .special import ball_volume
@@ -45,8 +44,9 @@ def _mu(values: np.ndarray, phi: np.ndarray, m: float) -> np.ndarray:
     return m / (m - 1.0) * values ** (m - 1.0) - phi
 
 
-def dissipation(u: DensityField, mu: np.ndarray, grid: RadialGrid) -> float:
+def dissipation(u: DensityField, mu: np.ndarray) -> float:
     """D = int u |grad mu|^2, with upwind face densities on the solver stencil."""
+    grid = u.grid
     w = -face_gradient(mu, grid)
     u_up = upwind_face_values(u.values, w)
     face_measure = grid.face_areas[1:-1] * grid.center_spacing
@@ -85,7 +85,7 @@ def energy_report(u: DensityField, kernel: RieszKernel, params: ModelParams,
     omega = float(uv @ Kuv)
     S = _entropy(u, params.m)
     W = float(0.5 * c_ds * omega)
-    D = dissipation(u, _mu(u.values, c_ds * Kuv, params.m), u.grid)
+    D = dissipation(u, _mu(u.values, c_ds * Kuv, params.m))
     return EnergyReport(F=S - W, S=S, W=W, D=D)
 
 

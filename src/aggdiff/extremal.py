@@ -62,7 +62,7 @@ from .field import (
     rearrange,
     second_moment,
 )
-from .energy import vhls_ratio
+from .energy import _mu, vhls_ratio
 from .model import ModelParams
 from .riesz import RieszKernel, potential
 
@@ -112,9 +112,7 @@ def el_residual(U: DensityField, kernel: RieszKernel, params: ModelParams,
     if not np.any(above):
         raise ValueError("residual undefined: field has empty support")
     lam = variational_multiplier(U, params, M_target)
-    m = params.m
-    phi = potential(kernel, U, params.c_ds)
-    defect = m / (m - 1.0) * U.values ** (m - 1.0) - phi - lam
+    defect = _mu(U.values, potential(kernel, U, params.c_ds), params.m) - lam
     return float(np.max(np.abs(defect[above])) / abs(lam))
 
 

@@ -81,8 +81,7 @@ class RadialGrid:
         """Volume centroids of the shells."""
         d = self.d
         num = np.diff(self.r_edges ** (d + 1))
-        den = np.diff(self.r_edges ** d)
-        return _read_only(d * num / ((d + 1) * den))
+        return _read_only(d * num / ((d + 1) * np.diff(self.edges_pow_d)))
 
     @cached_property
     def center_spacing(self) -> np.ndarray:
@@ -94,8 +93,7 @@ class RadialGrid:
         """Exact shell averages of |x|^2."""
         d = self.d
         num = np.diff(self.r_edges ** (d + 2))
-        den = np.diff(self.r_edges ** d)
-        return _read_only(d * num / ((d + 2) * den))
+        return _read_only(d * num / ((d + 2) * np.diff(self.edges_pow_d)))
 
     @cached_property
     def face_areas(self) -> np.ndarray:
@@ -137,7 +135,7 @@ class DensityField:
         return DensityField(grid=self.grid, values=values)
 
 
-def require_same_grid(a: RadialGrid, b: RadialGrid, what: str = "operands"):
+def require_same_grid(a: RadialGrid, b: RadialGrid, what: str):
     if a != b:
         raise GridMismatchError(f"{what} live on different radial grids")
 

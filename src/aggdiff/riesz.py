@@ -262,10 +262,6 @@ class RieszKernel:
         self._K, self._operator = K, operator
 
     @property
-    def structured(self) -> bool:
-        return self._operator is not None
-
-    @property
     def K(self) -> np.ndarray:
         if self._K is None:
             self._K = _dense_matrix(self.grid, self.s, self.epsilon)

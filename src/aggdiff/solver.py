@@ -46,9 +46,9 @@ class SolverConfig:
     """Stability and termination knobs for a run.
 
     ``blowup_factor`` is the L^inf growth ratio (relative to the initial
-    condition) that declares numerical blow-up; ``dt_min`` is the floor
-    below which the adaptive step is considered collapsed.  The boundary
-    rule is fixed: zero flux at r = R_max.  The epsilon-Laplacian uses the
+    condition) that declares numerical blow-up; an adaptive step below
+    ``_DT_MIN`` counts as collapsed.  The boundary rule is fixed: zero
+    flux at r = R_max.  The epsilon-Laplacian uses the
     kernel's regularisation length, so the mollifier and the added
     diffusion can never disagree.
 
@@ -62,7 +62,6 @@ class SolverConfig:
 
     t_end: float
     cfl: float = 0.4
-    dt_min: float = 1e-13
     blowup_factor: float = 1e3
     output_every: int = 50
     scheme: str = "explicit"
@@ -75,8 +74,6 @@ class SolverConfig:
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
         if not self.t_end > 0.0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if not self.dt_min > 0.0:
-            raise ValueError(f"dt_min must be positive, got {self.dt_min}")
         if not self.blowup_factor > 1.0:
             raise ValueError(f"blowup_factor must exceed 1, got {self.blowup_factor}")
         if not self.output_every >= 1:
@@ -84,6 +81,7 @@ class SolverConfig:
 
 
 _MAX_STEPS = 20_000_000  # step cap of one run
+_DT_MIN = 1e-13  # floor below which the adaptive step has collapsed
 
 
 @dataclass(frozen=True)
@@ -237,7 +235,7 @@ class _ImplicitStepper(_Stepper):
     max|u^{n+1} - u^n| = ``_STEP_CHANGE`` * max u and grows at most
     1.5-fold per step.  A try whose update leaves a cell negative, or
     changes u by more than twice the aim with dt above that start, is
-    retried at half its dt; a proposal below ``dt_min`` is handed back to
+    retried at half its dt; a proposal below ``_DT_MIN`` is handed back to
     :func:`run`'s collapse rule, and a non-finite update is handed back as
     it is.
     """
@@ -245,7 +243,6 @@ class _ImplicitStepper(_Stepper):
     def __init__(self, kernel: RieszKernel, params: ModelParams,
                  config: SolverConfig, c_ds: float):
         super().__init__(kernel, params, config, c_ds)
-        self.dt_min = config.dt_min
         self.dt_next = None  # step proposal, first the explicit stable step
         self.dt_explicit = None
 
@@ -257,14 +254,14 @@ class _ImplicitStepper(_Stepper):
 
     def advance(self, u_vals: np.ndarray, t_left: float):
         """Same contract as :meth:`_Stepper.advance`, with the step proposal
-        as the stable dt (u comes back unchanged below ``dt_min``), no
+        as the stable dt (u comes back unchanged below ``_DT_MIN``), no
         clipping, and the band flux read off the update itself."""
         w, rate = self._rate(u_vals)
         if self.dt_next is None:
             self.dt_next = self.dt_explicit = self._stable_dt(u_vals, w)
         aim = _STEP_CHANGE * float(u_vals.max())
         dt_try = self.dt_next
-        while dt_try >= self.dt_min:
+        while dt_try >= _DT_MIN:
             dt = min(dt_try, t_left)
             delta = self._ros2_update(u_vals, w, rate, dt)
             new_vals = u_vals + delta
@@ -303,7 +300,7 @@ class _ImplicitStepper(_Stepper):
         dmu[occupied] = m * u[occupied] ** (m - 2.0)
         w_in = w[1:-1]
         from_left = w_in > 0.0
-        donor = np.where(from_left, u[:-1], u[1:])
+        donor = upwind_face_values(u, w)
         eps_rate = self.eps_rate[1:-1]
         # A dF/du for the left and the right cell of each interior face
         area = self.areas[1:-1]
@@ -365,7 +362,7 @@ def step(state: SolverState, kernel: RieszKernel, params: ModelParams,
     require_same_grid(state.u.grid, kernel.grid, "field and kernel")
     if c_ds is None:
         c_ds = params.c_ds
-    t_left = max(config.t_end - state.t, config.dt_min)
+    t_left = max(config.t_end - state.t, _DT_MIN)
     stepper = _STEPPERS[config.scheme](kernel, params, config, c_ds)
     new_vals, dt, _, _, _ = stepper.advance(state.u.values, t_left)
     return SolverState(
@@ -401,7 +398,7 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
     Diagnostics are recorded every ``output_every`` steps plus at the
     initial and final states.  This is the one blow-up rule: L^inf above
     ``blowup_factor`` times its initial value ("linf_threshold"), or a
-    stable dt below ``dt_min`` once L^inf has more than doubled
+    stable dt below ``_DT_MIN`` once L^inf has more than doubled
     ("dt_collapse"); a collapsing dt without that growth is a stall.
     With an unregularised kernel and F(u0) < 0 the virial identity forces
     blow-up by the chord time T* (:func:`blowup_time_upper_bound`, read
@@ -432,7 +429,7 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
     while t < config.t_end * (1.0 - 1e-14):
         new_vals, dt, dt_stab, clipped, band_rate = stepper.advance(
             u_vals, config.t_end - t)
-        if dt_stab < config.dt_min:
+        if dt_stab < _DT_MIN:
             linf_now = float(np.max(u_vals, initial=0.0))
             if u0_linf > 0.0 and linf_now > 2.0 * u0_linf:
                 status, reason, t_detect = "blowup", "dt_collapse", t

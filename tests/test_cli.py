@@ -48,6 +48,30 @@ class TestConfig:
                            match="unknown config field 'experiment.n_starts'"):
             load_config(None, ["experiment.n_starts=1"])
 
+    @pytest.mark.parametrize("via", ["set", "file"])
+    def test_removed_dt_min_is_unknown(self, tmp_path, capsys, via):
+        # the collapse floor is the module constant solver._DT_MIN
+        out = tmp_path / "out"
+        if via == "set":
+            argv = ["--set", "solver.dt_min=1e-10"]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"solver": {"dt_min": 1e-10}}))
+            argv = ["--config", str(path)]
+        assert run_cli("simulate", *argv, "--out", str(out)) == 1
+        assert "unknown config field 'solver.dt_min'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ratios", ["[0.5,0.5000001]", "[0.5,0.5]"])
+    def test_ratios_sharing_a_csv_name_exit_1_before_any_output(
+            self, tmp_path, capsys, ratios):
+        out = tmp_path / "out"
+        assert run_cli("dichotomy", *SMALL, "--set",
+                       f"experiment.mass_ratios={ratios}", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "experiment.mass_ratios" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_section_cannot_be_set_whole(self):
         with pytest.raises(ConfigError, match="config section 'solver'"):
             load_config(None, ['solver={"cfl": 0.5}'])
@@ -101,7 +125,6 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("cfl", "0"), ("cfl", "1.5"), ("cfl", "NaN"),
         ("t_end", "0"), ("t_end", "NaN"),
-        ("dt_min", "-1e-13"), ("dt_min", "NaN"),
         ("blowup_factor", "1"), ("blowup_factor", "NaN"),
         ("output_every", "0"),
     ])
@@ -282,7 +305,7 @@ def test_fft_operator_and_run_leave_scipy_unloaded():
     # the structured operator's FFTs are numpy.fft's
     probe = ("import sys, numpy as np, aggdiff as ad, aggdiff.cli; "
              "p = ad.ModelParams(d=3, s=1.25); g = ad.RadialGrid.uniform(576, 4.0); "
-             "k = ad.build_kernel(g, p.s); assert k.structured; "
+             "k = ad.build_kernel(g, p.s); assert k._operator is not None; "
              "assert np.all(k.apply(np.ones(576)) > 0); "
              "out = ad.run(ad.barenblatt_profile(g, 20.0, 1.0, p.m), k, p, "
              "ad.SolverConfig(t_end=1e-4, scheme='explicit')); "
@@ -428,6 +451,26 @@ class TestProfileHandoff:
         err = capsys.readouterr().err
         assert "'s' = 1.25" in err and "'model.s' = 1.3" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", ['"abc"', "-5.0", "0", "true", "1e400", "NaN"])
+    @pytest.mark.parametrize("command", ["constants", "simulate", "dichotomy"])
+    def test_bad_sidecar_mass_exits_1_before_any_kernel(
+            self, tmp_path, extremal_profile, monkeypatch, capsys, command, bad):
+        monkeypatch.setattr(aggdiff.cli, "build_kernel", kernel_must_not_be_built)
+        csv_path = tmp_path / "profile.csv"
+        csv_path.write_bytes(extremal_profile.read_bytes())
+        sidecar = csv_path.with_suffix(".json")
+        meta = extremal_profile.with_suffix(".json").read_text()
+        meta, count = re.subn(r'"M_target": [^,\n]+', f'"M_target": {bad}', meta)
+        assert count == 1
+        sidecar.write_text(meta)
+        out = tmp_path / "out"
+        code = run_cli(command, *SMALL, "--profile", str(csv_path), "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"profile sidecar {sidecar}: 'M_target'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_constants_rejects_a_sidecar_of_another_dimension(
             self, tmp_path, extremal_profile, monkeypatch, capsys):

@@ -1,12 +1,24 @@
 """Code with no caller goes away: every private module-level name and every
 private method in the package is read somewhere in the package besides its
-own definition.  Tests may reach private names, but they do not keep them
-alive; a name only the tests read belongs in the tests."""
+own definition, and every public function, method and property is read
+there or in the demos, the benchmark harness or the README's examples.
+Tests may reach any name, but they do not keep it alive; a name only the
+tests read belongs in the tests."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "aggdiff"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "aggdiff"
+
+# public names that only the tests read, each with its reason to stay
+TEST_ONLY_PUBLIC = {
+    # the paper's L^r bound from mass and second moment behind the blow-up
+    # argument; the tests check it against random fields
+    "energy:lr_lower_bound",
+}
 
 
 def _private(name: str) -> bool:
@@ -39,27 +51,62 @@ def _reads(node: ast.AST):
             yield sub.attr
 
 
+def _unread(trees: dict, definitions, reads: Counter) -> list:
+    """``module:label`` for each (label, name, node) that ``definitions``
+    yields for a module's tree whose name ``reads`` counts only inside
+    that definition."""
+    return sorted(f"{module}:{label}" for module, tree in trees.items()
+                  for label, name, node in definitions(tree)
+                  if reads[name] == sum(1 for read in _reads(node) if read == name))
+
+
+def _private_definitions(tree: ast.Module):
+    return ((name, name, node) for name, node in _definitions(tree) if _private(name))
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, name, node) for the public functions at module level
+    and the public methods and properties of public module-level classes.
+    Dataclass fields are not definitions here: the CSV writer reads them
+    through ``fields()``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
 def dead_names(sources: dict) -> list:
     """``module:name`` for each private definition in ``sources`` (module
     name -> source text) that no code outside that definition reads."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    reads = {}
-    for tree in trees.values():
-        for name in _reads(tree):
-            reads[name] = reads.get(name, 0) + 1
-    dead = []
-    for module, tree in trees.items():
-        for name, node in _definitions(tree):
-            if not _private(name):
-                continue
-            own = sum(1 for read in _reads(node) if read == name)
-            if reads.get(name, 0) - own == 0:
-                dead.append(f"{module}:{name}")
-    return sorted(dead)
+    reads = Counter(name for tree in trees.values() for name in _reads(tree))
+    return _unread(trees, _private_definitions, reads)
+
+
+def unread_public_names(sources: dict, users=()) -> list:
+    """``module:name`` for each public definition in ``sources`` that
+    neither the package outside that definition nor the ``users`` texts
+    read.  The package ``__init__``'s re-exports are not reads."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = Counter(name for module, tree in trees.items() if module != "__init__"
+                    for name in _reads(tree))
+    reads.update(name for text in users for name in _reads(ast.parse(text)))
+    return _unread(trees, _public_definitions, reads)
 
 
 def package_sources() -> dict:
     return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def user_sources() -> list:
+    """The demos, the benchmark harness and the README's python blocks."""
+    scripts = sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")])
+    readme = (ROOT / "README.md").read_text()
+    return [*(path.read_text() for path in scripts),
+            *re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)]
 
 
 def test_the_check_sees_a_dead_name():
@@ -79,3 +126,22 @@ def test_the_check_sees_the_package():
 
 def test_every_private_name_is_read():
     assert dead_names(package_sources()) == []
+
+
+def test_the_check_sees_an_unread_public_name():
+    sources = {"a": "def used():\n    return 1\n\ndef own():\n    return own()\n\n"
+                    "class C:\n    def read(self):\n        return used()\n\n"
+                    "    @property\n    def unread(self):\n        return 0\n\n"
+                    "    def _private(self):\n        return 0\n",
+               "__init__": "from .a import C, own, used\nown\n"}
+    assert unread_public_names(sources) == ["a:C.read", "a:C.unread", "a:own"]
+    assert unread_public_names(sources, ["C().read()"]) == ["a:C.unread", "a:own"]
+
+
+def test_the_check_sees_the_users():
+    users = user_sources()
+    assert len(users) > 5 and any("import aggdiff" in text for text in users)
+
+
+def test_every_public_name_is_read():
+    assert set(unread_public_names(package_sources(), user_sources())) == TEST_ONLY_PUBLIC

@@ -76,7 +76,7 @@ class TestFreeEnergy:
             rep = energy_report(u, kernel96, params)
             assert rep.F == free_energy(u, kernel96, params)
             assert rep.W == 0.5 * params.c_ds * interaction_energy(kernel96, u)
-            assert rep.D == dissipation(u, chemical_potential(u, kernel96, params), grid96)
+            assert rep.D == dissipation(u, chemical_potential(u, kernel96, params))
 
     def test_part_scalings(self, params):
         # S -> lam^m mu^-d S and W -> lam^2 mu^-(d+2s) W under lam*u(mu r)
@@ -123,14 +123,14 @@ class TestDissipation:
     def test_zero_field(self, params, grid96, kernel96):
         u = DensityField(grid96, np.zeros(96))
         mu = chemical_potential(u, kernel96, params)
-        assert dissipation(u, mu, grid96) == 0.0
+        assert dissipation(u, mu) == 0.0
 
-    def test_steady_profile_nearly_dissipationless(self, params, grid256,
-                                                   kernel256, critical256):
+    def test_steady_profile_nearly_dissipationless(self, params, kernel256,
+                                                   critical256):
         _, result = critical256
         U = result.U
         mu = chemical_potential(U, kernel256, params)
-        D = dissipation(U, mu, grid256)
+        D = dissipation(U, mu)
         # normalise by a crude flow scale: |F| of the 1.5x supercritical companion
         scale_F = abs(free_energy(
             blowup_initial_data(U, 1.5 * mass(U), params), kernel256, params))
@@ -139,7 +139,7 @@ class TestDissipation:
     def test_positive_on_relaxing_profile(self, params, grid96, kernel96):
         u = barenblatt_profile(grid96, 10.0, 1.0, params.m)
         mu = chemical_potential(u, kernel96, params, c_ds=0.0)
-        assert dissipation(u, mu, grid96) > 0.0
+        assert dissipation(u, mu) > 0.0
 
 
 class TestVhlsRatio:

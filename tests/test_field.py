@@ -310,7 +310,7 @@ class TestCsvRoundTrip:
 
     def test_reloaded_uniform_grid_gets_fft_operator(self, tmp_path):
         back = csv_round_trip(uniform_test_field(576), tmp_path / "field.csv")
-        assert build_kernel(back.grid, 1.25).structured
+        assert build_kernel(back.grid, 1.25)._operator is not None
 
     def test_volumes_pin_the_dimension(self, tmp_path):
         path = tmp_path / "field.csv"

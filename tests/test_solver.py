@@ -174,22 +174,23 @@ class TestRun:
                       - free_energy(result.U, kernel256, params))
         assert F_drift <= 1e-3 * entropy_scale  # measured 1.1e-6
 
-    def test_stall_reported_when_dt_floor_hit(self, params, grid96, kernel96):
+    def test_stall_reported_when_dt_floor_hit(self, params, grid96, kernel96,
+                                              monkeypatch):
         u0 = barenblatt_profile(grid96, 20.0, 1.0, params.m)
-        cfg = SolverConfig(t_end=1.0, dt_min=1.0)  # floor far above stable dt
-        out = run(u0, kernel96, params, cfg)
+        monkeypatch.setattr(solver, "_DT_MIN", 1.0)  # floor far above stable dt
+        out = run(u0, kernel96, params, SolverConfig(t_end=1.0))
         assert out.status == "stalled"
         assert out.reason == "dt_min"
 
     def test_dt_collapse_after_growth_is_blowup(self, params, consts, grid96,
-                                                kernel96):
+                                                kernel96, monkeypatch):
         u0 = barenblatt_profile(grid96, 2.0 * consts.M_star, 0.5, params.m)
         dt0 = step(SolverState(t=0.0, u=u0), kernel96, params,
                    SolverConfig(t_end=1.0)).dt_last
         # the L^inf threshold is out of reach, so the shrinking step has to
         # trip the floor, and L^inf has more than doubled by then
-        cfg = SolverConfig(t_end=1.0, dt_min=0.5 * dt0, blowup_factor=1e12)
-        out = run(u0, kernel96, params, cfg)
+        monkeypatch.setattr(solver, "_DT_MIN", 0.5 * dt0)
+        out = run(u0, kernel96, params, SolverConfig(t_end=1.0, blowup_factor=1e12))
         assert out.status == "blowup"
         assert out.reason == "dt_collapse"
         assert out.t_detect is not None and out.t_detect == out.final_state.t
@@ -233,7 +234,7 @@ class TestRun:
     def test_structured_kernel_run_matches_dense(self, params, consts):
         g = RadialGrid.uniform(1024, 4.0)
         k = build_kernel(g, params.s)
-        assert k.structured
+        assert k._operator is not None
         dense = RieszKernel(g, k.s, k.epsilon, k.K)
         u0 = barenblatt_profile(g, 0.5 * consts.M_star, 1.0, params.m)
         cfg = SolverConfig(t_end=2e-4, output_every=20)
