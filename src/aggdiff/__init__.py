@@ -46,7 +46,6 @@ from .energy import (
     free_energy,
     lr_lower_bound,
     vhls_ratio,
-    virial_rhs,
 )
 from .solver import (
     DiagnosticsRow,

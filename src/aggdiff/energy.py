@@ -104,11 +104,6 @@ def vhls_ratio(u: DensityField, kernel: RieszKernel, params: ModelParams) -> flo
     return float(omega / (M ** (2.0 * params.s / params.d) * lp_norm(u, m) ** m))
 
 
-def virial_rhs(u: DensityField, kernel: RieszKernel, params: ModelParams) -> float:
-    """Time derivative of the second moment: 2 (d - 2s) F(u)."""
-    return 2.0 * params.alpha * free_energy(u, kernel, params)
-
-
 def lr_lower_bound(M: float, m2: float, r: float, d: int) -> float:
     """Lower bound on ||u||_{L^r} for any density with mass M and second
     moment m2.

@@ -401,14 +401,10 @@ def maximize_vhls(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
     centers = grid.centers
     r_max = grid.r_max
     best_vals, best_J, best_moves = None, -math.inf, 0
-
-    def ratio(vals):
-        return vhls_ratio(DensityField(grid, vals), kernel, params)
-
     for _ in range(n_starts):
-        vals = _random_bump_field(rng, grid)
-        vals = project_onto(rearrange(DensityField(grid, vals)), grid).values
-        J = ratio(vals)
+        start = DensityField(grid, _random_bump_field(rng, grid))
+        u = project_onto(rearrange(start), grid)
+        vals, J = u.values, vhls_ratio(u, kernel, params)
         moves = 0
         stalls = 0
         width_scale = 0.5
@@ -417,14 +413,14 @@ def maximize_vhls(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
             width = width_scale * r_max * 10.0 ** rng.uniform(-1.5, 0.0)
             amp = rng.uniform(-0.5, 0.5)
             bump = amp * np.exp(-0.5 * ((centers - center) / width) ** 2)
-            proposal = np.clip(vals * (1.0 + bump), 0.0, None)
-            if not np.any(proposal > 0.0):
+            proposal = np.maximum(vals * (1.0 + bump), 0.0)
+            if not proposal.max() > 0.0:
                 stalls += 1
                 continue
-            proposal = project_onto(rearrange(DensityField(grid, proposal)), grid).values
-            J_new = ratio(proposal)
+            u = project_onto(rearrange(DensityField(grid, proposal)), grid)
+            J_new = vhls_ratio(u, kernel, params)
             if J_new > J:  # accept-only-improving keeps J non-decreasing
-                vals, J = proposal, J_new
+                vals, J = u.values, J_new
                 moves += 1
                 stalls = 0
             else:

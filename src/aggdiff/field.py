@@ -30,10 +30,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Strictly increasing edges 0 = r_0 < ... < r_N = R_max in R^d.  The
-    edges are copied and, like the cached geometry, read-only.  Grids
-    compare equal, and hash alike, when they have the same dimension and
-    the same edges."""
+    """Strictly increasing finite edges 0 = r_0 < ... < r_N = R_max in
+    R^d.  The edges are copied and, like the cached geometry, read-only.
+    Grids compare equal, and hash alike, when they have the same dimension
+    and the same edges."""
 
     d: int
     r_edges: np.ndarray
@@ -45,8 +45,10 @@ class RadialGrid:
             raise ValueError("r_edges must be a 1-d array with at least two entries")
         if edges[0] != 0.0:
             raise ValueError("grid must start at r = 0")
-        if not np.all(np.diff(edges) > 0.0):  # also rejects NaN edges
+        if not (edges[1:] > edges[:-1]).all():  # also rejects NaN edges
             raise ValueError("r_edges must be strictly increasing")
+        if edges[-1] == np.inf:  # increasing edges can be infinite only at the end
+            raise ValueError("r_edges must be finite")
         if self.d < 3:
             raise ValueError(f"dimension must be >= 3, got {self.d}")
 
@@ -175,11 +177,11 @@ def rearrange(u: DensityField) -> DensityField:
     function, the mass and every L^p norm are preserved to roundoff.
     """
     vals = u.values
-    vols = u.grid.shell_volumes
+    # without a rise the stable sort is the identity: keep edges bitwise identical
+    if not (vals[1:] > vals[:-1]).any():
+        return u
     order = np.argsort(-vals, kind="stable")
-    if np.array_equal(order, np.arange(vals.size)):
-        return u  # already non-increasing; keep edges bitwise identical
-    cum = np.cumsum(vols[order])
+    cum = np.cumsum(u.grid.shell_volumes[order])
     d = u.grid.d
     edges = np.empty(vals.size + 1)
     edges[0] = 0.0

@@ -66,11 +66,19 @@ def _power_diff(t_plus: np.ndarray, u: np.ndarray, p: float) -> np.ndarray:
     """t_plus^p - t_minus^p with t_minus = t_plus * (1 - u), u in [0, 1].
 
     Written via expm1/log1p so nearly-equal arguments (far off-diagonal
-    pairs, where u -> 0) do not lose precision to cancellation.
+    pairs, where u -> 0) do not lose precision to cancellation.  Evaluated
+    in place: both arguments are overwritten and the result is ``t_plus``.
     """
-    u = np.minimum(u, 1.0)
+    np.minimum(u, 1.0, out=u)
+    np.negative(u, out=u)
     with np.errstate(divide="ignore"):
-        return -t_plus ** p * np.expm1(p * np.log1p(-u))
+        np.log1p(u, out=u)
+    u *= p
+    np.expm1(u, out=u)
+    t_plus **= p
+    np.negative(t_plus, out=t_plus)
+    t_plus *= u
+    return t_plus
 
 
 def check_alpha(alpha: float) -> float:
@@ -89,16 +97,25 @@ def angular_kernel(r, rho, d: int, alpha: float, epsilon: float = 0.0):
     r = np.asarray(r, dtype=float)
     rho = np.asarray(rho, dtype=float)
     if d == 3:
-        return _angular_kernel_d3(r, rho, alpha, epsilon)
+        return _angular_kernel_d3(r, rho, alpha, epsilon)[()]  # 0-d -> scalar
     return _angular_kernel_quad(r, rho, d, alpha, epsilon)
 
 
 def _angular_kernel_d3(r, rho, alpha, epsilon):
+    """The d = 3 closed form as a new array of the broadcast shape, built
+    in place in two full-size buffers; ``r`` and ``rho`` are only read."""
     p = (2.0 - alpha) / 2.0
-    t_plus = (r + rho) ** 2 + epsilon * epsilon
-    u = 4.0 * r * rho / t_plus
+    t_plus = np.add(r, rho, out=np.empty(np.broadcast_shapes(r.shape, rho.shape)))
+    t_plus **= 2
+    t_plus += epsilon * epsilon
+    u = np.multiply(4.0 * r, rho, out=np.empty_like(t_plus))
+    u /= t_plus
     diff = _power_diff(t_plus, u, p)
-    return 2.0 * np.pi * diff / (r * rho * (2.0 - alpha))
+    diff *= 2.0 * np.pi
+    den = np.multiply(r, rho, out=u)
+    den *= 2.0 - alpha
+    diff /= den
+    return diff
 
 
 def _angular_kernel_quad(r, rho, d, alpha, epsilon):
@@ -170,7 +187,13 @@ def _pair_average(grid: RadialGrid, eval_fn, n_rows: int | None = None) -> np.nd
 def _kernel_fn(d: int, alpha: float, epsilon: float):
     """A(r, rho) / omega_d, the two-point function the matrix averages."""
     omega_d = sphere_surface(d)
-    return lambda r, rho: angular_kernel(r, rho, d, alpha, epsilon) / omega_d
+
+    def fn(r, rho):
+        A = angular_kernel(r, rho, d, alpha, epsilon)
+        A /= omega_d
+        return A
+
+    return fn
 
 
 def _dense_matrix(grid: RadialGrid, s: float, epsilon: float) -> np.ndarray:

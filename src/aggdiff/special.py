@@ -10,6 +10,7 @@ non-integer arguments.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 # Lanczos coefficients for g = 7 (Godfrey's tabulation).
 _LANCZOS_G = 7.0
@@ -43,8 +44,10 @@ def gamma(x: float) -> float:
     return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
 
 
+@cache
 def sphere_surface(d: int) -> float:
-    """Surface measure of the unit sphere in R^d (4*pi for d=3)."""
+    """Surface measure of the unit sphere in R^d (4*pi for d=3), cached
+    per d (a call that raises caches nothing)."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     return 2.0 * math.pi ** (d / 2.0) / gamma(d / 2.0)

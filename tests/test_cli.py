@@ -472,6 +472,23 @@ class TestProfileHandoff:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["constants", "simulate", "dichotomy"])
+    def test_infinite_outer_edge_exits_1_before_any_kernel(
+            self, tmp_path, extremal_profile, monkeypatch, capsys, command):
+        monkeypatch.setattr(aggdiff.cli, "build_kernel", kernel_must_not_be_built)
+        csv_path = tmp_path / "profile.csv"
+        lines = extremal_profile.read_text().splitlines()
+        r_center, _, value, _ = lines[-1].split(",")
+        lines[-1] = ",".join([r_center, "inf", value, "inf"])
+        csv_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code = run_cli(command, *SMALL, "--profile", str(csv_path), "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"profile {csv_path}: r_edges must be finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_constants_rejects_a_sidecar_of_another_dimension(
             self, tmp_path, extremal_profile, monkeypatch, capsys):
         monkeypatch.setattr(aggdiff.cli, "build_kernel", kernel_must_not_be_built)

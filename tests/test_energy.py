@@ -23,8 +23,8 @@ from aggdiff import (
     scale,
     second_moment,
     vhls_ratio,
-    virial_rhs,
 )
+from aggdiff.solver import _diag_row
 from conftest import random_bump_field
 
 
@@ -166,23 +166,29 @@ class TestVhlsRatio:
 
 
 class TestVirialRhs:
+    """The virial right-hand side 2 (d - 2s) F(u) of a diagnostics row."""
+
+    @staticmethod
+    def virial_rhs(u, kernel, params):
+        return _diag_row(u, kernel, params, params.c_ds, 0.0, 0.0).virial_rhs
+
     def test_zero_field(self, params, grid96, kernel96):
         u = DensityField(grid96, np.zeros(96))
-        assert virial_rhs(u, kernel96, params) == 0.0
+        assert self.virial_rhs(u, kernel96, params) == 0.0
 
     def test_sign_follows_free_energy(self, params, grid256, kernel256,
                                       critical256):
         M_c, result = critical256
         u0 = blowup_initial_data(result.U, 1.5 * M_c, params)
         assert free_energy(u0, kernel256, params) < 0.0
-        assert virial_rhs(u0, kernel256, params) < 0.0
+        assert self.virial_rhs(u0, kernel256, params) < 0.0
 
     def test_expanded_form_identity(self, params, grid96, kernel96):
         # 2(d-2s) F == 2d int u^m - (d-2s) c_ds omega, via 1/(m-1) = d/(d-2s)
         rng = np.random.default_rng(37)
         u = DensityField(grid96, random_bump_field(rng, grid96))
         d, s, m = params.d, params.s, params.m
-        lhs = virial_rhs(u, kernel96, params)
+        lhs = self.virial_rhs(u, kernel96, params)
         expanded = (2 * d * float(np.dot(u.values ** m, grid96.shell_volumes))
                     - (d - 2 * s) * params.c_ds * interaction_energy(kernel96, u))
         assert lhs == pytest.approx(expanded, rel=1e-12)

@@ -106,6 +106,11 @@ class TestGrid:
         with pytest.raises(ValueError, match="strictly increasing"):
             RadialGrid(d=3, r_edges=np.array([0.0, 0.5, np.nan, 1.0]))
 
+    @pytest.mark.parametrize("edges", [[0.0, 0.5, 1.0, np.inf], [0.0, np.inf]])
+    def test_infinite_edge_rejected(self, edges):
+        with pytest.raises(ValueError, match="r_edges must be finite"):
+            RadialGrid(d=3, r_edges=edges)
+
 class TestMass:
     def test_unit_ball(self):
         g = RadialGrid.uniform(200, 1.0)  # edge aligns with r = 1
@@ -179,6 +184,32 @@ class TestRearrange:
         g = RadialGrid.uniform(32, 1.0)
         u = DensityField(g, np.full(32, 0.7))
         assert rearrange(u) is u
+
+    def test_plateaus_and_zero_tail_are_a_fixed_point(self):
+        g = RadialGrid.uniform(32, 1.0)
+        u = DensityField(g, np.repeat([3.0, 3.0, 1.5, 1.5, 0.2, 0.0, 0.0, 0.0], 4))
+        assert rearrange(u) is u
+
+    def test_one_ulp_rise_is_rearranged(self):
+        g = RadialGrid.uniform(32, 1.0)
+        vals = np.linspace(2.0, 0.1, 32)
+        vals[20] = np.nextafter(vals[19], np.inf)
+        out = rearrange(DensityField(g, vals))
+        assert out.grid != g
+        assert np.array_equal(out.values, vals[np.argsort(-vals, kind="stable")])
+        assert out.values[19] == vals[20] and out.values[20] == vals[19]
+
+    def test_signed_zero_ties_keep_the_stable_order(self):
+        # -0.0 and 0.0 are ties: the stable sort keeps their order, so
+        # the zero tail comes out as it went in
+        g = RadialGrid.uniform(8, 1.0)
+        vals = np.array([0.0, -0.0, 1.0, -0.0, 0.5, 0.0, -0.0, 0.0])
+        out = rearrange(DensityField(g, vals))
+        order = np.argsort(-vals, kind="stable")
+        assert list(order) == [2, 4, 0, 1, 3, 5, 6, 7]
+        assert np.array_equal(np.signbit(out.values), np.signbit(vals[order]))
+        tied = DensityField(g, np.array([1.0, 0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0]))
+        assert rearrange(tied) is tied
 
     def test_outer_shell_indicator_becomes_centered_ball(self):
         g = RadialGrid.uniform(32, 1.0)

@@ -20,6 +20,7 @@ from aggdiff import (
     vhls_constant_upper,
 )
 from aggdiff.special import gamma as lanczos_gamma
+from aggdiff.special import sphere_surface
 
 
 def oracle_riesz(d, s):
@@ -58,6 +59,17 @@ class TestGamma:
             lanczos_gamma(0.0)
         with pytest.raises(ValueError):
             lanczos_gamma(-2.0)
+
+    def test_cached_sphere_surface_equals_its_formula(self):
+        for d in range(1, 11):
+            fresh = 2.0 * math.pi ** (d / 2.0) / lanczos_gamma(d / 2.0)
+            assert sphere_surface(d) == fresh and sphere_surface(d) == fresh
+
+    @pytest.mark.parametrize("d, error", [(400, OverflowError), (0, ValueError)])
+    def test_sphere_surface_errors_are_not_cached(self, d, error):
+        for _ in range(2):
+            with pytest.raises(error):
+                sphere_surface(d)
 
 
 class TestCriticalExponent:

@@ -35,6 +35,7 @@ from aggdiff import (
 from aggdiff import riesz
 from aggdiff.field import face_gradient
 from aggdiff.riesz import build_weak_interaction_kernel
+from aggdiff.special import sphere_surface
 from conftest import S, random_bump_field
 
 ALPHA = 0.5
@@ -423,6 +424,62 @@ class TestPairAverageBlocks:
         oracle = chunked_oracle(grid, riesz._kernel_fn(3, 3 - 2 * S, epsilon),
                                 n_rows=riesz._EXACT_ROWS)
         assert np.array_equal(k._operator.head, oracle)
+
+
+def out_of_place_power_diff(t_plus, u, p):
+    """_power_diff written with fresh arrays, the reference for the
+    in-place version."""
+    u = np.minimum(u, 1.0)
+    with np.errstate(divide="ignore"):
+        return -t_plus ** p * np.expm1(p * np.log1p(-u))
+
+
+def out_of_place_angular_kernel(r, rho, alpha, epsilon):
+    """The d = 3 closed form A(r, rho) written with fresh arrays."""
+    p = (2.0 - alpha) / 2.0
+    t_plus = (r + rho) ** 2 + epsilon * epsilon
+    u = 4.0 * r * rho / t_plus
+    diff = out_of_place_power_diff(t_plus, u, p)
+    return 2.0 * np.pi * diff / (r * rho * (2.0 - alpha))
+
+
+def out_of_place_kernel_fn(alpha, epsilon):
+    """A(r, rho) / omega_d for d = 3 written with fresh arrays."""
+    omega_d = sphere_surface(3)
+    return lambda r, rho: out_of_place_angular_kernel(r, rho, alpha, epsilon) / omega_d
+
+
+class TestInPlaceKernel:
+    @pytest.mark.parametrize("alpha", [3 - 2 * S, 1.0])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    def test_node_block_bitwise_equal_to_out_of_place(self, alpha, epsilon):
+        nodes, _ = riesz._gauss_nodes(rearranged_grid(96))
+        r, rho = nodes[40:104, None], nodes[None, :]  # rows 40..103 hit r == rho
+        r_before, rho_before = r.copy(), rho.copy()
+        block = riesz._kernel_fn(3, alpha, epsilon)(r, rho)
+        assert np.array_equal(block, out_of_place_kernel_fn(alpha, epsilon)(r, rho))
+        assert np.array_equal(r, r_before) and np.array_equal(rho, rho_before)
+
+    def test_power_diff_bitwise_equal_to_out_of_place(self):
+        rng = np.random.default_rng(9)
+        t_plus = rng.uniform(0.01, 50.0, 4096)
+        u = np.concatenate(([0.0, 1.0, 1.0 + 1e-15, 1e-300],
+                            rng.uniform(0.0, 1.0, 4092)))
+        expected = out_of_place_power_diff(t_plus, u, 0.75)
+        t_work = t_plus.copy()
+        out = riesz._power_diff(t_work, u.copy(), 0.75)
+        assert out is t_work
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_scalar_call_returns_the_same_float(self, alpha):
+        for r, rho, eps in ((1.0, 1.0, 0.0), (0.3, 2.0, 0.1)):
+            val = angular_kernel(r, rho, 3, alpha, eps)
+            assert isinstance(val, float) and np.ndim(val) == 0
+            ref = out_of_place_angular_kernel(np.asarray(r), np.asarray(rho), alpha, eps)
+            assert val == ref
+        if alpha == 0.5:  # the frozen closed-form value in the module docstring
+            assert angular_kernel(1.0, 1.0, 3, alpha) == 11.847687835088976
 
 
 def unbuffered_matvec(op, v, rfft=rfft, irfft=irfft):
