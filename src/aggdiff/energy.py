@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import DensityField, face_gradient, lp_norm, mass, require_same_grid
+from .field import DensityField, face_gradient, require_same_grid
 from .model import ModelParams
 from .riesz import RieszKernel, interaction_energy, potential_values
 from .special import ball_volume
@@ -96,12 +96,19 @@ def vhls_ratio(u: DensityField, kernel: RieszKernel, params: ModelParams) -> flo
     above by the sharp interaction constant.
     """
     require_same_grid(u.grid, kernel.grid, "field and kernel")
-    M = mass(u)
+    return _ratio(u.values, kernel, params)
+
+
+def _ratio(values: np.ndarray, kernel: RieszKernel, params: ModelParams) -> float:
+    """:func:`vhls_ratio` of values on the kernel's grid (unchecked), bit for bit."""
+    vols = kernel.grid.shell_volumes
+    M = float(np.dot(values, vols))  # mass
     if M <= 0.0:
         raise ValueError("VHLS ratio is undefined for the zero field")
-    omega = interaction_energy(kernel, u)
+    uv = values * vols
     m = params.m
-    return float(omega / (M ** (2.0 * params.s / params.d) * lp_norm(u, m) ** m))
+    norm = float(np.dot(values ** m, vols) ** (1.0 / m))  # lp_norm(u, m)
+    return float(uv @ kernel.apply(uv)) / (M ** (2.0 * params.s / params.d) * norm ** m)
 
 
 def lr_lower_bound(M: float, m2: float, r: float, d: int) -> float:

@@ -53,7 +53,9 @@ from .errors import ConvergenceError
 from .field import (
     DensityField,
     RadialGrid,
+    _project,
     _random_bump_field,
+    _rearranged,
     barenblatt_profile,
     dilate,
     lp_norm,
@@ -62,7 +64,7 @@ from .field import (
     rearrange,
     second_moment,
 )
-from .energy import _mu, vhls_ratio
+from .energy import _mu, _ratio, vhls_ratio
 from .model import ModelParams
 from .riesz import RieszKernel, potential
 
@@ -394,12 +396,18 @@ def maximize_vhls(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
     ends after ``_MAX_MOVES`` (400) accepted moves or 60 failed proposals
     in a row.  The best ratio over all starts is the measured extremal
     constant.
+
+    Proposals run on value arrays through the cores of the field-level
+    rules, with the same checks, and build no grid or field.  A proposal
+    without a rise is still projected onto its own grid, which moves its
+    last digits; keeping that projection keeps every result bit for bit.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
     rng = np.random.default_rng(seed)
     centers = grid.centers
     r_max = grid.r_max
+    vols, pow_d = grid.shell_volumes, grid.edges_pow_d
     best_vals, best_J, best_moves = None, -math.inf, 0
     for _ in range(n_starts):
         start = DensityField(grid, _random_bump_field(rng, grid))
@@ -409,18 +417,26 @@ def maximize_vhls(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
         stalls = 0
         width_scale = 0.5
         while moves < _MAX_MOVES and stalls < 60:
-            center = rng.uniform(0.0, 0.7 * r_max)
-            width = width_scale * r_max * 10.0 ** rng.uniform(-1.5, 0.0)
-            amp = rng.uniform(-0.5, 0.5)
+            # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), draw for draw
+            x_center, x_width, x_amp = rng.random(3).tolist()
+            center = 0.7 * r_max * x_center
+            width = width_scale * r_max * 10.0 ** (-1.5 + 1.5 * x_width)
+            amp = -0.5 + x_amp
             bump = amp * np.exp(-0.5 * ((centers - center) / width) ** 2)
             proposal = np.maximum(vals * (1.0 + bump), 0.0)
-            if not proposal.max() > 0.0:
+            peak = np.maximum.reduce(proposal)  # proposal.max() without its wrapper
+            if not peak > 0.0:  # a NaN proposal stalls too
                 stalls += 1
                 continue
-            u = project_onto(rearrange(DensityField(grid, proposal)), grid)
-            J_new = vhls_ratio(u, kernel, params)
+            if peak == np.inf:
+                raise ValueError("density values must be finite and non-negative")
+            sorted_vals, _, src_vols, src_pow_d = _rearranged(proposal, grid)
+            u_vals = _project(sorted_vals, src_vols, src_pow_d, pow_d, vols)
+            if not np.maximum.reduce(u_vals) < np.inf:  # DensityField's check: >= 0 or NaN
+                raise ValueError("density values must be finite and non-negative")
+            J_new = _ratio(u_vals, kernel, params)
             if J_new > J:  # accept-only-improving keeps J non-decreasing
-                vals, J = u.values, J_new
+                vals, J = u_vals, J_new
                 moves += 1
                 stalls = 0
             else:

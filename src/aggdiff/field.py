@@ -28,6 +28,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _require_increasing(edges: np.ndarray) -> None:
+    if not (edges[1:] > edges[:-1]).all():  # also rejects NaN edges
+        raise ValueError("r_edges must be strictly increasing")
+
+
+def _shell_volumes(edges_pow_d: np.ndarray, d: int) -> np.ndarray:
+    return sphere_surface(d) / d * (edges_pow_d[1:] - edges_pow_d[:-1])  # np.diff's bits
+
+
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Strictly increasing finite edges 0 = r_0 < ... < r_N = R_max in
@@ -45,8 +54,7 @@ class RadialGrid:
             raise ValueError("r_edges must be a 1-d array with at least two entries")
         if edges[0] != 0.0:
             raise ValueError("grid must start at r = 0")
-        if not (edges[1:] > edges[:-1]).all():  # also rejects NaN edges
-            raise ValueError("r_edges must be strictly increasing")
+        _require_increasing(edges)
         if edges[-1] == np.inf:  # increasing edges can be infinite only at the end
             raise ValueError("r_edges must be finite")
         if self.d < 3:
@@ -76,7 +84,7 @@ class RadialGrid:
     @cached_property
     def shell_volumes(self) -> np.ndarray:
         """v_i = omega_d (r_{i+1}^d - r_i^d) / d, the full shell volume."""
-        return _read_only(sphere_surface(self.d) / self.d * np.diff(self.edges_pow_d))
+        return _read_only(_shell_volumes(self.edges_pow_d, self.d))
 
     @cached_property
     def centers(self) -> np.ndarray:
@@ -158,7 +166,7 @@ def lp_norm(u: DensityField, p: float) -> float:
     """L^p norm; p = inf returns the max cell value."""
     if p == np.inf:
         return float(np.max(u.values))
-    if p < 1.0:
+    if not p >= 1.0:  # NaN fails the comparison too
         raise ValueError(f"p must be >= 1 (or inf), got {p}")
     return float(np.dot(u.values ** p, u.grid.shell_volumes) ** (1.0 / p))
 
@@ -176,18 +184,26 @@ def rearrange(u: DensityField) -> DensityField:
     rearranged function is represented exactly: the distribution
     function, the mass and every L^p norm are preserved to roundoff.
     """
-    vals = u.values
-    # without a rise the stable sort is the identity: keep edges bitwise identical
+    vals, edges, _, _ = _rearranged(u.values, u.grid)
+    return u if vals is u.values else DensityField(RadialGrid(d=u.grid.d, r_edges=edges), vals)
+
+
+def _rearranged(vals: np.ndarray, grid: RadialGrid):
+    """Values, checked edges, shell volumes and edges^d of :func:`rearrange`
+    for values ``vals`` on ``grid``; without a rise the stable sort is the
+    identity, and ``vals`` and ``grid``'s own arrays come back as they are."""
     if not (vals[1:] > vals[:-1]).any():
-        return u
-    order = np.argsort(-vals, kind="stable")
-    cum = np.cumsum(u.grid.shell_volumes[order])
-    d = u.grid.d
+        return vals, grid.r_edges, grid.shell_volumes, grid.edges_pow_d
+    d = grid.d
+    order = (-vals).argsort(kind="stable")
+    cum = grid.shell_volumes[order].cumsum()
     edges = np.empty(vals.size + 1)
     edges[0] = 0.0
     edges[1:] = (d * cum / sphere_surface(d)) ** (1.0 / d)
-    edges[-1] = u.grid.r_max  # cumulative sum closes the total volume
-    return DensityField(RadialGrid(d=d, r_edges=edges), vals[order])
+    edges[-1] = grid.r_max  # cumulative sum closes the total volume
+    _require_increasing(edges)
+    pow_d = edges ** d
+    return vals[order], edges, _shell_volumes(pow_d, d), pow_d
 
 
 def project_onto(u: DensityField, grid: RadialGrid) -> DensityField:
@@ -198,22 +214,30 @@ def project_onto(u: DensityField, grid: RadialGrid) -> DensityField:
     """
     if grid.d != u.grid.d:
         raise GridMismatchError("projection requires matching dimension")
-    return _project(u, grid, grid.edges_pow_d)
+    return DensityField(grid, _project(u.values, u.grid.shell_volumes, u.grid.edges_pow_d,
+                                       grid.edges_pow_d, grid.shell_volumes))
 
 
 def dilate(u: DensityField, mu: float) -> DensityField:
     """Mass-invariant dilation mu^d u(mu r) projected onto u's own grid
     (for mu < 1 the mass pushed beyond R_max is dropped)."""
-    return _project(u, u.grid, mu ** u.grid.d * u.grid.edges_pow_d)
+    g = u.grid
+    return DensityField(g, _project(u.values, g.shell_volumes, g.edges_pow_d,
+                                    mu ** g.d * g.edges_pow_d, g.shell_volumes))
 
 
-def _project(u: DensityField, grid: RadialGrid, src_pow_d: np.ndarray) -> DensityField:
-    """Averages over ``grid``'s cells given that the mass inside each edge
-    is u's mass inside r = src_pow_d^(1/d).  That mass is exactly linear
-    in r^d on each cell of u, and constant beyond its R_max."""
-    cum_mass = np.concatenate(([0.0], np.cumsum(u.values * u.grid.shell_volumes)))
-    m_edges = np.interp(src_pow_d, u.grid.edges_pow_d, cum_mass)
-    return DensityField(grid, np.maximum(np.diff(m_edges) / grid.shell_volumes, 0.0))
+def _project(vals: np.ndarray, vols: np.ndarray, pow_d: np.ndarray,
+             at_pow_d: np.ndarray, out_vols: np.ndarray) -> np.ndarray:
+    """Averages over cells of volumes ``out_vols`` given that the mass inside
+    each of their edges is the source cells' (values, volumes, edges^d) mass
+    inside r = at_pow_d^(1/d).  That mass is exactly linear in r^d on each
+    source cell, and constant beyond its R_max."""
+    cum_mass = np.empty(vals.size + 1)
+    cum_mass[0] = 0.0
+    (vals * vols).cumsum(out=cum_mass[1:])
+    # interp at its own nodes returns their values: skip it onto the same edges
+    m_edges = cum_mass if at_pow_d is pow_d else np.interp(at_pow_d, pow_d, cum_mass)
+    return np.maximum((m_edges[1:] - m_edges[:-1]) / out_vols, 0.0)
 
 
 def scale(u: DensityField, lam: float, mu: float) -> DensityField:

@@ -6,6 +6,7 @@ import pytest
 
 from aggdiff import (
     DensityField,
+    GridMismatchError,
     RadialGrid,
     RieszKernel,
     barenblatt_profile,
@@ -162,6 +163,11 @@ class TestVhlsRatio:
     def test_zero_field_rejected(self, params, grid96, kernel96):
         u = DensityField(grid96, np.zeros(96))
         with pytest.raises(ValueError):
+            vhls_ratio(u, kernel96, params)
+
+    def test_field_on_another_grid_rejected(self, params, grid256, kernel96):
+        u = DensityField(grid256, np.ones(256))
+        with pytest.raises(GridMismatchError):
             vhls_ratio(u, kernel96, params)
 
 

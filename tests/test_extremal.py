@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from aggdiff import extremal
-from aggdiff.field import dilate
+from aggdiff.field import _random_bump_field, dilate
 from aggdiff import (
     ConvergenceError,
     DensityField,
@@ -25,8 +25,11 @@ from aggdiff import (
     maximize_vhls,
     multiplier_defect,
     potential,
+    project_onto,
+    rearrange,
     second_moment,
     vhls_constant_upper,
+    vhls_ratio,
 )
 
 
@@ -410,6 +413,95 @@ class TestMaximizeVhls:
     def test_bad_start_count_rejected(self, params, grid96, kernel96):
         with pytest.raises(ValueError):
             maximize_vhls(grid96, kernel96, params, n_starts=0)
+
+    @pytest.mark.parametrize("grid_name, n_starts, seed, max_moves", [
+        ("grid96", 3, 0, None), ("grid96", 3, 3, None), ("grid96", 3, 5, None),
+        ("grid256", 2, 0, None), ("grid256", 2, 7, None), ("grid256", 2, 11, None),
+        ("grid96", 3, 3, 20),
+    ])
+    def test_bit_identical_to_the_field_level_loop(self, request, params, monkeypatch,
+                                                   grid_name, n_starts, seed, max_moves):
+        grid = request.getfixturevalue(grid_name)
+        kernel = request.getfixturevalue(grid_name.replace("grid", "kernel"))
+        if max_moves is not None:
+            monkeypatch.setattr(extremal, "_MAX_MOVES", max_moves)
+        res = maximize_vhls(grid, kernel, params, n_starts=n_starts, seed=seed)
+        U, J, moves, lam, residual = field_level_maximize_vhls(grid, kernel, params,
+                                                               n_starts, seed)
+        assert res.J_value == J
+        assert np.array_equal(res.U.values, U.values)
+        assert res.iterations == moves
+        assert res.lambda_bar == lam
+        assert res.el_residual == residual
+
+    def test_no_grid_or_field_per_proposal(self, params, grid96, kernel96, monkeypatch):
+        built = {RadialGrid: 0, DensityField: 0}
+        for cls in built:
+            def counted(self, cls=cls, check=cls.__post_init__):
+                built[cls] += 1
+                check(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        rated = []
+        core = extremal._ratio
+        monkeypatch.setattr(extremal, "_ratio", lambda *args: rated.append(1) or core(*args))
+        n_starts = 2
+        maximize_vhls(grid96, kernel96, params, n_starts=n_starts, seed=0)
+        assert len(rated) > 100 * n_starts  # the proposals, rated on arrays
+        # per start the random field, its rearranged grid and field and their
+        # projection; then the result
+        assert built[RadialGrid] <= n_starts
+        assert built[DensityField] <= 3 * n_starts + 1
+
+    def test_infinite_proposal_rejected(self, params, grid96, kernel96, monkeypatch):
+        def huge_first_cell(rng, grid):  # a bump lifting it by 20% overflows
+            vals = np.zeros(grid.n_cells)
+            vals[0] = 1.5e308
+            return vals
+
+        monkeypatch.setattr(extremal, "_random_bump_field", huge_first_cell)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="finite and non-negative"):
+            maximize_vhls(grid96, kernel96, params, n_starts=1, seed=0)
+
+
+def field_level_maximize_vhls(grid, kernel, params, n_starts, seed):
+    """The ratio maximiser spelled out on fields: every proposal is wrapped
+    in a DensityField, rearranged, projected back onto ``grid`` and rated
+    through the public functions.  Returns the best field, its ratio, its
+    accepted moves, lambda_bar and el_residual."""
+    rng = np.random.default_rng(seed)
+    centers, r_max = grid.centers, grid.r_max
+    best_vals, best_J, best_moves = None, -math.inf, 0
+    for _ in range(n_starts):
+        u = project_onto(rearrange(DensityField(grid, _random_bump_field(rng, grid))), grid)
+        vals, J = u.values, vhls_ratio(u, kernel, params)
+        moves = stalls = 0
+        width_scale = 0.5
+        while moves < extremal._MAX_MOVES and stalls < 60:
+            center = rng.uniform(0.0, 0.7 * r_max)
+            width = width_scale * r_max * 10.0 ** rng.uniform(-1.5, 0.0)
+            amp = rng.uniform(-0.5, 0.5)
+            bump = amp * np.exp(-0.5 * ((centers - center) / width) ** 2)
+            proposal = np.maximum(vals * (1.0 + bump), 0.0)
+            if not proposal.max() > 0.0:
+                stalls += 1
+                continue
+            u = project_onto(rearrange(DensityField(grid, proposal)), grid)
+            J_new = vhls_ratio(u, kernel, params)
+            if J_new > J:
+                vals, J = u.values, J_new
+                moves += 1
+                stalls = 0
+            else:
+                stalls += 1
+                if stalls % 20 == 0:
+                    width_scale *= 0.5
+        if J > best_J:
+            best_vals, best_J, best_moves = vals, J, moves
+    U = DensityField(grid, best_vals)
+    M = mass(U)
+    return (U, best_J, best_moves, extremal.variational_multiplier(U, params, M),
+            el_residual(U, kernel, params, M))
 
 
 class TestBlowupInitialData:

@@ -151,6 +151,11 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(DensityField(g, np.ones(8)), 0.5)
 
+    def test_nan_p_rejected(self):
+        g = RadialGrid.uniform(8, 1.0)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            lp_norm(DensityField(g, np.ones(8)), float("nan"))
+
 
 class TestSecondMoment:
     def test_unit_ball(self):
@@ -238,6 +243,13 @@ class TestRearrange:
             for p in (1.0, 7 / 6, 2.0, np.inf):
                 assert lp_norm(out, p) == pytest.approx(lp_norm(u, p), rel=1e-12)
             assert np.all(np.diff(out.values) <= 1e-14)
+
+    def test_swamped_cell_gives_non_increasing_edges(self):
+        # the outer shell sorts first, and the inner cell's volume vanishes
+        # in the cumulative sum, so two rearranged edges coincide
+        g = RadialGrid(d=3, r_edges=[0.0, 1e-8, 1.0])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            rearrange(DensityField(g, np.array([1.0, 2.0])))
 
     def test_projected_variant_conserves_mass(self):
         g = RadialGrid.uniform(96, 3.0)
@@ -374,6 +386,15 @@ class TestProjection:
         out = project_onto(u, coarse)
         assert mass(out) == pytest.approx(mass(u), rel=1e-13)
         assert lp_norm(out, np.inf) <= lp_norm(u, np.inf) * (1 + 1e-12)
+
+    def test_onto_its_own_grid_is_the_interpolation_bit_for_bit(self):
+        # onto the same edges the projection skips np.interp, which returns
+        # the node values there; dilate(u, 1.0) interpolates at a copy of them
+        g = RadialGrid.uniform(256, 3.0)
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            u = DensityField(g, random_bump_field(rng, g) * 10.0 ** rng.uniform(-200, 200))
+            assert np.array_equal(project_onto(u, g).values, dilate(u, 1.0).values)
 
 
 def projection_oracle(u, grid):
