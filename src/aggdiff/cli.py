@@ -254,13 +254,21 @@ def _check_kernel_params(params: model.ModelParams) -> None:
 def _build_workspace(cfg: dict, profile: str | None = None):
     """(params, grid, kernel, profile) where ``profile`` is what
     :func:`_load_profile` returns for the given path (None without one).
-    The (d, s) pair and the profile are checked before the kernel is
-    built, so a bad one fails first."""
+    The (d, s) pair and the profile, or without one the start bump's
+    radius, are checked before the kernel is built, so a bad one fails
+    first."""
     params = model.ModelParams(d=cfg["model"]["d"], s=cfg["model"]["s"])
     _check_kernel_params(params)
     grid = RadialGrid.uniform(cfg["grid"]["n_cells"], cfg["grid"]["r_max"],
                               d=params.d)
     loaded = _load_profile(profile, params, grid) if profile is not None else None
+    if loaded is None:  # a profile replaces the start bump and its radius
+        radius = cfg["experiment"]["fixed_point"]["support_radius"]
+        try:  # the radius rule is barenblatt_profile's
+            barenblatt_profile(grid, 1.0, radius, params.m)
+        except ParameterDomainError as exc:
+            raise ConfigError(f"config field 'experiment.fixed_point.support_radius'"
+                              f": {exc}") from exc
     kernel = build_kernel(grid, params.s, epsilon=cfg["model"]["epsilon"])
     return params, grid, kernel, loaded
 

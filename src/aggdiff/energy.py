@@ -14,6 +14,7 @@ identity violation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,8 +108,12 @@ def _ratio(values: np.ndarray, kernel: RieszKernel, params: ModelParams) -> floa
         raise ValueError("VHLS ratio is undefined for the zero field")
     uv = values * vols
     m = params.m
-    norm = float(np.dot(values ** m, vols) ** (1.0 / m))  # lp_norm(u, m)
-    return float(uv @ kernel.apply(uv)) / (M ** (2.0 * params.s / params.d) * norm ** m)
+    norm_m = np.dot(values ** m, vols)  # ||u||_m^m
+    omega = float(uv @ kernel.apply(uv))
+    if not (math.isfinite(omega) and math.isfinite(norm_m)):
+        raise ValueError("VHLS ratio is undefined: omega or ||u||_m^m overflows")
+    norm = float(norm_m ** (1.0 / m))  # lp_norm(u, m)
+    return omega / (M ** (2.0 * params.s / params.d) * norm ** m)
 
 
 def lr_lower_bound(M: float, m2: float, r: float, d: int) -> float:

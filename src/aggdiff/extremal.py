@@ -161,8 +161,7 @@ def _solve_multiplier(phi: np.ndarray, m: float, vols: np.ndarray,
 
 
 def el_fixed_point(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
-                   M_target: float, init: DensityField | None = None,
-                   tol: float = 1e-10, max_iter: int = 500,
+                   M_target: float, tol: float = 1e-10, max_iter: int = 500,
                    support_radius_init: float | None = None) -> ExtremalResult:
     """Fixed-point solve of the steady equation at fixed mass, with
     Anderson mixing on top of a damped sweep.
@@ -186,8 +185,8 @@ def el_fixed_point(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
 
     ``tol`` bounds the L^1 change of the last sweep relative to M_target;
     the result is that sweep's output, with its multiplier, and
-    ``iterations`` counts the sweeps.  The default initial guess is a
-    compact truncated-parabola bump of the right mass, of radius
+    ``iterations`` counts the sweeps.  The initial guess is a compact
+    truncated-parabola bump of the right mass, of radius
     ``support_radius_init`` (default R_max / 4; a radius <= 0 raises
     ValueError).  Raises :class:`ConvergenceError` if the budget runs out.
 
@@ -202,16 +201,15 @@ def el_fixed_point(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
     """
     if M_target <= 0.0:
         raise ValueError("M_target must be positive")
-    if init is None:
-        init = _cold_guess(grid, params, M_target, support_radius_init)
-    return _anchored_fixed_point(grid, kernel, params, M_target, init, init,
+    cold = _cold_guess(grid, params, M_target, support_radius_init)
+    return _anchored_fixed_point(grid, kernel, params, M_target, cold, cold,
                                  tol, max_iter)
 
 
 def _cold_guess(grid: RadialGrid, params: ModelParams, M_target: float,
                 support_radius_init: float | None) -> DensityField:
-    """The default initial guess: a Barenblatt bump of mass M_target and
-    radius ``support_radius_init``, R_max / 4 when that is None."""
+    """:func:`el_fixed_point`'s initial guess: a Barenblatt bump of mass
+    M_target and radius ``support_radius_init``, R_max / 4 when that is None."""
     radius = 0.25 * grid.r_max if support_radius_init is None else support_radius_init
     return barenblatt_profile(grid, M_target, radius, params.m)
 

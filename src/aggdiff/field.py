@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import GridMismatchError, ParameterDomainError
 from .special import sphere_surface
 
 
@@ -281,15 +281,21 @@ def hls_extremizer_profile(grid: RadialGrid, A: float, gamma: float, s: float) -
 def barenblatt_profile(grid: RadialGrid, total_mass: float, radius: float,
                        m: float) -> DensityField:
     """Compact self-similar bump c (1 - (r/radius)^2)_+^{1/(m-1)},
-    normalised so the discrete mass equals ``total_mass`` exactly."""
+    normalised so the discrete mass equals ``total_mass`` exactly.  A
+    radius inside the grid's first quadrature node raises
+    :class:`ParameterDomainError`."""
     if total_mass <= 0.0 or radius <= 0.0:
         raise ValueError("barenblatt_profile requires positive mass and radius")
     power = 1.0 / (m - 1.0)
     vals = _cell_average(
         grid, lambda r: np.clip(1.0 - (r / radius) ** 2, 0.0, None) ** power
     )
-    raw = DensityField(grid, vals)
-    return DensityField(grid, vals * (total_mass / mass(raw)))
+    raw_mass = mass(DensityField(grid, vals))
+    if raw_mass == 0.0:
+        raise ParameterDomainError(f"barenblatt_profile radius {radius!r} is too "
+                                   f"small for the grid: no quadrature node lies "
+                                   f"inside it")
+    return DensityField(grid, vals * (total_mass / raw_mass))
 
 
 def _random_bump_field(rng, grid: RadialGrid) -> np.ndarray:

@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -104,6 +105,18 @@ class TestConfig:
     def test_non_finite_real_names_field(self, setting):
         with pytest.raises(ConfigError, match=re.escape(setting.split("=")[0])):
             load_config(None, [setting])
+
+    @pytest.mark.parametrize("command", ["simulate", "extremal", "dichotomy"])
+    def test_support_radius_inside_first_quadrature_node_exits_1(
+            self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert run_cli(command, "--set", "grid.n_cells=64", "--set",
+                       "experiment.fixed_point.support_radius=1e-6",
+                       "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert "experiment.fixed_point.support_radius" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_non_finite_value_exits_1_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -376,6 +389,20 @@ class TestProfileHandoff:
         meta = json.loads(extremal_profile.with_suffix(".json").read_text())
         assert res["M_star"] == meta["M_target"]
         assert res["table"][0]["status"] == "blowup"
+
+    @pytest.mark.parametrize("command, settings", [
+        ("simulate", ["--set", "solver.t_end=0.001"]),
+        ("dichotomy", ["--set", "experiment.mass_ratios=[1.5]",
+                       "--set", "solver.blowup_factor=100"]),
+    ])
+    def test_profile_start_ignores_support_radius(self, tmp_path, extremal_profile,
+                                                  capsys, command, settings):
+        # the profile replaces the start bump, so its radius is not checked
+        out = tmp_path / "out"
+        assert run_cli(command, *SMALL, *settings, "--set",
+                       "experiment.fixed_point.support_radius=1e-6",
+                       "--profile", str(extremal_profile), "--out", str(out)) == 0
+        assert (out / "report.json").exists()
 
     def test_profile_on_other_grid_is_config_error(self, tmp_path, extremal_profile,
                                                    capsys):
@@ -669,6 +696,24 @@ class TestDichotomy:
             rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
         assert max(abs(r["mass"] / rows[0]["mass"] - 1.0) for r in rows) <= 1e-12
         assert all(b["F"] <= a["F"] for a, b in zip(rows, rows[1:]))
+
+    def test_forks_no_worker_while_a_second_thread_runs(self, tmp_path, capsys):
+        # a thread other than the forking one may hold a lock the child needs
+        counts, recording = [], [True]
+
+        def before_fork():
+            if recording[0]:
+                counts.append(threading.active_count())
+
+        os.register_at_fork(before=before_fork)  # a hook cannot be unregistered
+        try:
+            assert run_cli("dichotomy", *SMALL,
+                           "--set", "experiment.t_end_diffusive_times=0.05",
+                           "--set", "solver.blowup_factor=100",
+                           "--out", str(tmp_path / "out")) == 0
+        finally:
+            recording[0] = False
+        assert counts and counts == [1] * len(counts)
 
     def test_workers_write_the_serial_loop_bytes(self, tmp_path, capsys):
         settings = [*SMALL, "--set", "experiment.t_end_diffusive_times=0.2",

@@ -170,6 +170,16 @@ class TestVhlsRatio:
         with pytest.raises(GridMismatchError):
             vhls_ratio(u, kernel96, params)
 
+    def test_overflowing_interaction_energy_rejected(self, params, grid96,
+                                                      kernel96):
+        # finite values whose omega overflows have no ratio, not NaN
+        values = np.ones(96)
+        values[0] = 1.5e308
+        u = DensityField(grid96, values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="overflows"):
+                vhls_ratio(u, kernel96, params)
+
 
 class TestVirialRhs:
     """The virial right-hand side 2 (d - 2s) F(u) of a diagnostics row."""

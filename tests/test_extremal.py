@@ -51,8 +51,8 @@ class TestFixedPoint:
         # (the re-anchored target moves the fixed point only by the
         # dilation-projection error, about 1e-5 in relative L^1)
         M_c, result = critical256
-        again = el_fixed_point(grid256, kernel256, params, M_c, init=result.U,
-                               tol=1e-4, max_iter=50)
+        again = extremal._anchored_fixed_point(grid256, kernel256, params, M_c,
+                                               result.U, result.U, 1e-4, 50)
         assert again.iterations == 1
         gap = float(np.dot(np.abs(again.U.values - result.U.values),
                            grid256.shell_volumes)) / M_c
@@ -83,7 +83,8 @@ class TestFixedPoint:
         cold = extremal._cold_guess(grid96, params, M, None)
         assert np.array_equal(cold.values, guess.values)
         got = el_fixed_point(grid96, kernel96, params, M, tol=1e-9)
-        want = el_fixed_point(grid96, kernel96, params, M, init=guess, tol=1e-9)
+        want = extremal._anchored_fixed_point(grid96, kernel96, params, M, guess,
+                                              guess, 1e-9, 500)
         assert np.array_equal(got.U.values, want.U.values)
         assert got.lambda_bar == want.lambda_bar
 
@@ -458,9 +459,27 @@ class TestMaximizeVhls:
             vals[0] = 1.5e308
             return vals
 
+        # a finite ratio for the start, whose own omega overflows, so that
+        # the proposals are made; a finite projection, so that only the
+        # proposal's own check can raise
+        monkeypatch.setattr(extremal, "vhls_ratio", lambda *args: 1.0)
+        monkeypatch.setattr(extremal, "_ratio", lambda *args: 1.0)
+        monkeypatch.setattr(extremal, "_project", lambda *args: np.ones(96))
         monkeypatch.setattr(extremal, "_random_bump_field", huge_first_cell)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="finite and non-negative"):
+            maximize_vhls(grid96, kernel96, params, n_starts=1, seed=0)
+
+    def test_overflowing_start_rejected(self, params, grid96, kernel96, monkeypatch):
+        # the start's omega and ||u||_m^m overflow: it has no ratio, not NaN
+        def huge_first_cell(rng, grid):
+            vals = np.zeros(grid.n_cells)
+            vals[0] = 1.5e308
+            return vals
+
+        monkeypatch.setattr(extremal, "_random_bump_field", huge_first_cell)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="overflows"):
             maximize_vhls(grid96, kernel96, params, n_starts=1, seed=0)
 
 

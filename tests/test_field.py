@@ -8,6 +8,7 @@ import pytest
 from aggdiff import (
     DensityField,
     GridMismatchError,
+    ParameterDomainError,
     RadialGrid,
     barenblatt_profile,
     build_kernel,
@@ -300,6 +301,12 @@ class TestProfiles:
         assert mass(u) == pytest.approx(25.0, rel=1e-14)
         assert np.all(u.values[g.centers > 1.0] == 0.0)
         assert np.all(np.diff(u.values) <= 0)
+
+    def test_barenblatt_radius_inside_first_quadrature_node_rejected(self):
+        # no Gauss node of the first cell lies inside r = 1e-6: the bump is 0
+        g = RadialGrid.uniform(64, 4.0)
+        with pytest.raises(ParameterDomainError, match="radius 1e-06 is too small"):
+            barenblatt_profile(g, 25.0, 1e-6, 7 / 6)
 
 
 def uniform_test_field(n_cells, d=3):
