@@ -254,13 +254,16 @@ def _check_kernel_params(params: model.ModelParams) -> None:
 def _build_workspace(cfg: dict, profile: str | None = None):
     """(params, grid, kernel, profile) where ``profile`` is what
     :func:`_load_profile` returns for the given path (None without one).
-    The (d, s) pair and the profile, or without one the start bump's
-    radius, are checked before the kernel is built, so a bad one fails
-    first."""
+    The (d, s) pair, the grid and the profile, or without one the start
+    bump's radius, are checked before the kernel is built, so a bad one
+    fails first."""
     params = model.ModelParams(d=cfg["model"]["d"], s=cfg["model"]["s"])
     _check_kernel_params(params)
-    grid = RadialGrid.uniform(cfg["grid"]["n_cells"], cfg["grid"]["r_max"],
-                              d=params.d)
+    try:  # the range rule is RadialGrid's
+        grid = RadialGrid.uniform(cfg["grid"]["n_cells"], cfg["grid"]["r_max"],
+                                  d=params.d)
+    except ValueError as exc:
+        raise ConfigError(f"config field 'grid.r_max': {exc}") from exc
     loaded = _load_profile(profile, params, grid) if profile is not None else None
     if loaded is None:  # a profile replaces the start bump and its radius
         radius = cfg["experiment"]["fixed_point"]["support_radius"]
@@ -437,9 +440,8 @@ def cmd_simulate(cfg: dict, profile: str | None = None) -> int:
     return _exit_code([outcome.status])
 
 
-# A dichotomy worker's inputs, set in each worker by the pool's initializer
-# (never in the parent): the forked worker inherits them, so they are never
-# pickled.
+# A dichotomy worker's inputs: the pool's initializer sets them in each forked
+# worker, never in the parent, and the fork hands them over unpickled.
 _dichotomy_inputs: tuple = ()
 
 
@@ -454,27 +456,6 @@ def _dichotomy_task(ratio):
     entry, outcome = dichotomy_run(U, ratio, M_ref, kernel, params, config,
                                    diffusive_times=diffusive_times)
     return entry, outcome.diagnostics
-
-
-def _in_ratio_order(pool, workers, ratios):
-    """Yield the pool's (entry, diagnostics) for each ratio, in ratio order.
-    A pool waits forever for the task of a worker that was killed (by the
-    OOM killer, say), so a dead worker raises instead."""
-    import multiprocessing
-
-    results = pool.imap(_dichotomy_task, ratios)
-    for _ in ratios:
-        while True:
-            try:
-                result = results.next(timeout=0.1)
-                break
-            except multiprocessing.TimeoutError:
-                for worker in workers:
-                    if worker.exitcode is not None:
-                        raise RuntimeError(
-                            f"dichotomy worker {worker.pid} ended with exit code "
-                            f"{worker.exitcode}") from None
-        yield result
 
 
 def cmd_dichotomy(cfg: dict, profile: str | None = None) -> int:
@@ -493,22 +474,25 @@ def cmd_dichotomy(cfg: dict, profile: str | None = None) -> int:
         # the runs are independent: one worker per ratio, up to the usable
         # cores; results come back in ratio order.  Forked, not spawned: a
         # forked worker inherits the kernel and profile and imports nothing,
-        # and this command starts no thread before it forks.
+        # and the executor forks every worker before it starts its thread.
+        # A raise or a killed worker cancels the ratios not yet handed out.
         import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-        others = set(multiprocessing.active_children())
-        # leaving the block terminates the workers and joins them
-        with multiprocessing.get_context("fork").Pool(
-                min(len(ratios), len(os.sched_getaffinity(0))),
-                initializer=_set_dichotomy_inputs,
-                initargs=(U, M_star, kernel, params, _solver_config(cfg),
-                          cfg["experiment"]["t_end_diffusive_times"])) as pool:
-            workers = set(multiprocessing.active_children()) - others
+        pool = ProcessPoolExecutor(
+            min(len(ratios), len(os.sched_getaffinity(0))),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_set_dichotomy_inputs,
+            initargs=(U, M_star, kernel, params, _solver_config(cfg),
+                      cfg["experiment"]["t_end_diffusive_times"]))
+        try:
             for ratio, (entry, diagnostics) in zip(
-                    ratios, _in_ratio_order(pool, workers, ratios)):
+                    ratios, pool.map(_dichotomy_task, ratios)):
                 diagnostics_to_csv(diagnostics,
                                    outdir / f"diagnostics_{_ratio_tag(ratio)}.csv")
                 rows.append(entry)
+        finally:  # waits for the runs already handed out
+            pool.shutdown(cancel_futures=True)
     results = {"M_star": M_star, "table": rows}
     _write_report(cfg, "dichotomy", results, input_hashes)
     print(_canonical_json(results))

@@ -55,10 +55,16 @@ class RadialGrid:
         if edges[0] != 0.0:
             raise ValueError("grid must start at r = 0")
         _require_increasing(edges)
-        if edges[-1] == np.inf:  # increasing edges can be infinite only at the end
-            raise ValueError("r_edges must be finite")
         if self.d < 3:
             raise ValueError(f"dimension must be >= 3, got {self.d}")
+        try:  # the geometry takes the edges' powers d to d + 2
+            finite = (float(edges[1]) ** self.d > 0.0
+                      and float(edges[-1]) ** (self.d + 2) < np.inf)
+        except OverflowError:
+            finite = False
+        if not finite:  # increasing edges can be infinite only at the end
+            raise ValueError(f"r_edges must be finite, with r_1^{self.d} > 0 and "
+                             f"r_max^{self.d + 2} finite: got r_max {edges[-1]:g}")
 
     @classmethod
     def uniform(cls, n_cells: int, r_max: float, d: int = 3) -> "RadialGrid":

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -117,6 +118,27 @@ class TestConfig:
         assert "experiment.fixed_point.support_radius" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command, settings", [
+        ("simulate", ["grid.r_max=1e300"]),
+        ("simulate", ["grid.r_max=1e103"]),
+        ("dichotomy", ["grid.r_max=1e300"]),
+        ("extremal", ["grid.r_max=1e-300", "grid.n_cells=16"]),
+    ])
+    def test_r_max_out_of_range_exits_1_before_any_output(self, tmp_path, capsys,
+                                                          command, settings):
+        out = tmp_path / "out"
+        args = [arg for setting in settings for arg in ("--set", setting)]
+        assert run_cli(command, *args, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert "config field 'grid.r_max'" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_constants_ignores_an_out_of_range_r_max(self, tmp_path, capsys):
+        # without --profile, constants builds no grid
+        assert run_cli("constants", "--set", "grid.r_max=1e300",
+                       "--out", str(tmp_path / "out")) == 0
 
     def test_non_finite_value_exits_1_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -598,13 +620,14 @@ class TestFailedRun:
 
     @pytest.mark.parametrize("fault, message", [
         ("raise", "injected failure at ratio 0.9"),
-        ("kill", "ended with exit code -9"),
+        ("kill", "terminated abruptly"),
     ])
     def test_dichotomy_worker_fault_keeps_earlier_csvs(self, tmp_path,
                                                        extremal_profile, monkeypatch,
                                                        capsys, fault, message):
         real_run = aggdiff.cli.dichotomy_run
         parent = os.getpid()
+        out = tmp_path / "out"
 
         def fault_at_0p9(U, ratio, *args, **kwargs):
             if ratio == 0.9:
@@ -612,6 +635,11 @@ class TestFailedRun:
                     raise RuntimeError("injected failure at ratio 0.9")
                 if os.getpid() == parent:
                     raise RuntimeError("the run must be in a worker")
+                # die once the 0.5 result has arrived: its CSV is kept
+                deadline = time.monotonic() + 60
+                while (not (out / "diagnostics_ratio_0p5.csv").exists()
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
                 os.kill(os.getpid(), signal.SIGKILL)  # as the OOM killer would
             return real_run(U, ratio, *args, **kwargs)
 
@@ -619,7 +647,6 @@ class TestFailedRun:
             raise TimeoutError("dichotomy still waiting for its workers after 60 s")
 
         monkeypatch.setattr(aggdiff.cli, "dichotomy_run", fault_at_0p9)
-        out = tmp_path / "out"
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(60)
         try:
@@ -635,6 +662,37 @@ class TestFailedRun:
         assert message in capsys.readouterr().err
         # what the serial loop left: the CSVs before the failure, no report
         assert sorted(p.name for p in out.iterdir()) == ["diagnostics_ratio_0p5.csv"]
+        assert multiprocessing.active_children() == []
+
+    def test_dichotomy_failure_starts_no_queued_ratio(self, tmp_path,
+                                                     extremal_profile, monkeypatch,
+                                                     capsys):
+        ratios = [0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 0.97, 0.99]
+        started = tmp_path / "started"
+        started.mkdir()
+        real_run = aggdiff.cli.dichotomy_run
+
+        def marked_run(U, ratio, *args, **kwargs):
+            (started / f"{ratio:g}").touch()
+            return real_run(U, ratio, *args, **kwargs)
+
+        def failing_csv(diagnostics, path):
+            raise RuntimeError(f"injected failure writing {path.name}")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(aggdiff.cli, "dichotomy_run", marked_run)
+        monkeypatch.setattr(aggdiff.cli, "diagnostics_to_csv", failing_csv)
+        code = run_cli("dichotomy", *SMALL,
+                       "--set", f"experiment.mass_ratios={json.dumps(ratios)}",
+                       "--set", "experiment.t_end_diffusive_times=0.05",
+                       "--profile", str(extremal_profile),
+                       "--out", str(tmp_path / "out"))
+        assert code == 3
+        assert "injected failure writing diagnostics_ratio_0p5.csv" in (
+            capsys.readouterr().err)
+        # the runs already handed out finish; the failure cancels the rest
+        assert "0.5" in {p.name for p in started.iterdir()}
+        assert not (started / "0.99").exists()
         assert multiprocessing.active_children() == []
 
     def test_eps_study_writes_report_then_exits_3(self, tmp_path, monkeypatch,
@@ -715,9 +773,12 @@ class TestDichotomy:
             recording[0] = False
         assert counts and counts == [1] * len(counts)
 
-    def test_workers_write_the_serial_loop_bytes(self, tmp_path, capsys):
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_workers_write_the_serial_loop_bytes(self, tmp_path, monkeypatch,
+                                                 capsys, cores):
         settings = [*SMALL, "--set", "experiment.t_end_diffusive_times=0.2",
                     "--set", "solver.blowup_factor=100"]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         out = tmp_path / "out"
         assert run_cli("dichotomy", *settings, "--out", str(out)) == 0
         assert multiprocessing.active_children() == []

@@ -112,6 +112,23 @@ class TestGrid:
         with pytest.raises(ValueError, match="r_edges must be finite"):
             RadialGrid(d=3, r_edges=edges)
 
+    @pytest.mark.parametrize("n_cells, r_max, d", [
+        (64, 1e300, 3), (64, 1e103, 3), (64, 1e70, 3), (64, 1e60, 4),
+        (16, 1e-300, 3),
+    ])
+    def test_powers_out_of_range_rejected(self, n_cells, r_max, d):
+        # r_max^(d+2) overflows in mean_r2, or r_1^d underflows to a zero volume
+        match = rf"r_1\^{d} > 0 and r_max\^{d + 2} finite"
+        with pytest.raises(ValueError, match=match):
+            RadialGrid.uniform(n_cells, r_max, d=d)
+
+    @pytest.mark.parametrize("n_cells, r_max", [(64, 1e60), (16, 1e-90)])
+    def test_powers_in_range_give_finite_geometry(self, n_cells, r_max):
+        g = RadialGrid.uniform(n_cells, r_max)
+        for a in (g.shell_volumes, g.centers, g.mean_r2, g.face_areas):
+            assert np.isfinite(a).all()
+        assert (g.shell_volumes > 0).all()
+
 class TestMass:
     def test_unit_ball(self):
         g = RadialGrid.uniform(200, 1.0)  # edge aligns with r = 1
