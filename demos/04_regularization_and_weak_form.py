@@ -20,8 +20,7 @@ u0 = ad.barenblatt_profile(grid, 0.5 * consts.M_star, 1.0, params.m)
 print("part 1: vanishing regularisation")
 eps_list = [0.2, 0.1, 0.05, 0.025]
 _, dists = ad.epsilon_convergence_study(
-    u0, params, eps_list, t_fix=0.02,
-    config=ad.SolverConfig(t_end=0.02, output_every=10_000))
+    u0, params, eps_list, ad.SolverConfig(t_end=0.02, output_every=10_000))
 for (e1, e2), dist in zip(zip(eps_list, eps_list[1:]), dists):
     print(f"  ||u_eps({e1}) - u_eps({e2})||_L1 at t = 0.02:  {dist:.4f}")
 print("  consecutive distances shrink: the eps -> 0 limit is settling\n")

@@ -503,7 +503,7 @@ def cmd_eps_study(cfg: dict) -> int:
     params, grid, _, _ = _build_workspace(cfg)
     statuses, distances = epsilon_convergence_study(
         _start_profile(cfg, params, grid), params, cfg["experiment"]["eps_list"],
-        cfg["experiment"]["t_fix"], config=_solver_config(cfg))
+        _solver_config(cfg, t_end=cfg["experiment"]["t_fix"]))
     decreasing = distances is not None and all(
         a > b for a, b in zip(distances, distances[1:]))
     results = {

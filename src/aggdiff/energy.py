@@ -33,12 +33,10 @@ def upwind_face_values(cell_values: np.ndarray, velocity: np.ndarray) -> np.ndar
 
 
 def chemical_potential(u: DensityField, kernel: RieszKernel,
-                       params: ModelParams, c_ds: float | None = None) -> np.ndarray:
+                       params: ModelParams) -> np.ndarray:
     """mu = m/(m-1) u^{m-1} - phi at cell centers."""
     require_same_grid(u.grid, kernel.grid, "field and kernel")
-    if c_ds is None:
-        c_ds = params.c_ds
-    return _mu(u.values, potential_values(kernel, u.values, c_ds), params.m)
+    return _mu(u.values, potential_values(kernel, u.values, params.c_ds), params.m)
 
 
 def _mu(values: np.ndarray, phi: np.ndarray, m: float) -> np.ndarray:

@@ -161,8 +161,8 @@ def _solve_multiplier(phi: np.ndarray, m: float, vols: np.ndarray,
 
 
 def el_fixed_point(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
-                   M_target: float, tol: float = 1e-10, max_iter: int = 500,
-                   support_radius_init: float | None = None) -> ExtremalResult:
+                   M_target: float, tol: float = 1e-10, max_iter: int = 500, *,
+                   support_radius_init: float) -> ExtremalResult:
     """Fixed-point solve of the steady equation at fixed mass, with
     Anderson mixing on top of a damped sweep.
 
@@ -187,31 +187,23 @@ def el_fixed_point(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
     the result is that sweep's output, with its multiplier, and
     ``iterations`` counts the sweeps.  The initial guess is a compact
     truncated-parabola bump of the right mass, of radius
-    ``support_radius_init`` (default R_max / 4; a radius <= 0 raises
-    ValueError).  Raises :class:`ConvergenceError` if the budget runs out.
+    ``support_radius_init`` (a radius <= 0 raises ValueError).  Raises
+    :class:`ConvergenceError` if the budget runs out.
 
-    The result holds M_target to roundoff while its support stays off
-    R_max: within 5e-14 relative at 0.5, 1.0 and 1.08 M* on 96 cells
-    (R_max 3) and 256 cells (R_max 4), so the critical-mass bracket
-    [M*, 1.08 M*] is on the exact side.  Further above M* the dilation
-    spreads the collapsing iterate to the wall and drops the mass it
-    pushes past R_max, and the result falls short of M_target: by
-    6e-6 to 2.4e-5 relative at 1.5 M* and 2e-4 to 5e-4 at 2 M* on those
-    grids.
+    From a guess of radius 1, the CLI's default, the result holds M_target
+    to roundoff while its support stays off R_max: within 5e-14 relative
+    at 0.5, 1.0 and 1.08 M* on 96 cells (R_max 3) and 256 cells (R_max
+    4), so the critical-mass bracket [M*, 1.08 M*] is on the exact side.
+    Further above M* the dilation spreads the collapsing iterate to the
+    wall and drops the mass it pushes past R_max, and the result falls
+    short of M_target: by 6e-6 to 2.4e-5 relative at 1.5 M* and 2e-4 to
+    5e-4 at 2 M* on those grids.
     """
     if M_target <= 0.0:
         raise ValueError("M_target must be positive")
-    cold = _cold_guess(grid, params, M_target, support_radius_init)
+    cold = barenblatt_profile(grid, M_target, support_radius_init, params.m)
     return _anchored_fixed_point(grid, kernel, params, M_target, cold, cold,
                                  tol, max_iter)
-
-
-def _cold_guess(grid: RadialGrid, params: ModelParams, M_target: float,
-                support_radius_init: float | None) -> DensityField:
-    """:func:`el_fixed_point`'s initial guess: a Barenblatt bump of mass
-    M_target and radius ``support_radius_init``, R_max / 4 when that is None."""
-    radius = 0.25 * grid.r_max if support_radius_init is None else support_radius_init
-    return barenblatt_profile(grid, M_target, radius, params.m)
 
 
 def _anchored_fixed_point(grid: RadialGrid, kernel: RieszKernel,
@@ -314,9 +306,8 @@ def multiplier_defect(result: ExtremalResult, params: ModelParams,
 
 def find_critical_mass(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
                        M_lo: float, M_hi: float, rel_tol: float = 1e-5,
-                       fp_tol: float = 1e-9, max_iter: int = 500,
-                       support_radius_init: float | None = None
-                       ) -> tuple[float, ExtremalResult]:
+                       fp_tol: float = 1e-9, max_iter: int = 500, *,
+                       support_radius_init: float) -> tuple[float, ExtremalResult]:
     """Bracketed search for the mass at which the anchored fixed point is
     an exact steady state (zero multiplier defect).
 
@@ -332,9 +323,9 @@ def find_critical_mass(grid: RadialGrid, kernel: RieszKernel, params: ModelParam
 
     Every solve after the first starts from the evaluated profile nearest
     in mass, rescaled to the new mass, but keeps the cold start's anchor:
-    the second moment of :func:`el_fixed_point`'s default guess at that
-    mass.  The anchor sets the fixed point, so the defect is the cold
-    solve's to within ``fp_tol`` while the warm solve takes fewer sweeps.
+    the second moment of :func:`el_fixed_point`'s guess at that mass.
+    The anchor sets the fixed point, so the defect is the cold solve's to
+    within ``fp_tol`` while the warm solve takes fewer sweeps.
     """
     if not (0.0 < rel_tol < 1.0 and 0.0 < M_lo < M_hi):
         raise ValueError(f"need 0 < rel_tol < 1 and 0 < M_lo < M_hi, got "
@@ -342,7 +333,7 @@ def find_critical_mass(grid: RadialGrid, kernel: RieszKernel, params: ModelParam
     solved = []  # (mass, result) of every solve so far
 
     def defect_at(M):
-        cold = _cold_guess(grid, params, M, support_radius_init)
+        cold = barenblatt_profile(grid, M, support_radius_init, params.m)
         start = min(solved, key=lambda e: abs(e[0] - M))[1].U if solved else cold
         res = _anchored_fixed_point(grid, kernel, params, M, start, cold, fp_tol,
                                     max_iter)

@@ -391,8 +391,7 @@ def _diag_row(u: DensityField, kernel, params, c_ds, t, dt) -> DiagnosticsRow:
 
 
 def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
-        config: SolverConfig, c_ds: float | None = None,
-        store_fields: bool = False) -> RunOutcome:
+        config: SolverConfig, store_fields: bool = False) -> RunOutcome:
     """Integrate from u0 until t_end, blow-up, or step collapse.
 
     Diagnostics are recorded every ``output_every`` steps plus at the
@@ -410,8 +409,7 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
     s or d.
     """
     require_same_grid(u0.grid, kernel.grid, "initial condition and kernel")
-    if c_ds is None:
-        c_ds = params.c_ds
+    c_ds = params.c_ds
     stepper = _STEPPERS[config.scheme](kernel, params, config, c_ds)
     u_vals = u0.values.copy()
     u0_linf = float(np.max(u_vals, initial=0.0))
@@ -420,9 +418,7 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
     clipped_total = 0.0
     band_flux_total = 0.0
     rows = [_diag_row(u0, kernel, params, c_ds, 0.0, math.nan)]
-    t_chord = math.inf
-    if kernel.epsilon == 0.0 and rows[0].F < 0.0:
-        t_chord = _chord_time(rows[0].m2, rows[0].F, params)
+    t_chord = _chord_time(rows[0].m2, rows[0].F, kernel, params)
     fields = [(0.0, u_vals.copy())] if store_fields else []
     status, reason, t_detect = "completed", None, None
 
@@ -448,7 +444,7 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
         if u0_linf > 0.0 and linf_now > config.blowup_factor * u0_linf:
             status, reason, t_detect = "blowup", "linf_threshold", t
             break
-        if t >= t_chord:
+        if t_chord is not None and t >= t_chord:
             status, reason, t_detect = "blowup", "chord_exhausted", t
             break
         if steps % config.output_every == 0:
@@ -483,20 +479,23 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
 
 def blowup_time_upper_bound(u0: DensityField, kernel: RieszKernel,
                             params: ModelParams) -> float | None:
-    """m2(u0) / (2 (d-2s) |F(u0)|) when F(u0) < 0, else None.
+    """m2(u0) / (2 (d-2s) |F(u0)|) for an unregularised kernel and
+    F(u0) < 0, else None.
 
     Integrating the virial identity against the decreasing energy pins
     the second moment under the chord m2(0) + 2(d-2s) F(u0) t, which
-    hits zero at this time.
+    hits zero at this time.  With epsilon > 0 the identity does not hold.
     """
-    F0 = free_energy(u0, kernel, params)
-    if F0 >= 0.0:
+    return _chord_time(second_moment(u0), free_energy(u0, kernel, params),
+                       kernel, params)
+
+
+def _chord_time(m2: float, F: float, kernel: RieszKernel,
+                params: ModelParams) -> float | None:
+    """Zero of the second-moment chord m2 + 2(d-2s) F t; None unless
+    epsilon = 0 and F < 0, where the chord bounds the blow-up time."""
+    if kernel.epsilon != 0.0 or not F < 0.0:
         return None
-    return _chord_time(second_moment(u0), F0, params)
-
-
-def _chord_time(m2: float, F: float, params: ModelParams) -> float:
-    """Zero of the second-moment chord m2 + 2(d-2s) F t, for F < 0."""
     return m2 / (2.0 * params.alpha * abs(F))
 
 
@@ -522,13 +521,14 @@ def dichotomy_run(U: DensityField, ratio: float, M_ref: float, kernel: RieszKern
     Below ratio 1 the run is implicit over ``diffusive_times`` diffusive
     times of the initial data (its explicit step count would grow as
     (R/dr)^2); at 1 or above it is explicit to 2 T*, or to
-    ``config.t_end`` when F0 >= 0.  ``config`` supplies every other
-    solver field; only ``t_end`` and ``scheme`` are set here.
+    ``config.t_end`` without T* (F0 >= 0 or epsilon > 0).  ``config``
+    supplies every other solver field; only ``t_end`` and ``scheme`` are
+    set here.
 
     Returns (entry, outcome).  The entry holds mass_ratio, mass, F0,
     status, t_detect, t_end, sup_lm_norm_power_m (the largest ||u||_m^m
     over the diagnostics rows) and blowup_time_upper_bound (T*, None
-    when F0 >= 0); below ratio 1 also ge_bound_lm_power_m, the
+    without it); below ratio 1 also ge_bound_lm_power_m, the
     global-existence bound F0 / (C* c_ds/2 (M*^{2s/d} - M^{2s/d})) on
     ||u||_m^m with the closed-form C* and M*, inf when the denominator
     is not positive.
@@ -655,18 +655,16 @@ def weak_form_residual(trajectory, psi: RadialTestFunction, kernel: RieszKernel,
 
 
 def epsilon_convergence_study(u0: DensityField, params: ModelParams,
-                              eps_list, t_fix: float,
-                              config: SolverConfig | None = None
+                              eps_list, config: SolverConfig
                               ) -> tuple[list, list | None]:
-    """Each run's status and the L^1 distances at t_fix between runs with
-    consecutive regularisation lengths (one kernel per length, which also
-    sets the epsilon-Laplacian).  The distances are None unless every run
-    completed (subcritical data required)."""
-    cfg = replace(config or SolverConfig(t_end=t_fix), t_end=t_fix)
+    """Each run's status and the L^1 distances at ``config.t_end`` between
+    runs with consecutive regularisation lengths (one kernel per length,
+    which also sets the epsilon-Laplacian).  The distances are None unless
+    every run completed (subcritical data required)."""
     statuses, finals = [], []
     for eps in eps_list:
         kernel = build_kernel(u0.grid, params.s, epsilon=eps)
-        outcome = run(u0, kernel, params, cfg)
+        outcome = run(u0, kernel, params, config)
         statuses.append(outcome.status)
         finals.append(outcome.final_state.u.values)
     if any(status != "completed" for status in statuses):

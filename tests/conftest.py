@@ -4,6 +4,7 @@ import pytest
 from aggdiff import (
     ModelParams,
     RadialGrid,
+    RieszKernel,
     build_kernel,
     derived_constants,
     find_critical_mass,
@@ -32,6 +33,12 @@ def grid96():
 @pytest.fixture(scope="session")
 def kernel96(grid96):
     return build_kernel(grid96, S)
+
+
+@pytest.fixture(scope="session")
+def kernel96_no_attraction(grid96):
+    """A zero interaction matrix on the 96-cell grid: phi is exactly 0."""
+    return RieszKernel(grid96, S, 0.0, K=np.zeros((96, 96)))
 
 
 @pytest.fixture(scope="session")

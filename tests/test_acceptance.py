@@ -234,8 +234,7 @@ def test_criterion_8_epsilon_convergence(params, consts):
     g = RadialGrid.uniform(256, 4.0)
     u0 = barenblatt_profile(g, 0.5 * consts.M_star, 1.0, params.m)
     cfg = SolverConfig(t_end=0.02, cfl=0.4, output_every=10_000)
-    _, dists = epsilon_convergence_study(u0, params, [0.2, 0.1, 0.05, 0.025],
-                                      t_fix=0.02, config=cfg)
+    _, dists = epsilon_convergence_study(u0, params, [0.2, 0.1, 0.05, 0.025], cfg)
     ok = len(dists) == 3 and all(a > b for a, b in zip(dists, dists[1:]))
     print(f"    L1 distances: {[f'{d:.3f}' for d in dists]}")
     report(8, "regularisation convergence", ok)

@@ -1,9 +1,10 @@
 """Code with no caller goes away: every private module-level name and every
 private method in the package is read somewhere in the package besides its
 own definition, and every public function, method and property is read
-there or in the demos, the benchmark harness or the README's examples.
-Tests may reach any name, but they do not keep it alive; a name only the
-tests read belongs in the tests."""
+there or in the demos, the benchmark harness or the README's examples,
+where every defaulted parameter of a public function or method is also
+passed by some call.  Tests may reach any name or setting, but they do not
+keep it alive; a name or setting only the tests use belongs in the tests."""
 
 import ast
 import re
@@ -145,3 +146,81 @@ def test_the_check_sees_the_users():
 
 def test_every_public_name_is_read():
     assert set(unread_public_names(package_sources(), user_sources())) == TEST_ONLY_PUBLIC
+
+
+# defaulted parameters that no caller sets, each with its reason to stay
+TEST_ONLY_SETTINGS = {
+    # main passes --profile through _commands(), as **kwargs to the handler
+    "cli:cmd_constants(profile)",
+    "cli:cmd_dichotomy(profile)",
+    "cli:cmd_simulate(profile)",
+}
+
+
+def _callables(tree: ast.Module):
+    """(qualified name, call name, arguments, bound) for the public functions
+    at module level and the public methods of public module-level classes,
+    ``__init__`` under the class name; ``bound`` when a call does not pass
+    the first parameter (self or cls)."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.name, node.args, False
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (
+                        item.name == "__init__" or not item.name.startswith("_")):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    call = node.name if item.name == "__init__" else item.name
+                    yield f"{node.name}.{item.name}", call, item.args, not static
+
+
+def _defaulted(args: ast.arguments):
+    """(index among the positional parameters or None, name) of each
+    parameter with a default."""
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    yield from ((i, a.arg) for i, a in enumerate(positional) if i >= first)
+    yield from ((None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                if d is not None)
+
+
+def unset_defaults(sources: dict, users=()) -> list:
+    """``module:name(parameter)`` for each defaulted parameter of a public
+    function or method in ``sources`` that no call in ``sources`` or the
+    ``users`` texts passes, by keyword or by position.  Calls are matched by
+    name: ``f(...)`` and ``x.f(...)`` both call every ``f``, and a class
+    call calls its ``__init__``."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    keywords, positional = {}, Counter()
+    for tree in [*trees.values(), *map(ast.parse, users)]:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            count = next((i for i, a in enumerate(call.args)
+                          if isinstance(a, ast.Starred)), len(call.args))
+            positional[name] = max(positional[name], count)
+            keywords.setdefault(name, set()).update(k.arg for k in call.keywords)
+    return sorted(f"{module}:{qualified}({param})"
+                  for module, tree in trees.items()
+                  for qualified, name, args, bound in _callables(tree)
+                  for index, param in _defaulted(args)
+                  if param not in keywords.get(name, ()) and (
+                      index is None or index - bound >= positional[name]))
+
+
+def test_the_check_sees_an_unset_default():
+    sources = {"a": "def f(x, y=1, *, z=2):\n    return x\n\n"
+                    "class C:\n    def __init__(self, a=0):\n        self.a = a\n\n"
+                    "    def g(self, b=0, c=0):\n        return f(b)\n\n"
+                    "    @staticmethod\n    def h(d=0):\n        return d\n"}
+    assert unset_defaults(sources) == [
+        "a:C.__init__(a)", "a:C.g(b)", "a:C.g(c)", "a:C.h(d)", "a:f(y)", "a:f(z)"]
+    users = ["C(1).g(2)", "C.h(3)", "f(0, z=1)"]
+    assert unset_defaults(sources, users) == ["a:C.g(c)", "a:f(y)"]
+
+
+def test_every_default_is_set_by_a_caller():
+    assert set(unset_defaults(package_sources(), user_sources())) == TEST_ONLY_SETTINGS

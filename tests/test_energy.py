@@ -112,10 +112,10 @@ class TestChemicalPotential:
         assert np.mean(mu[core]) == pytest.approx(result.lambda_bar, rel=1e-3)
 
     def test_monotone_in_density_without_attraction(self, params, grid96,
-                                                    kernel96):
+                                                    kernel96_no_attraction):
         rng = np.random.default_rng(34)
         u = DensityField(grid96, random_bump_field(rng, grid96) + 0.01)
-        mu = chemical_potential(u, kernel96, params, c_ds=0.0)
+        mu = chemical_potential(u, kernel96_no_attraction, params)
         order = np.argsort(u.values)
         assert np.all(np.diff(mu[order]) >= -1e-14)
 
@@ -137,9 +137,10 @@ class TestDissipation:
             blowup_initial_data(U, 1.5 * mass(U), params), kernel256, params))
         assert D <= 1e-4 * scale_F
 
-    def test_positive_on_relaxing_profile(self, params, grid96, kernel96):
+    def test_positive_on_relaxing_profile(self, params, grid96,
+                                          kernel96_no_attraction):
         u = barenblatt_profile(grid96, 10.0, 1.0, params.m)
-        mu = chemical_potential(u, kernel96, params, c_ds=0.0)
+        mu = chemical_potential(u, kernel96_no_attraction, params)
         assert dissipation(u, mu) > 0.0
 
 

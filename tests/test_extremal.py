@@ -76,18 +76,6 @@ class TestFixedPoint:
             find_critical_mass(grid96, kernel96, params, 100.0, 110.0,
                                support_radius_init=radius)
 
-    def test_default_support_radius_is_a_quarter_of_r_max(self, params, grid96,
-                                                          kernel96):
-        M = 100.0
-        guess = barenblatt_profile(grid96, M, 0.25 * grid96.r_max, params.m)
-        cold = extremal._cold_guess(grid96, params, M, None)
-        assert np.array_equal(cold.values, guess.values)
-        got = el_fixed_point(grid96, kernel96, params, M, tol=1e-9)
-        want = extremal._anchored_fixed_point(grid96, kernel96, params, M, guess,
-                                              guess, 1e-9, 500)
-        assert np.array_equal(got.U.values, want.U.values)
-        assert got.lambda_bar == want.lambda_bar
-
     def test_budget_exhaustion_raises_with_context(self, params, grid96,
                                                    kernel96):
         with pytest.raises(ConvergenceError) as excinfo:
@@ -381,11 +369,12 @@ class TestIllinoisSearch:
             masses.append(M)
             return SimpleNamespace(U=None)
 
-        monkeypatch.setattr(extremal, "_cold_guess", lambda *args: None)
+        monkeypatch.setattr(extremal, "barenblatt_profile", lambda *args: None)
         monkeypatch.setattr(extremal, "_anchored_fixed_point", solve)
         monkeypatch.setattr(extremal, "multiplier_defect",
                             lambda result, params, M: defect(M))
-        M_c, _ = find_critical_mass(None, None, None, 1.0, 2.0, rel_tol=1e-6)
+        M_c, _ = find_critical_mass(None, None, SimpleNamespace(m=None), 1.0, 2.0,
+                                    rel_tol=1e-6, support_radius_init=1.0)
         assert M_c == pytest.approx(1.3, rel=1e-6, abs=0.0)
         assert len(masses) <= max_solves
 

@@ -72,10 +72,10 @@ class TestStep:
         assert mass(state.u) == pytest.approx(mass(u), rel=1e-13)
 
     def test_porous_medium_decay_without_attraction(self, params, grid96,
-                                                    kernel96):
+                                                    kernel96_no_attraction):
         u = barenblatt_profile(grid96, 20.0, 1.0, params.m)
         cfg = SolverConfig(t_end=0.05, output_every=10)
-        out = run(u, kernel96, params, cfg, c_ds=0.0)
+        out = run(u, kernel96_no_attraction, params, cfg)
         assert out.status == "completed"
         lm = [r.lm_norm for r in out.diagnostics]
         linf = [r.linf_norm for r in out.diagnostics]
@@ -248,10 +248,11 @@ class TestRun:
         a, b = fast.final_state.u.values, ref.final_state.u.values
         assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
 
-    def test_boundary_flux_tracks_spreading(self, params, grid96, kernel96):
+    def test_boundary_flux_tracks_spreading(self, params, grid96,
+                                            kernel96_no_attraction):
         wide = barenblatt_profile(grid96, 30.0, 2.85, params.m)
         cfg = SolverConfig(t_end=0.02, output_every=50)
-        out = run(wide, kernel96, params, cfg, c_ds=0.0)
+        out = run(wide, kernel96_no_attraction, params, cfg)
         assert out.boundary_mass_flux_total > 0.0
 
     def test_diagnostics_csv(self, tmp_path, params, grid96, kernel96):
@@ -308,16 +309,28 @@ class TestBlowupTimeBound:
         assert out.diagnostics[-1].linf_norm < 1e3 * out.diagnostics[0].linf_norm
 
     def test_regularised_run_may_outlive_the_chord_time(self, params, grid96,
-                                                        dichotomy96):
-        # with epsilon > 0 the chord bound does not hold, so no chord rule
+                                                        kernel96, dichotomy96):
+        # with epsilon > 0 the chord bound does not hold, so no chord rule;
+        # the chord is the unregularised kernel's
         kernel = build_kernel(grid96, params.s, epsilon=0.05)
         M_c, steady = dichotomy96["critical"]
         u0 = blowup_initial_data(steady.U, 1.5 * M_c, params)
-        chord = blowup_time_upper_bound(u0, kernel, params)
+        chord = blowup_time_upper_bound(u0, kernel96, params)
         out = run(u0, kernel, params,
                   SolverConfig(t_end=1.2 * chord, scheme="implicit"))
         assert out.status == "completed"
         assert out.final_state.t > chord
+
+    def test_no_chord_time_with_regularisation(self, params, grid96, dichotomy96):
+        kernel = build_kernel(grid96, params.s, epsilon=0.05)
+        M_c, steady = dichotomy96["critical"]
+        u0 = blowup_initial_data(steady.U, 1.5 * M_c, params)
+        assert free_energy(u0, kernel, params) < 0.0
+        assert blowup_time_upper_bound(u0, kernel, params) is None
+        entry, _ = dichotomy_run(steady.U, 1.5, M_c, kernel, params,
+                                 SolverConfig(t_end=0.01))
+        assert entry["blowup_time_upper_bound"] is None
+        assert entry["t_end"] == 0.01
 
 
 class TestTestFunctions:
@@ -396,7 +409,7 @@ class TestEpsilonStudy:
         u0 = barenblatt_profile(g, 0.5 * consts.M_star, 1.0, params.m)
         cfg = SolverConfig(t_end=0.01, output_every=1000)
         statuses, dists = epsilon_convergence_study(
-            u0, params, [0.2, 0.1, 0.05, 0.025], t_fix=0.01, config=cfg)
+            u0, params, [0.2, 0.1, 0.05, 0.025], cfg)
         assert statuses == ["completed"] * 4
         assert len(dists) == 3
         assert all(a > b for a, b in zip(dists, dists[1:]))
@@ -405,14 +418,14 @@ class TestEpsilonStudy:
         g = RadialGrid.uniform(64, 4.0)
         u0 = barenblatt_profile(g, 0.5 * consts.M_star, 1.0, params.m)
         cfg = SolverConfig(t_end=0.001, output_every=1000)
-        assert epsilon_convergence_study(u0, params, [0.1], 0.001, cfg) == (
+        assert epsilon_convergence_study(u0, params, [0.1], cfg) == (
             ["completed"], [])
 
     def test_identical_pair_distance_zero(self, params, consts):
         g = RadialGrid.uniform(64, 4.0)
         u0 = barenblatt_profile(g, 0.5 * consts.M_star, 1.0, params.m)
         cfg = SolverConfig(t_end=0.001, output_every=1000)
-        _, dists = epsilon_convergence_study(u0, params, [0.1, 0.1], 0.001, cfg)
+        _, dists = epsilon_convergence_study(u0, params, [0.1, 0.1], cfg)
         assert dists == [0.0]
 
 
@@ -671,8 +684,8 @@ class TestImplicit:
                                                       kernel96):
         # u changes by ~1e-9 over the run, near the roundoff of u
         u = DensityField(grid96, np.full(96, 0.8))
-        out = run(u, kernel96, params, SolverConfig(t_end=0.01, scheme="implicit"),
-                  c_ds=1e-8)
+        weak = RieszKernel(grid96, params.s, 0.0, kernel96.K * (1e-8 / params.c_ds))
+        out = run(u, weak, params, SolverConfig(t_end=0.01, scheme="implicit"))
         assert out.status == "completed"
         assert_mass_exact_and_energy_monotone(out)
         assert np.allclose(out.final_state.u.values, u.values, rtol=0, atol=1e-8)
