@@ -251,11 +251,12 @@ def _check_kernel_params(params: model.ModelParams) -> None:
         raise ConfigError(f"config fields 'model.d'/'model.s': {exc}") from exc
 
 
-def _build_workspace(cfg: dict, profile: str | None = None):
-    """(params, grid, kernel, profile) where ``profile`` is what
-    :func:`_load_profile` returns for the given path (None without one).
-    The (d, s) pair, the grid and the profile, or without one the start
-    bump's radius, are checked before the kernel is built, so a bad one
+def _build_workspace(cfg: dict, bump_ratio: float | None, profile: str | None = None):
+    """(params, grid, kernel, start).  ``start`` is what :func:`_load_profile`
+    returns for the given path, or without one the like triple for the
+    :func:`_start_profile` bump at ``bump_ratio`` times M*, the largest mass
+    the command puts in it (None: the fixed point's).  The (d, s) pair, the
+    grid and the start are checked before the kernel is built, so a bad one
     fails first."""
     params = model.ModelParams(d=cfg["model"]["d"], s=cfg["model"]["s"])
     _check_kernel_params(params)
@@ -264,16 +265,20 @@ def _build_workspace(cfg: dict, profile: str | None = None):
                                   d=params.d)
     except ValueError as exc:
         raise ConfigError(f"config field 'grid.r_max': {exc}") from exc
-    loaded = _load_profile(profile, params, grid) if profile is not None else None
-    if loaded is None:  # a profile replaces the start bump and its radius
-        radius = cfg["experiment"]["fixed_point"]["support_radius"]
-        try:  # the radius rule is barenblatt_profile's
-            barenblatt_profile(grid, 1.0, radius, params.m)
-        except ParameterDomainError as exc:
-            raise ConfigError(f"config field 'experiment.fixed_point.support_radius'"
-                              f": {exc}") from exc
+    if profile is not None:  # a profile replaces the start bump and its radius
+        start = _load_profile(profile, params, grid)
+    else:
+        if bump_ratio is None:  # the fixed point's: M* or the measured search's top
+            measured = cfg["experiment"]["mass_target"] == "measured"
+            bump_ratio = _SEARCH_TOP if measured else 1.0
+        try:  # the radius and density rules are barenblatt_profile's
+            bump = _start_profile(cfg, params, grid, bump_ratio)
+        except (ParameterDomainError, OverflowError) as exc:
+            raise ConfigError(f"config fields 'grid.r_max'/'experiment.fixed_point."
+                              f"support_radius': {exc}") from exc
+        start = bump, mass(bump), {}
     kernel = build_kernel(grid, params.s, epsilon=cfg["model"]["epsilon"])
-    return params, grid, kernel, loaded
+    return params, grid, kernel, start
 
 
 def _solver_config(cfg: dict, **overrides) -> SolverConfig:
@@ -323,10 +328,15 @@ def _load_profile(path: str, params: model.ModelParams,
     return field, float(meta.get("M_target", mass(field))), hashes
 
 
-def _start_profile(cfg: dict, params, grid) -> DensityField:
-    """The start of simulate, eps-study and verify: half of M* in a
-    Barenblatt bump of radius ``experiment.fixed_point.support_radius``."""
-    return barenblatt_profile(grid, 0.5 * model.derived_constants(params).M_star,
+_START_RATIO = 0.5  # the start's mass over M*
+_SEARCH_TOP = 1.1  # the top of the measured critical-mass bracket, over M*
+
+
+def _start_profile(cfg: dict, params, grid, ratio: float = _START_RATIO) -> DensityField:
+    """A Barenblatt bump of radius ``experiment.fixed_point.support_radius``
+    holding ``ratio`` times M*; by default the start of simulate, eps-study
+    and verify."""
+    return barenblatt_profile(grid, ratio * model.derived_constants(params).M_star,
                               cfg["experiment"]["fixed_point"]["support_radius"],
                               params.m)
 
@@ -338,7 +348,7 @@ def _compute_extremal(cfg: dict, params, grid, kernel):
         # search for the mass where the steady profile is exact; the
         # closed-form bound is always on the subcritical side
         M_target, result = find_critical_mass(
-            grid, kernel, params, consts.M_star, 1.1 * consts.M_star,
+            grid, kernel, params, consts.M_star, _SEARCH_TOP * consts.M_star,
             fp_tol=fp["tol"], max_iter=fp["max_iter"],
             support_radius_init=fp["support_radius"],
         )
@@ -389,7 +399,7 @@ def cmd_constants(cfg: dict, profile: str | None = None) -> int:
 
 
 def cmd_extremal(cfg: dict) -> int:
-    params, grid, kernel, _ = _build_workspace(cfg)
+    params, grid, kernel, _ = _build_workspace(cfg, None)
     result, M_target = _compute_extremal(cfg, params, grid, kernel)
     outdir = Path(cfg["output"]["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -413,11 +423,8 @@ def cmd_extremal(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict, profile: str | None = None) -> int:
-    params, grid, kernel, loaded = _build_workspace(cfg, profile)
-    if loaded is not None:
-        u0, _, input_hashes = loaded
-    else:
-        u0, input_hashes = _start_profile(cfg, params, grid), {}
+    params, grid, kernel, (u0, _, input_hashes) = _build_workspace(cfg, _START_RATIO,
+                                                                   profile)
     outcome = run(u0, kernel, params, _solver_config(cfg))
     outdir = Path(cfg["output"]["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -459,11 +466,9 @@ def _dichotomy_task(ratio):
 
 
 def cmd_dichotomy(cfg: dict, profile: str | None = None) -> int:
-    params, grid, kernel, loaded = _build_workspace(cfg, profile)
-    input_hashes = {}
-    if loaded is not None:
-        U, M_star, input_hashes = loaded
-    else:
+    params, grid, kernel, (U, M_star, input_hashes) = _build_workspace(cfg, None,
+                                                                       profile)
+    if profile is None:  # U and M* come from the fixed point, not the checked bump
         result, M_star = _compute_extremal(cfg, params, grid, kernel)
         U = result.U
     outdir = Path(cfg["output"]["directory"])
@@ -500,9 +505,9 @@ def cmd_dichotomy(cfg: dict, profile: str | None = None) -> int:
 
 
 def cmd_eps_study(cfg: dict) -> int:
-    params, grid, _, _ = _build_workspace(cfg)
+    params, grid, _, (u0, _, _) = _build_workspace(cfg, _START_RATIO)
     statuses, distances = epsilon_convergence_study(
-        _start_profile(cfg, params, grid), params, cfg["experiment"]["eps_list"],
+        u0, params, cfg["experiment"]["eps_list"],
         _solver_config(cfg, t_end=cfg["experiment"]["t_fix"]))
     decreasing = distances is not None and all(
         a > b for a, b in zip(distances, distances[1:]))
@@ -523,7 +528,8 @@ def cmd_eps_study(cfg: dict) -> int:
 
 def _verify_checks(cfg: dict):
     """Yield (name, passed, details) for every property check."""
-    params, grid, kernel, _ = _build_workspace(cfg)
+    # the scaling check's bump holds M*, the run's start _START_RATIO times M*
+    params, grid, kernel, (base, _, _) = _build_workspace(cfg, 1.0)
     consts = model.derived_constants(params)
     tol = cfg["experiment"]["tolerances"]
     rng = np.random.default_rng(cfg["seed"])
@@ -581,8 +587,6 @@ def _verify_checks(cfg: dict):
     yield "dissipation_identity", dis_gap <= tol["dissipation"], {
         "max_relative_gap": dis_gap}
 
-    fp = cfg["experiment"]["fixed_point"]
-    base = barenblatt_profile(grid, consts.M_star, fp["support_radius"], params.m)
     J_base = vhls_ratio(base, kernel, params)
     worst_scale = 0.0
     for lam in (0.5, 2.0):

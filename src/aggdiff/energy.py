@@ -21,7 +21,7 @@ import numpy as np
 
 from .field import DensityField, face_gradient, require_same_grid
 from .model import ModelParams
-from .riesz import RieszKernel, interaction_energy, potential_values
+from .riesz import RieszKernel, potential_values
 from .special import ball_volume
 
 
@@ -63,14 +63,9 @@ class EnergyReport:
     D: float
 
 
-def _entropy(u: DensityField, m: float) -> float:
-    return float(np.dot(u.values ** m, u.grid.shell_volumes) / (m - 1.0))
-
-
 def free_energy(u: DensityField, kernel: RieszKernel, params: ModelParams) -> float:
-    require_same_grid(u.grid, kernel.grid, "field and kernel")
-    omega = interaction_energy(kernel, u)
-    return _entropy(u, params.m) - float(0.5 * params.c_ds * omega)
+    """F = S - W, as :func:`energy_report` forms it."""
+    return energy_report(u, kernel, params).F
 
 
 def energy_report(u: DensityField, kernel: RieszKernel, params: ModelParams,
@@ -79,12 +74,13 @@ def energy_report(u: DensityField, kernel: RieszKernel, params: ModelParams,
     omega = (u v) . K (u v)."""
     require_same_grid(u.grid, kernel.grid, "field and kernel")
     c_ds = params.c_ds if c_ds is None else c_ds
-    uv = u.values * u.grid.shell_volumes
+    m, vols = params.m, u.grid.shell_volumes
+    uv = u.values * vols
     Kuv = kernel.apply(uv)
     omega = float(uv @ Kuv)
-    S = _entropy(u, params.m)
+    S = float(np.dot(u.values ** m, vols) / (m - 1.0))
     W = float(0.5 * c_ds * omega)
-    D = dissipation(u, _mu(u.values, c_ds * Kuv, params.m))
+    D = dissipation(u, _mu(u.values, c_ds * Kuv, m))
     return EnergyReport(F=S - W, S=S, W=W, D=D)
 
 

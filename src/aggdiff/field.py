@@ -257,18 +257,21 @@ def scale(u: DensityField, lam: float, mu: float) -> DensityField:
     return DensityField(new_grid, lam * u.values)
 
 
+def _cell_gauss(grid: RadialGrid, order: int):
+    """The order-point Gauss-Legendre rule mapped into every cell: nodes and
+    volume-measure weights w r^{d-1}, each of shape (n_cells, order)."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    lo = grid.r_edges[:-1][:, None]
+    hi = grid.r_edges[1:][:, None]
+    nodes = 0.5 * (hi - lo) * x[None, :] + 0.5 * (hi + lo)
+    return nodes, 0.5 * (hi - lo) * w[None, :] * nodes ** (grid.d - 1)
+
+
 def _cell_average(grid: RadialGrid, fn) -> np.ndarray:
     """Volume-weighted cell averages of a radial profile, by 6-point
     Gauss-Legendre quadrature on each cell."""
-    nodes, weights = np.polynomial.legendre.leggauss(6)
-    lo = grid.r_edges[:-1][:, None]
-    hi = grid.r_edges[1:][:, None]
-    r = 0.5 * (hi - lo) * nodes[None, :] + 0.5 * (hi + lo)
-    w = 0.5 * (hi - lo) * weights[None, :]
-    d = grid.d
-    num = np.sum(w * r ** (d - 1) * fn(r), axis=1)
-    den = np.sum(w * r ** (d - 1), axis=1)
-    return num / den
+    r, w = _cell_gauss(grid, 6)
+    return np.sum(w * fn(r), axis=1) / np.sum(w, axis=1)
 
 
 def hls_extremizer_profile(grid: RadialGrid, A: float, gamma: float, s: float) -> DensityField:
@@ -289,7 +292,8 @@ def barenblatt_profile(grid: RadialGrid, total_mass: float, radius: float,
     """Compact self-similar bump c (1 - (r/radius)^2)_+^{1/(m-1)},
     normalised so the discrete mass equals ``total_mass`` exactly.  A
     radius inside the grid's first quadrature node raises
-    :class:`ParameterDomainError`."""
+    :class:`ParameterDomainError`, and a density beyond the largest double
+    ``OverflowError``."""
     if total_mass <= 0.0 or radius <= 0.0:
         raise ValueError("barenblatt_profile requires positive mass and radius")
     power = 1.0 / (m - 1.0)
@@ -301,7 +305,11 @@ def barenblatt_profile(grid: RadialGrid, total_mass: float, radius: float,
         raise ParameterDomainError(f"barenblatt_profile radius {radius!r} is too "
                                    f"small for the grid: no quadrature node lies "
                                    f"inside it")
-    return DensityField(grid, vals * (total_mass / raw_mass))
+    factor = total_mass / raw_mass
+    if not float(vals.max()) * factor < np.inf:
+        raise OverflowError(f"barenblatt_profile of mass {total_mass:g} in radius "
+                            f"{radius:g} overflows the largest double on this grid")
+    return DensityField(grid, vals * factor)
 
 
 def _random_bump_field(rng, grid: RadialGrid) -> np.ndarray:

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from .errors import ParameterDomainError
-from .field import DensityField, RadialGrid, require_same_grid
+from .field import DensityField, RadialGrid, _cell_gauss, require_same_grid
 from .special import sphere_surface
 
 # Node pairs per evaluation block: 512 KiB per temporary at any grid size.
@@ -138,13 +138,9 @@ def _angular_kernel_quad(r, rho, d, alpha, epsilon):
 
 
 def _gauss_nodes(grid: RadialGrid):
-    """Per-cell Gauss nodes and volume-measure weights, flattened."""
-    x, w = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
-    lo = grid.r_edges[:-1][:, None]
-    hi = grid.r_edges[1:][:, None]
-    nodes = 0.5 * (hi - lo) * x[None, :] + 0.5 * (hi + lo)
-    weights = 0.5 * (hi - lo) * w[None, :] * nodes ** (grid.d - 1)
-    weights /= weights.sum(axis=1, keepdims=True)  # cell-average weights
+    """Per-cell Gauss nodes, flattened, and cell-average weights."""
+    nodes, weights = _cell_gauss(grid, _GAUSS_ORDER)
+    weights /= weights.sum(axis=1, keepdims=True)
     return nodes.ravel(), weights
 
 

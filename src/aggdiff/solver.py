@@ -240,11 +240,7 @@ class _ImplicitStepper(_Stepper):
     it is.
     """
 
-    def __init__(self, kernel: RieszKernel, params: ModelParams,
-                 config: SolverConfig, c_ds: float):
-        super().__init__(kernel, params, config, c_ds)
-        self.dt_next = None  # step proposal, first the explicit stable step
-        self.dt_explicit = None
+    dt_next = dt_explicit = None  # step proposal and first stable dt, set by advance
 
     def _rate(self, u_vals: np.ndarray):
         """Face velocity and f(u) = -div(A F(u)) / V, phi evaluated at u."""
@@ -360,8 +356,7 @@ def step(state: SolverState, kernel: RieszKernel, params: ModelParams,
     taken at the explicit stable dt unless it would leave a cell negative
     there.  A non-finite result raises ``ValueError`` from its field."""
     require_same_grid(state.u.grid, kernel.grid, "field and kernel")
-    if c_ds is None:
-        c_ds = params.c_ds
+    c_ds = params.c_ds if c_ds is None else c_ds
     t_left = max(config.t_end - state.t, _DT_MIN)
     stepper = _STEPPERS[config.scheme](kernel, params, config, c_ds)
     new_vals, dt, _, _, _ = stepper.advance(state.u.values, t_left)
@@ -373,8 +368,8 @@ def step(state: SolverState, kernel: RieszKernel, params: ModelParams,
     )
 
 
-def _diag_row(u: DensityField, kernel, params, c_ds, t, dt) -> DiagnosticsRow:
-    rep = energy_report(u, kernel, params, c_ds=c_ds)
+def _diag_row(u: DensityField, kernel, params, t, dt) -> DiagnosticsRow:
+    rep = energy_report(u, kernel, params)
     return DiagnosticsRow(
         t=t,
         mass=mass(u),
@@ -409,15 +404,14 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
     s or d.
     """
     require_same_grid(u0.grid, kernel.grid, "initial condition and kernel")
-    c_ds = params.c_ds
-    stepper = _STEPPERS[config.scheme](kernel, params, config, c_ds)
+    stepper = _STEPPERS[config.scheme](kernel, params, config, params.c_ds)
     u_vals = u0.values.copy()
     u0_linf = float(np.max(u_vals, initial=0.0))
     t = 0.0
     steps = 0
     clipped_total = 0.0
     band_flux_total = 0.0
-    rows = [_diag_row(u0, kernel, params, c_ds, 0.0, math.nan)]
+    rows = [_diag_row(u0, kernel, params, 0.0, math.nan)]
     t_chord = _chord_time(rows[0].m2, rows[0].F, kernel, params)
     fields = [(0.0, u_vals.copy())] if store_fields else []
     status, reason, t_detect = "completed", None, None
@@ -449,7 +443,7 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
             break
         if steps % config.output_every == 0:
             rows.append(_diag_row(DensityField(kernel.grid, u_vals), kernel, params,
-                                  c_ds, t, dt))
+                                  t, dt))
             if store_fields:
                 fields.append((t, u_vals.copy()))
         if steps >= _MAX_STEPS:
@@ -458,7 +452,7 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
 
     u_final = DensityField(kernel.grid, u_vals)
     if rows[-1].t < t:
-        rows.append(_diag_row(u_final, kernel, params, c_ds, t, rows[-1].dt))
+        rows.append(_diag_row(u_final, kernel, params, t, rows[-1].dt))
     if store_fields and fields[-1][0] < t:
         fields.append((t, u_vals.copy()))
     final_state = SolverState(t=t, u=u_final, step_count=steps,
@@ -536,7 +530,7 @@ def dichotomy_run(U: DensityField, ratio: float, M_ref: float, kernel: RieszKern
     M = ratio * M_ref
     u0 = blowup_initial_data(U, M, params)
     F0 = free_energy(u0, kernel, params)
-    chord = blowup_time_upper_bound(u0, kernel, params)
+    chord = _chord_time(second_moment(u0), F0, kernel, params)
     if ratio < 1.0:
         t_end = diffusive_times * diffusive_time(u0, params)
         scheme = "implicit"

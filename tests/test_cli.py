@@ -135,6 +135,26 @@ class TestConfig:
         assert "Traceback" not in captured.err
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("command, settings", [
+        ("simulate", ["grid.n_cells=64", "grid.r_max=1e-104",
+                      "experiment.fixed_point.support_radius=5e-105"]),
+        # this bump fits at mass 1, not at the start's M*/2
+        ("simulate", ["grid.n_cells=64", "grid.r_max=1e-102",
+                      "experiment.fixed_point.support_radius=5e-103"]),
+        ("verify", ["grid.n_cells=8", "grid.r_max=1e-106"]),
+    ])
+    def test_start_bump_density_overflow_exits_1_before_any_kernel(
+            self, tmp_path, capsys, monkeypatch, command, settings):
+        monkeypatch.setattr(aggdiff.cli, "build_kernel", kernel_must_not_be_built)
+        out = tmp_path / "out"
+        args = [arg for setting in settings for arg in ("--set", setting)]
+        assert run_cli(command, *args, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert ("config fields 'grid.r_max'/'experiment.fixed_point.support_radius'"
+                in captured.err)
+        assert "overflows" in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_constants_ignores_an_out_of_range_r_max(self, tmp_path, capsys):
         # without --profile, constants builds no grid
         assert run_cli("constants", "--set", "grid.r_max=1e300",

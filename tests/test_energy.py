@@ -79,6 +79,24 @@ class TestFreeEnergy:
             assert rep.W == 0.5 * params.c_ds * interaction_energy(kernel96, u)
             assert rep.D == dissipation(u, chemical_potential(u, kernel96, params))
 
+    @pytest.mark.parametrize("n_cells", [96, 576])  # dense, FFT operator
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    def test_free_energy_is_the_reports_F_bit_for_bit(self, params, n_cells,
+                                                      epsilon):
+        grid = RadialGrid.uniform(n_cells, 3.0)
+        kernel = build_kernel(grid, params.s, epsilon=epsilon)
+        assert (kernel._operator is not None) == (n_cells == 576)
+        rng = np.random.default_rng(n_cells)
+        m = params.m
+        for _ in range(5):
+            u = DensityField(grid, random_bump_field(rng, grid))
+            F = free_energy(u, kernel, params)
+            assert F == energy_report(u, kernel, params).F
+            # the former free_energy: S and W formed on their own
+            S = float(np.dot(u.values ** m, grid.shell_volumes) / (m - 1.0))
+            W = float(0.5 * params.c_ds * interaction_energy(kernel, u))
+            assert F == S - W
+
     def test_part_scalings(self, params):
         # S -> lam^m mu^-d S and W -> lam^2 mu^-(d+2s) W under lam*u(mu r)
         g = RadialGrid.uniform(128, 3.0)
@@ -187,7 +205,7 @@ class TestVirialRhs:
 
     @staticmethod
     def virial_rhs(u, kernel, params):
-        return _diag_row(u, kernel, params, params.c_ds, 0.0, 0.0).virial_rhs
+        return _diag_row(u, kernel, params, 0.0, 0.0).virial_rhs
 
     def test_zero_field(self, params, grid96, kernel96):
         u = DensityField(grid96, np.zeros(96))

@@ -22,7 +22,8 @@ from aggdiff import (
     second_moment,
     write_field_csv,
 )
-from aggdiff.field import dilate
+from aggdiff import riesz
+from aggdiff.field import _cell_average, dilate
 from aggdiff.special import sphere_surface
 from conftest import random_bump_field
 
@@ -324,6 +325,70 @@ class TestProfiles:
         g = RadialGrid.uniform(64, 4.0)
         with pytest.raises(ParameterDomainError, match="radius 1e-06 is too small"):
             barenblatt_profile(g, 25.0, 1e-6, 7 / 6)
+
+    def test_barenblatt_density_overflow_rejected(self):
+        # mass 1 fits in this bump; 100 pushes its density past the largest double
+        g = RadialGrid.uniform(64, 1e-102)
+        assert np.isfinite(barenblatt_profile(g, 1.0, 5e-103, 7 / 6).values).all()
+        with pytest.raises(OverflowError, match="mass 100 in radius 5e-103 overflows"):
+            barenblatt_profile(g, 100.0, 5e-103, 7 / 6)
+
+
+def former_gauss_nodes(grid):
+    """riesz._gauss_nodes as it was coded before the shared cell Gauss map,
+    with fresh arrays."""
+    x, w = np.polynomial.legendre.leggauss(riesz._GAUSS_ORDER)
+    lo = grid.r_edges[:-1][:, None]
+    hi = grid.r_edges[1:][:, None]
+    nodes = 0.5 * (hi - lo) * x[None, :] + 0.5 * (hi + lo)
+    weights = 0.5 * (hi - lo) * w[None, :] * nodes ** (grid.d - 1)
+    return nodes.ravel(), weights / weights.sum(axis=1, keepdims=True)
+
+
+def former_cell_average(grid, fn):
+    """field._cell_average as it was coded before the shared cell Gauss map."""
+    nodes, weights = np.polynomial.legendre.leggauss(6)
+    lo = grid.r_edges[:-1][:, None]
+    hi = grid.r_edges[1:][:, None]
+    r = 0.5 * (hi - lo) * nodes[None, :] + 0.5 * (hi + lo)
+    w = 0.5 * (hi - lo) * weights[None, :]
+    d = grid.d
+    num = np.sum(w * r ** (d - 1) * fn(r), axis=1)
+    den = np.sum(w * r ** (d - 1), axis=1)
+    return num / den
+
+
+def cell_gauss_grid(kind, d):
+    uniform = RadialGrid.uniform(64, 3.0, d=d)
+    rng = np.random.default_rng(d)
+    if kind == "uniform":
+        return uniform
+    if kind == "rearranged":
+        return rearrange(DensityField(uniform, random_bump_field(rng, uniform))).grid
+    edges = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 3.0, 64))))
+    return RadialGrid(d=d, r_edges=edges)
+
+
+class TestCellGauss:
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("kind", ["uniform", "rearranged", "random-edges"])
+    def test_pair_average_nodes_bitwise_equal_to_former_code(self, kind, d):
+        grid = cell_gauss_grid(kind, d)
+        nodes, weights = riesz._gauss_nodes(grid)
+        former_nodes, former_weights = former_gauss_nodes(grid)
+        assert np.array_equal(nodes, former_nodes)
+        assert np.array_equal(weights, former_weights)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("kind", ["uniform", "rearranged", "random-edges"])
+    @pytest.mark.parametrize("profile", [
+        lambda r: np.clip(1.0 - (r / 1.3) ** 2, 0.0, None) ** 6.0,
+        lambda r: 2.0 * (1.5 ** 2 + r * r) ** -2.75,
+    ], ids=["bump", "extremizer"])
+    def test_cell_average_bitwise_equal_to_former_code(self, kind, d, profile):
+        grid = cell_gauss_grid(kind, d)
+        assert np.array_equal(_cell_average(grid, profile),
+                              former_cell_average(grid, profile))
 
 
 def uniform_test_field(n_cells, d=3):

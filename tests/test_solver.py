@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -501,6 +502,22 @@ class TestDichotomyRun:
                                                DICHOTOMY_CONFIG)
         assert entry["status"] == out.status
         assert entry["status"] == ("completed" if ratio < 1 else "blowup")
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.5])
+    def test_start_takes_one_matvec(self, params, grid96, kernel96, monkeypatch,
+                                    ratio):
+        # F0 and the chord time T* come from one evaluation of the start
+        calls = []
+        apply = RieszKernel.apply
+        monkeypatch.setattr(RieszKernel, "apply",
+                            lambda self, x: calls.append(1) or apply(self, x))
+        row = SimpleNamespace(lm_norm=1.0)
+        monkeypatch.setattr(solver, "run", lambda *args: SimpleNamespace(
+            status="completed", t_detect=None, diagnostics=[row]))
+        U = barenblatt_profile(grid96, 100.0, 1.0, params.m)
+        entry, _ = dichotomy_run(U, ratio, 150.0, kernel96, params, DICHOTOMY_CONFIG)
+        assert len(calls) == 1
+        assert (entry["blowup_time_upper_bound"] is None) == (ratio < 1.0)
 
     def test_global_existence_bound_is_criterion_6s(self, params, consts,
                                                     dichotomy96):
