@@ -37,9 +37,7 @@ climbed = ad.maximize_vhls(grid, kernel, params, n_starts=6, seed=7)
 print(f"  ratio from random starts:        {climbed.J_value:.4f}")
 
 print("measuring it again via the critical-mass search ...")
-M_c, steady = ad.find_critical_mass(grid, kernel, params, consts.M_star,
-                                    1.08 * consts.M_star,
-                                    support_radius_init=1.0)
+M_c, steady = ad.find_critical_mass(grid, kernel, params, support_radius_init=1.0)
 print(f"  steady-profile ratio:            {steady.J_value:.6f}")
 larger = "random starts" if climbed.J_value > steady.J_value else "steady profile"
 print("  both are lower bounds of this grid's supremum of the ratio;")

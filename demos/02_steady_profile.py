@@ -18,12 +18,10 @@ import numpy as np
 import aggdiff as ad
 
 params = ad.ModelParams(d=3, s=1.25)
-consts = ad.derived_constants(params)
 grid = ad.RadialGrid.uniform(512, 4.0)
 kernel = ad.build_kernel(grid, params.s)
 
-M_c, res = ad.find_critical_mass(grid, kernel, params, consts.M_star,
-                                 1.08 * consts.M_star, support_radius_init=1.0)
+M_c, res = ad.find_critical_mass(grid, kernel, params, support_radius_init=1.0)
 U = res.U
 print(f"critical mass M_c = {M_c:.4f}, converged in {res.iterations} sweeps")
 print(f"support radius {res.support_radius:.3f} (grid extends to "

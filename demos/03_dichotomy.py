@@ -12,12 +12,9 @@ the quantitative envelopes along the way.
 import aggdiff as ad
 
 params = ad.ModelParams(d=3, s=1.25)
-consts = ad.derived_constants(params)
 grid = ad.RadialGrid.uniform(256, 4.0)
 kernel = ad.build_kernel(grid, params.s)
-M_c, steady = ad.find_critical_mass(grid, kernel, params, consts.M_star,
-                                    1.08 * consts.M_star,
-                                    support_radius_init=1.0)
+M_c, steady = ad.find_critical_mass(grid, kernel, params, support_radius_init=1.0)
 print(f"measured critical mass: {M_c:.4f}\n")
 
 for ratio in (0.5, 0.9, 1.5, 2.0):

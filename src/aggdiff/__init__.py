@@ -52,7 +52,6 @@ from .solver import (
     RunOutcome,
     SolverConfig,
     SolverState,
-    blowup_time_upper_bound,
     dichotomy_run,
     diffusive_time,
     epsilon_convergence_study,
@@ -69,7 +68,6 @@ from .extremal import (
     el_residual,
     find_critical_mass,
     maximize_vhls,
-    multiplier_defect,
 )
 from .errors import ConvergenceError, GridMismatchError, ParameterDomainError
 

@@ -54,7 +54,6 @@ from .field import (
 from .riesz import build_kernel, check_alpha, interaction_energy
 from .solver import (
     SolverConfig,
-    blowup_time_upper_bound,
     diagnostics_to_csv,
     dichotomy_run,
     epsilon_convergence_study,
@@ -251,13 +250,22 @@ def _check_kernel_params(params: model.ModelParams) -> None:
         raise ConfigError(f"config fields 'model.d'/'model.s': {exc}") from exc
 
 
-def _build_workspace(cfg: dict, bump_ratio: float | None, profile: str | None = None):
-    """(params, grid, kernel, start).  ``start`` is what :func:`_load_profile`
-    returns for the given path, or without one the like triple for the
-    :func:`_start_profile` bump at ``bump_ratio`` times M*, the largest mass
-    the command puts in it (None: the fixed point's).  The (d, s) pair, the
-    grid and the start are checked before the kernel is built, so a bad one
-    fails first."""
+def _build_workspace(cfg: dict, bump_ratio: float, profile: str | None = None):
+    """(params, grid, kernel, start): :func:`_checked_start`'s, with the
+    configured kernel built after every check."""
+    params, grid, start = _checked_start(cfg, bump_ratio, profile)
+    kernel = build_kernel(grid, params.s, epsilon=cfg["model"]["epsilon"])
+    return params, grid, kernel, start
+
+
+def _checked_start(cfg: dict, bump_ratio: float, profile: str | None = None):
+    """(params, grid, start), with the (d, s) pair checked for a kernel.
+    ``start`` is what :func:`_load_profile` returns for the given path, or
+    without one the like triple for the :func:`_start_profile` bump at
+    ``bump_ratio`` times M*.  That is the largest mass a command puts in the
+    bump, except for the measured critical-mass search: it starts at M*, and
+    its later masses (about 1.02 M* at d = 3, 1.12-1.13 M* at d = 4) are
+    not known before it runs."""
     params = model.ModelParams(d=cfg["model"]["d"], s=cfg["model"]["s"])
     _check_kernel_params(params)
     try:  # the range rule is RadialGrid's
@@ -266,19 +274,13 @@ def _build_workspace(cfg: dict, bump_ratio: float | None, profile: str | None = 
     except ValueError as exc:
         raise ConfigError(f"config field 'grid.r_max': {exc}") from exc
     if profile is not None:  # a profile replaces the start bump and its radius
-        start = _load_profile(profile, params, grid)
-    else:
-        if bump_ratio is None:  # the fixed point's: M* or the measured search's top
-            measured = cfg["experiment"]["mass_target"] == "measured"
-            bump_ratio = _SEARCH_TOP if measured else 1.0
-        try:  # the radius and density rules are barenblatt_profile's
-            bump = _start_profile(cfg, params, grid, bump_ratio)
-        except (ParameterDomainError, OverflowError) as exc:
-            raise ConfigError(f"config fields 'grid.r_max'/'experiment.fixed_point."
-                              f"support_radius': {exc}") from exc
-        start = bump, mass(bump), {}
-    kernel = build_kernel(grid, params.s, epsilon=cfg["model"]["epsilon"])
-    return params, grid, kernel, start
+        return params, grid, _load_profile(profile, params, grid)
+    try:  # the radius and density rules are barenblatt_profile's
+        bump = _start_profile(cfg, params, grid, bump_ratio)
+    except (ParameterDomainError, OverflowError) as exc:
+        raise ConfigError(f"config fields 'grid.r_max'/'experiment.fixed_point."
+                          f"support_radius': {exc}") from exc
+    return params, grid, (bump, mass(bump), {})
 
 
 def _solver_config(cfg: dict, **overrides) -> SolverConfig:
@@ -329,7 +331,6 @@ def _load_profile(path: str, params: model.ModelParams,
 
 
 _START_RATIO = 0.5  # the start's mass over M*
-_SEARCH_TOP = 1.1  # the top of the measured critical-mass bracket, over M*
 
 
 def _start_profile(cfg: dict, params, grid, ratio: float = _START_RATIO) -> DensityField:
@@ -342,18 +343,15 @@ def _start_profile(cfg: dict, params, grid, ratio: float = _START_RATIO) -> Dens
 
 
 def _compute_extremal(cfg: dict, params, grid, kernel):
-    consts = model.derived_constants(params)
     fp = cfg["experiment"]["fixed_point"]
     if cfg["experiment"]["mass_target"] == "measured":
-        # search for the mass where the steady profile is exact; the
-        # closed-form bound is always on the subcritical side
+        # the critical mass read off the steady profile's ratio J
         M_target, result = find_critical_mass(
-            grid, kernel, params, consts.M_star, _SEARCH_TOP * consts.M_star,
-            fp_tol=fp["tol"], max_iter=fp["max_iter"],
+            grid, kernel, params, fp_tol=fp["tol"], max_iter=fp["max_iter"],
             support_radius_init=fp["support_radius"],
         )
     else:
-        M_target = consts.M_star
+        M_target = model.derived_constants(params).M_star
         result = el_fixed_point(
             grid, kernel, params, M_target,
             tol=fp["tol"], max_iter=fp["max_iter"],
@@ -399,7 +397,7 @@ def cmd_constants(cfg: dict, profile: str | None = None) -> int:
 
 
 def cmd_extremal(cfg: dict) -> int:
-    params, grid, kernel, _ = _build_workspace(cfg, None)
+    params, grid, kernel, _ = _build_workspace(cfg, 1.0)
     result, M_target = _compute_extremal(cfg, params, grid, kernel)
     outdir = Path(cfg["output"]["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -412,6 +410,7 @@ def cmd_extremal(cfg: dict) -> int:
         "J_value": result.J_value,
         "lambda_bar": result.lambda_bar,
         "el_residual": result.el_residual,
+        "multiplier_defect": result.multiplier_defect,
         "M_target": M_target,
         "support_radius": result.support_radius,
         "iterations": result.iterations,
@@ -429,7 +428,6 @@ def cmd_simulate(cfg: dict, profile: str | None = None) -> int:
     outdir = Path(cfg["output"]["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
     diagnostics_to_csv(outcome.diagnostics, outdir / "diagnostics_simulate.csv")
-    bound = blowup_time_upper_bound(u0, kernel, params)
     results = {
         "status": outcome.status,
         "t_detect": outcome.t_detect,
@@ -438,7 +436,7 @@ def cmd_simulate(cfg: dict, profile: str | None = None) -> int:
         "t_final": outcome.final_state.t,
         "mass_initial": mass(u0),
         "mass_final": mass(outcome.final_state.u),
-        "blowup_time_upper_bound": bound,
+        "blowup_time_upper_bound": outcome.blowup_time_upper_bound,
         "boundary_mass_flux_total": outcome.boundary_mass_flux_total,
         "clipped_mass_total": outcome.clipped_mass_total,
     }
@@ -466,7 +464,7 @@ def _dichotomy_task(ratio):
 
 
 def cmd_dichotomy(cfg: dict, profile: str | None = None) -> int:
-    params, grid, kernel, (U, M_star, input_hashes) = _build_workspace(cfg, None,
+    params, grid, kernel, (U, M_star, input_hashes) = _build_workspace(cfg, 1.0,
                                                                        profile)
     if profile is None:  # U and M* come from the fixed point, not the checked bump
         result, M_star = _compute_extremal(cfg, params, grid, kernel)
@@ -505,7 +503,8 @@ def cmd_dichotomy(cfg: dict, profile: str | None = None) -> int:
 
 
 def cmd_eps_study(cfg: dict) -> int:
-    params, grid, _, (u0, _, _) = _build_workspace(cfg, _START_RATIO)
+    # the study builds one kernel per epsilon, so none is built here
+    params, _, (u0, _, _) = _checked_start(cfg, _START_RATIO)
     statuses, distances = epsilon_convergence_study(
         u0, params, cfg["experiment"]["eps_list"],
         _solver_config(cfg, t_end=cfg["experiment"]["t_fix"]))
@@ -549,7 +548,10 @@ def _verify_checks(cfg: dict):
     worst = 0.0
     for _ in range(cfg["experiment"]["n_random_fields"]):
         u = DensityField(grid, _random_bump_field(rng, grid))
-        worst = max(worst, vhls_ratio(u, kernel, params) / consts.C_hls)
+        try:  # on a tiny grid M^(2s/d) ||u||_m^m underflows
+            worst = max(worst, vhls_ratio(u, kernel, params) / consts.C_hls)
+        except ValueError as exc:
+            raise ConfigError(f"config field 'grid.r_max': {exc}") from exc
     yield "vhls_bound_random_fields", worst <= 1.0 + tol["vhls_margin"], {
         "worst_ratio_over_C": worst}
 

@@ -107,7 +107,10 @@ def _ratio(values: np.ndarray, kernel: RieszKernel, params: ModelParams) -> floa
     if not (math.isfinite(omega) and math.isfinite(norm_m)):
         raise ValueError("VHLS ratio is undefined: omega or ||u||_m^m overflows")
     norm = float(norm_m ** (1.0 / m))  # lp_norm(u, m)
-    return omega / (M ** (2.0 * params.s / params.d) * norm ** m)
+    denominator = M ** (2.0 * params.s / params.d) * norm ** m
+    if denominator == 0.0:
+        raise ValueError("VHLS ratio is undefined: M^(2s/d) ||u||_m^m underflows")
+    return omega / denominator
 
 
 def lr_lower_bound(M: float, m2: float, r: float, d: int) -> float:

@@ -27,17 +27,20 @@ mass is off the critical value the iterate drifts along that mode
 instead of converging: it spreads to the wall below the critical mass
 and collapses toward the grid scale above it.  The iteration therefore
 pins the mode by rescaling each iterate back to the second moment of
-the initial guess (an exact mass-preserving dilation); the signed
-mismatch between the converged multiplier and the variational value
+the initial guess (an exact mass-preserving dilation).  The anchored
+profile U_M then exists at every mass M, but only at the critical mass
+does its multiplier match the variational value
 
-    lam = (2s / (2s - d)) ||U||_m^m / M   (< 0 since 2s < d)
+    lam = (2s / (2s - d)) ||U||_m^m / M   (< 0 since 2s < d);
 
-then changes sign across the critical mass, and is smooth in it, which
-is what :func:`find_critical_mass` searches on.  Its solves after the
-first start from the evaluated profile nearest in mass but keep the
-anchor of a cold start (the default guess at the new mass), so the
-defect stays the cold solve's to within the fixed-point tolerance while
-a search takes fewer sweeps (72 instead of 84 at 4096 cells).  The
+the signed mismatch is reported as a quality figure beside the residual.
+:func:`find_critical_mass` reads the critical mass off the interaction
+ratio instead, through the paper's identity
+M_c = M* (C*_upper / J*)^{d/(2s)}: from M = M* it iterates
+M <- M* (C*_upper / J(U_M))^{d/(2s)}, 3 solves and 42 sweeps at 4096
+cells.  Its solves after the first start from the previous profile but
+keep the anchor of a cold start (the default guess at the new mass), so
+each U_M is the cold solve's to within the fixed-point tolerance.  The
 residual reported everywhere checks the steady equation against the
 variational multiplier, independently of the iteration's own value.
 """
@@ -65,7 +68,7 @@ from .field import (
     second_moment,
 )
 from .energy import _mu, _ratio, vhls_ratio
-from .model import ModelParams
+from .model import ModelParams, critical_mass, derived_constants
 from .riesz import RieszKernel, potential
 
 
@@ -73,16 +76,22 @@ _NEWTON_STEPS = 100  # multiplier solve budget; a cold solve takes about 7 steps
 _MIXING_DEPTH = 5  # sweep-output differences per Anderson step
 _MIXING_STALL = 4  # sweeps without a new smallest residual before plain steps
 _MAX_MOVES = 400  # accepted moves per start of maximize_vhls
+_SEARCH_SOLVES = 50  # solve budget of find_critical_mass; it takes 3 to 5
 
 
 @dataclass(frozen=True)
 class ExtremalResult:
-    """Converged steady profile with its multiplier and quality measures."""
+    """Converged steady profile with its multiplier and quality measures.
+
+    ``multiplier_defect`` is (lambda_bar - lam_var) / |lam_var| with lam_var
+    the variational multiplier: positive below the critical mass, negative
+    above it, and 0 for an exact steady state."""
 
     U: DensityField
     lambda_bar: float
     J_value: float
     el_residual: float
+    multiplier_defect: float
     support_radius: float
     iterations: int
 
@@ -193,7 +202,8 @@ def el_fixed_point(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
     From a guess of radius 1, the CLI's default, the result holds M_target
     to roundoff while its support stays off R_max: within 5e-14 relative
     at 0.5, 1.0 and 1.08 M* on 96 cells (R_max 3) and 256 cells (R_max
-    4), so the critical-mass bracket [M*, 1.08 M*] is on the exact side.
+    4), so the critical-mass search's masses (M* to 1.024 M* at d = 3) are
+    on the exact side.
     Further above M* the dilation spreads the collapsing iterate to the
     wall and drops the mass it pushes past R_max, and the result falls
     short of M_target: by 6e-6 to 2.4e-5 relative at 1.5 M* and 2e-4 to
@@ -261,11 +271,13 @@ def _anchored_fixed_point(grid: RadialGrid, kernel: RieszKernel,
             last_residual=el_residual(U_last, kernel, params, M_target),
         )
     U = DensityField(grid, u_vals)
+    lam_var = variational_multiplier(U, params, M_target)
     return ExtremalResult(
         U=U,
         lambda_bar=lam,
         J_value=vhls_ratio(U, kernel, params),
         el_residual=el_residual(U, kernel, params, M_target),
+        multiplier_defect=(lam - lam_var) / abs(lam_var),
         support_radius=_support_radius(U),
         iterations=iteration,
     )
@@ -292,85 +304,60 @@ def _anderson_mix(outputs: list, residuals: list, vols: np.ndarray,
     return mixed * (M_target / float(np.dot(mixed, vols)))
 
 
-def multiplier_defect(result: ExtremalResult, params: ModelParams,
-                      M_target: float) -> float:
-    """Signed gap (lam_converged - lam_variational) / |lam_variational|.
-
-    Positive below the critical mass (the anchored profile is held
-    against spreading) and negative above it, so a sign change brackets
-    the critical mass.
-    """
-    lam_var = variational_multiplier(result.U, params, M_target)
-    return (result.lambda_bar - lam_var) / abs(lam_var)
-
-
 def find_critical_mass(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
-                       M_lo: float, M_hi: float, rel_tol: float = 1e-5,
-                       fp_tol: float = 1e-9, max_iter: int = 500, *,
+                       M_start: float | None = None, M_cap: float | None = None,
+                       rel_tol: float = 1e-5, fp_tol: float = 1e-9,
+                       max_iter: int = 500, *,
                        support_radius_init: float) -> tuple[float, ExtremalResult]:
-    """Bracketed search for the mass at which the anchored fixed point is
-    an exact steady state (zero multiplier defect).
+    """The critical mass read off the interaction ratio, with the steady
+    profile there.
 
-    Illinois regula falsi on the defect (Dowell & Jarratt 1971): a new
-    mass is the secant root of the bracket ends, held rel_tol M_hi / 2
-    inside both, and an end kept twice running has its defect halved;
-    after the first step, two steps that do not halve the bracket are
-    followed by a bisection.  Stops once the bracket is within rel_tol M_hi
-    and returns the evaluated mass with the smallest |defect| and its
-    profile.  The bracket must straddle the sign change; the closed-form
-    upper bound for the interaction constant gives a natural lower
-    endpoint (its mass is always subcritical).
+    The threshold is the mass of the optimal constant J*:
+    M_c = M* (C*_upper / J*)^{d/(2s)}, which is
+    :func:`~aggdiff.model.critical_mass` at J*.  From M = M* the search
+    solves U_M, the anchored fixed point at M, and sets M to
+    ``critical_mass(d, s, J(U_M))``.  It stops once a step moves M by at
+    most ``rel_tol`` M and returns the last solved mass with its profile.
+    At the map's fixed point the profile's free energy
+    F = ||U||_m^m (1/(m-1) - c_ds J M^{2s/d} / 2) vanishes.
+    For an exact steady state this fixed point of the map is the zero of
+    the multiplier defect; on a uniform grid the two discretisations of
+    M_c differ at O(h^2) (2.2e-5 relative at 256 cells, 1.4e-6 at 1024).
+    Raises :class:`ConvergenceError` if M has not settled after
+    ``_SEARCH_SOLVES`` solves.
 
-    Every solve after the first starts from the evaluated profile nearest
-    in mass, rescaled to the new mass, but keeps the cold start's anchor:
-    the second moment of :func:`el_fixed_point`'s guess at that mass.
-    The anchor sets the fixed point, so the defect is the cold solve's to
-    within ``fp_tol`` while the warm solve takes fewer sweeps.
+    Every solve after the first starts from the previous profile, rescaled
+    to the new mass, but keeps the cold start's anchor: the second moment
+    of :func:`el_fixed_point`'s guess at that mass.  The anchor sets the
+    fixed point, so each J is the cold solve's to within ``fp_tol`` while
+    the warm solve takes fewer sweeps.
+
+    ``M_start`` (default M*) and ``M_cap`` (default none) exist only for
+    the benchmark harness's positional call (M*, 1.08 M*); nothing in the
+    package, the demos or the README passes them, and both go when that
+    call moves.  An iterate above ``M_cap`` raises :class:`ConvergenceError`.
     """
-    if not (0.0 < rel_tol < 1.0 and 0.0 < M_lo < M_hi):
-        raise ValueError(f"need 0 < rel_tol < 1 and 0 < M_lo < M_hi, got "
-                         f"rel_tol={rel_tol}, bracket [{M_lo}, {M_hi}]")
-    solved = []  # (mass, result) of every solve so far
-
-    def defect_at(M):
+    M = derived_constants(params).M_star if M_start is None else M_start
+    top = math.inf if M_cap is None else M_cap
+    if not (0.0 < rel_tol < 1.0 and 0.0 < M <= top):
+        raise ValueError(f"need 0 < rel_tol < 1 and 0 < M_start <= M_cap, got "
+                         f"rel_tol={rel_tol}, M_start={M}, M_cap={M_cap}")
+    U = None
+    for _ in range(_SEARCH_SOLVES):
         cold = barenblatt_profile(grid, M, support_radius_init, params.m)
-        start = min(solved, key=lambda e: abs(e[0] - M))[1].U if solved else cold
-        res = _anchored_fixed_point(grid, kernel, params, M, start, cold, fp_tol,
-                                    max_iter)
-        solved.append((M, res))
-        return multiplier_defect(res, params, M), res
-
-    d_lo, res_lo = defect_at(M_lo)
-    d_hi, res_hi = defect_at(M_hi)
-    if d_lo == 0.0:
-        return M_lo, res_lo
-    if d_hi == 0.0:
-        return M_hi, res_hi
-    if d_lo * d_hi > 0.0:
-        raise ValueError(
-            f"multiplier defect does not change sign on [{M_lo}, {M_hi}] "
-            f"({d_lo:.3e} vs {d_hi:.3e}); widen the bracket"
-        )
-    best = min((abs(d_lo), M_lo, res_lo), (abs(d_hi), M_hi, res_hi), key=lambda b: b[0])
-    M, f = [M_lo, M_hi], [d_lo, d_hi]  # bracket ends and their (Illinois) defects
-    widths, last = [], -1  # widths after each step; the end the last step replaced
-    while M[1] - M[0] > rel_tol * M[1]:
-        if len(widths) > 2 and widths[-1] > 0.5 * widths[-3]:
-            M_new = 0.5 * (M[0] + M[1])
-        else:
-            margin = 0.5 * rel_tol * M[1]
-            M_new = min(max((M[0] * f[1] - M[1] * f[0]) / (f[1] - f[0]),
-                            M[0] + margin), M[1] - margin)
-        d_new, res_new = defect_at(M_new)
-        best = min(best, (abs(d_new), M_new, res_new), key=lambda b: b[0])
-        if d_new == 0.0:
-            break
-        side = int(f[0] * d_new < 0.0)  # 1: the new mass replaces the upper end
-        if side == last:  # the other end is kept twice running
-            f[1 - side] *= 0.5
-        M[side], f[side], last = M_new, d_new, side
-        widths.append(M[1] - M[0])
-    return best[1], best[2]
+        result = _anchored_fixed_point(grid, kernel, params, M,
+                                       cold if U is None else U, cold, fp_tol,
+                                       max_iter)
+        U = result.U
+        M_next = critical_mass(params.d, params.s, result.J_value)
+        if abs(M_next - M) <= rel_tol * M:
+            return M, result
+        if M_next > top:
+            raise ConvergenceError(f"critical-mass iterate {M_next:.6g} lies above "
+                                   f"the cap M_cap={M_cap:.6g}")
+        M = M_next
+    raise ConvergenceError(f"critical mass not settled within {_SEARCH_SOLVES} "
+                           f"solves (last iterate {M:.6g})")
 
 
 def maximize_vhls(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
@@ -442,6 +429,7 @@ def maximize_vhls(grid: RadialGrid, kernel: RieszKernel, params: ModelParams,
         lambda_bar=variational_multiplier(U, params, M),
         J_value=best_J,
         el_residual=el_residual(U, kernel, params, M),
+        multiplier_defect=0.0,  # lambda_bar is the variational multiplier
         support_radius=_support_radius(U),
         iterations=best_moves,
     )

@@ -114,8 +114,9 @@ class RunOutcome:
     status is one of "completed", "blowup", "stalled", "failed"; for
     blow-up, ``t_detect`` records the detection time and ``reason`` the
     trigger ("linf_threshold", "dt_collapse", or "chord_exhausted" for an
-    unregularised run from F(u0) < 0 that reaches the chord time T* of
-    :func:`blowup_time_upper_bound` first; see :func:`run`).  A step that
+    unregularised run from F(u0) < 0 that reaches the chord time T* first;
+    see :func:`run`).  ``blowup_time_upper_bound`` is that T*, None when
+    F(u0) >= 0 or epsilon > 0, where no chord bound holds.  A step that
     produces a non-finite value ends the run "failed" (reason
     "non_finite") with the last finite state as the final state.
     ``boundary_mass_flux_total`` accumulates the signed mass transported
@@ -136,6 +137,7 @@ class RunOutcome:
     fields: list = field(default_factory=list)
     rejected_steps: int = 0
     fallback_steps: int = 0
+    blowup_time_upper_bound: float | None = None
 
 
 class _Stepper:
@@ -395,8 +397,11 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
     stable dt below ``_DT_MIN`` once L^inf has more than doubled
     ("dt_collapse"); a collapsing dt without that growth is a stall.
     With an unregularised kernel and F(u0) < 0 the virial identity forces
-    blow-up by the chord time T* (:func:`blowup_time_upper_bound`, read
-    off the t = 0 diagnostics row), so a run that reaches T* without
+    blow-up by the chord time T* = m2(u0) / (2 (d-2s) |F(u0)|): integrated
+    against the decreasing energy, it pins the second moment under the
+    chord m2(0) + 2(d-2s) F(u0) t, which hits zero at T*.  T* is read off
+    the t = 0 diagnostics row and returned as the outcome's
+    ``blowup_time_upper_bound``.  A run that reaches T* without
     the L^inf trigger ends "blowup" too ("chord_exhausted"); with
     epsilon > 0 the chord bound does not hold and this rule is off.  A
     non-finite L^inf after a step ends the run "failed" ("non_finite").
@@ -468,20 +473,8 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
         fields=fields,
         rejected_steps=stepper.rejected_steps,
         fallback_steps=stepper.fallback_steps,
+        blowup_time_upper_bound=t_chord,
     )
-
-
-def blowup_time_upper_bound(u0: DensityField, kernel: RieszKernel,
-                            params: ModelParams) -> float | None:
-    """m2(u0) / (2 (d-2s) |F(u0)|) for an unregularised kernel and
-    F(u0) < 0, else None.
-
-    Integrating the virial identity against the decreasing energy pins
-    the second moment under the chord m2(0) + 2(d-2s) F(u0) t, which
-    hits zero at this time.  With epsilon > 0 the identity does not hold.
-    """
-    return _chord_time(second_moment(u0), free_energy(u0, kernel, params),
-                       kernel, params)
 
 
 def _chord_time(m2: float, F: float, kernel: RieszKernel,
@@ -510,7 +503,7 @@ def dichotomy_run(U: DensityField, ratio: float, M_ref: float, kernel: RieszKern
                   diffusive_times: float = 5.0) -> tuple[dict, RunOutcome]:
     """One run of the mass-ratio dichotomy, from the steady profile ``U``
     rescaled to mass M = ``ratio * M_ref`` (:func:`blowup_initial_data`),
-    with free energy F0 and chord time T* (:func:`blowup_time_upper_bound`).
+    with free energy F0 and chord time T* (:func:`_chord_time`).
 
     Below ratio 1 the run is implicit over ``diffusive_times`` diffusive
     times of the initial data (its explicit step count would grow as

@@ -62,18 +62,16 @@ def kernel512(grid512):
 
 
 @pytest.fixture(scope="session")
-def critical256(params, consts, grid256, kernel256):
+def critical256(params, grid256, kernel256):
     """Measured critical mass and steady profile on the 256-cell grid."""
-    return find_critical_mass(grid256, kernel256, params, consts.M_star,
-                              1.08 * consts.M_star, rel_tol=1e-6,
+    return find_critical_mass(grid256, kernel256, params, rel_tol=1e-6,
                               support_radius_init=1.0)
 
 
 @pytest.fixture(scope="session")
-def critical512(params, consts, grid512, kernel512):
+def critical512(params, grid512, kernel512):
     """Measured critical mass and steady profile at desk resolution."""
-    return find_critical_mass(grid512, kernel512, params, consts.M_star,
-                              1.08 * consts.M_star, rel_tol=1e-6,
+    return find_critical_mass(grid512, kernel512, params, rel_tol=1e-6,
                               support_radius_init=1.0)
 
 

@@ -155,6 +155,17 @@ class TestConfig:
         assert "overflows" in captured.err and "Traceback" not in captured.err
         assert captured.out == "" and not out.exists()
 
+    def test_ratio_underflow_on_a_tiny_grid_exits_1_naming_r_max(self, tmp_path,
+                                                                 capsys):
+        # the random fields' M^(2s/d) ||u||_m^m underflows at r_max 1e-60
+        out = tmp_path / "out"
+        assert run_cli("verify", "--set", "grid.n_cells=8", "--set",
+                       "grid.r_max=1e-60", "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert "config field 'grid.r_max'" in captured.err
+        assert "underflows" in captured.err and "Traceback" not in captured.err
+        assert not out.exists()
+
     def test_constants_ignores_an_out_of_range_r_max(self, tmp_path, capsys):
         # without --profile, constants builds no grid
         assert run_cli("constants", "--set", "grid.r_max=1e300",
@@ -296,7 +307,9 @@ class TestExtremalAndProfileFlow:
         meta = json.loads(sidecar.read_text())
         assert meta["el_residual"] <= 1e-2
         assert meta["lambda_bar"] < 0
-        assert {"J_value", "lambda_bar", "el_residual", "M_target"} <= set(meta)
+        assert {"J_value", "lambda_bar", "el_residual", "multiplier_defect",
+                "M_target"} <= set(meta)
+        assert abs(meta["multiplier_defect"]) <= 1e-2
 
         out2 = tmp_path / "out2"
         code = run_cli("constants", "--profile", str(profile), "--out", str(out2))
@@ -313,6 +326,16 @@ class TestExtremalAndProfileFlow:
         assert run_cli("constants", "--profile", str(bare), "--out", str(out3)) == 0
         bare_res = json.loads((out3 / "report.json").read_text())["results"]
         assert bare_res["C_star_measured"] == res["C_star_measured"]
+
+    def test_measured_critical_mass_at_d_4(self, tmp_path, capsys):
+        # M_c is 1.13 M* on 32 cells, outside the former bracket [M*, 1.1 M*]
+        out = tmp_path / "out"
+        assert run_cli("extremal", "--set", "model.d=4", "--set", "grid.n_cells=32",
+                       "--set", 'experiment.mass_target="measured"',
+                       "--out", str(out)) == 0
+        meta = json.loads((out / "profile_extremal.json").read_text())
+        M_star = derived_constants(ModelParams(d=4, s=1.25)).M_star
+        assert 1.1 * M_star < meta["M_target"] < 1.2 * M_star
 
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         code = run_cli("extremal", *SMALL, "--set",
@@ -387,7 +410,7 @@ def test_critical_mass_search_leaves_scipy_linalg_unloaded():
              "p = ad.ModelParams(d=3, s=1.25); c = ad.derived_constants(p); "
              "g = ad.RadialGrid.uniform(96, 4.0); "
              "M_c, res = ad.find_critical_mass(g, ad.build_kernel(g, p.s), p, "
-             "c.M_star, 1.08 * c.M_star, rel_tol=1e-3, support_radius_init=1.0); "
+             "rel_tol=1e-3, support_radius_init=1.0); "
              "assert c.M_star < M_c < 1.08 * c.M_star and res.iterations > 1; "
              + SCIPY_MODULES)
     assert run_probe(probe) == "[]"
@@ -745,6 +768,18 @@ class TestSimulate:
         assert header == "t,mass,lm_norm,linf_norm,m2,F,S,W,D,virial_rhs,dt"
         assert json.loads(r1)["results"]["status"] == "completed"
 
+    def test_initial_energy_formed_once(self, tmp_path, monkeypatch, capsys):
+        # the t = 0 row's F gives the report's T*: one energy_report per row
+        calls = []
+        for module in (aggdiff.energy, aggdiff.solver):
+            monkeypatch.setattr(module, "energy_report", lambda *args, f=(
+                module.energy_report): calls.append(1) or f(*args))
+        out = tmp_path / "out"
+        assert run_cli("simulate", *SMALL, "--set", "solver.t_end=1e-4",
+                       "--set", "solver.output_every=100000", "--out", str(out)) == 0
+        rows = (out / "diagnostics_simulate.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 and len(calls) == 2
+
 
 class TestDichotomy:
     def test_small_sweep_statuses(self, tmp_path, capsys):
@@ -852,6 +887,15 @@ class TestEpsStudy:
         assert res["strictly_decreasing"] is True
         assert res["statuses"] == ["completed"] * 3
         assert len(res["l1_distances"]) == 2
+
+    def test_one_kernel_per_epsilon(self, tmp_path, monkeypatch, capsys):
+        built = []
+        for module in (aggdiff.cli, aggdiff.solver):
+            monkeypatch.setattr(module, "build_kernel", lambda *args, f=(
+                module.build_kernel), **kwargs: built.append(1) or f(*args, **kwargs))
+        assert run_cli("eps-study", *SMALL, "--set", "experiment.eps_list=[0.2,0.1]",
+                       "--out", str(tmp_path / "out")) == 0
+        assert len(built) == 2
 
 
 class TestVerify:

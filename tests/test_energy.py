@@ -199,6 +199,13 @@ class TestVhlsRatio:
             with pytest.raises(ValueError, match="overflows"):
                 vhls_ratio(u, kernel96, params)
 
+    def test_underflowing_denominator_rejected(self, params, grid96, kernel96):
+        # M^(2s/d) ||u||_m^m of a field of mass ~1e-300 rounds to 0: no ratio,
+        # not a ZeroDivisionError
+        u = DensityField(grid96, np.full(96, 1e-300))
+        with pytest.raises(ValueError, match="underflows"):
+            vhls_ratio(u, kernel96, params)
+
 
 class TestVirialRhs:
     """The virial right-hand side 2 (d - 2s) F(u) of a diagnostics row."""

@@ -21,7 +21,6 @@ from aggdiff import (
     SolverState,
     barenblatt_profile,
     blowup_initial_data,
-    blowup_time_upper_bound,
     build_kernel,
     derived_constants,
     dichotomy_run,
@@ -146,7 +145,7 @@ class TestRun:
                                                        kernel256, critical256):
         M_c, result = critical256
         u0 = blowup_initial_data(result.U, 1.5 * M_c, params)
-        bound = blowup_time_upper_bound(u0, kernel256, params)
+        bound = chord_time(u0, kernel256, params)
         cfg = SolverConfig(t_end=2.0 * bound, blowup_factor=1e3, output_every=50)
         out = run(u0, kernel256, params, cfg)
         assert out.status == "blowup"
@@ -266,17 +265,28 @@ class TestRun:
         assert len(lines) == len(out.diagnostics) + 1
 
 
+def chord_time(u0, kernel, params):
+    """Oracle: T* = m2(u0) / (2 (d-2s) |F(u0)|), None with epsilon > 0 or
+    F(u0) >= 0, where no chord bound holds."""
+    F0 = free_energy(u0, kernel, params)
+    if kernel.epsilon != 0.0 or not F0 < 0.0:
+        return None
+    return second_moment(u0) / (2.0 * params.alpha * abs(F0))
+
+
 class TestBlowupTimeBound:
     def test_none_for_nonnegative_energy(self, params, grid96, kernel96):
         u = barenblatt_profile(grid96, 1.0, 1.0, params.m)
         assert free_energy(u, kernel96, params) > 0.0
-        assert blowup_time_upper_bound(u, kernel96, params) is None
+        out = run(u, kernel96, params, SolverConfig(t_end=1e-4))
+        assert out.blowup_time_upper_bound is None
 
     def test_formula_linearity_in_second_moment(self, params, grid256, kernel256,
                                                 critical256):
         M_c, result = critical256
         u0 = blowup_initial_data(result.U, 1.5 * M_c, params)
-        bound = blowup_time_upper_bound(u0, kernel256, params)
+        bound = run(u0, kernel256, params,
+                    SolverConfig(t_end=1e-6)).blowup_time_upper_bound
         F0 = free_energy(u0, kernel256, params)
         expected = second_moment(u0) / (2 * (params.d - 2 * params.s) * abs(F0))
         assert bound == pytest.approx(expected, rel=1e-14)
@@ -287,7 +297,7 @@ class TestBlowupTimeBound:
         u0 = blowup_initial_data(result.U, 1.5 * M_c, params)
         F0 = free_energy(u0, kernel256, params)
         m20 = second_moment(u0)
-        cfg = SolverConfig(t_end=2.0 * blowup_time_upper_bound(u0, kernel256, params),
+        cfg = SolverConfig(t_end=2.0 * chord_time(u0, kernel256, params),
                            output_every=20)
         out = run(u0, kernel256, params, cfg)
         slope = 2 * (params.d - 2 * params.s) * F0
@@ -301,10 +311,11 @@ class TestBlowupTimeBound:
         # reaches ~74x by T* and ~163x by 2 T*, below the 1e3 trigger
         M_c, result = critical256
         u0 = blowup_initial_data(result.U, 1.02 * M_c, params)
-        chord = blowup_time_upper_bound(u0, kernel256, params)
+        chord = chord_time(u0, kernel256, params)
         out = run(u0, kernel256, params,
                   SolverConfig(t_end=2.0 * chord, scheme="implicit"))
         assert (out.status, out.reason) == ("blowup", "chord_exhausted")
+        assert out.blowup_time_upper_bound == chord
         assert out.t_detect == out.final_state.t
         assert chord * (1 - 1e-12) <= out.t_detect <= chord + out.final_state.dt_last
         assert out.diagnostics[-1].linf_norm < 1e3 * out.diagnostics[0].linf_norm
@@ -316,7 +327,7 @@ class TestBlowupTimeBound:
         kernel = build_kernel(grid96, params.s, epsilon=0.05)
         M_c, steady = dichotomy96["critical"]
         u0 = blowup_initial_data(steady.U, 1.5 * M_c, params)
-        chord = blowup_time_upper_bound(u0, kernel96, params)
+        chord = chord_time(u0, kernel96, params)
         out = run(u0, kernel, params,
                   SolverConfig(t_end=1.2 * chord, scheme="implicit"))
         assert out.status == "completed"
@@ -327,7 +338,8 @@ class TestBlowupTimeBound:
         M_c, steady = dichotomy96["critical"]
         u0 = blowup_initial_data(steady.U, 1.5 * M_c, params)
         assert free_energy(u0, kernel, params) < 0.0
-        assert blowup_time_upper_bound(u0, kernel, params) is None
+        out = run(u0, kernel, params, SolverConfig(t_end=1e-6))
+        assert out.blowup_time_upper_bound is None
         entry, _ = dichotomy_run(steady.U, 1.5, M_c, kernel, params,
                                  SolverConfig(t_end=0.01))
         assert entry["blowup_time_upper_bound"] is None
@@ -443,11 +455,10 @@ class TestDiffusiveTime:
 
 
 @pytest.fixture(scope="module")
-def dichotomy96(params, consts, grid96, kernel96):
+def dichotomy96(params, grid96, kernel96):
     """The measured critical mass and steady profile on the 96-cell grid,
     and dichotomy_run's (entry, outcome) at 0.5 and 1.5 M_c."""
-    M_c, steady = find_critical_mass(grid96, kernel96, params, consts.M_star,
-                                     1.08 * consts.M_star, rel_tol=1e-6,
+    M_c, steady = find_critical_mass(grid96, kernel96, params, rel_tol=1e-6,
                                      support_radius_init=1.0)
     runs = {ratio: dichotomy_run(steady.U, ratio, M_c, kernel96, params,
                                  DICHOTOMY_CONFIG)
@@ -464,7 +475,7 @@ def dichotomy_entry_oracle(U, ratio, M_star, kernel, params, config):
     consts = derived_constants(params)
     u0 = blowup_initial_data(U, ratio * M_star, params)
     F0 = free_energy(u0, kernel, params)
-    chord = blowup_time_upper_bound(u0, kernel, params)
+    chord = chord_time(u0, kernel, params)
     if ratio < 1.0:
         t_end = 5.0 * diffusive_time(u0, params)
         scheme = "implicit"
