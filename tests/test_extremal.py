@@ -129,6 +129,14 @@ class TestElResidual:
 
 
 class TestCriticalMassSearch:
+    def test_bracket_without_sign_change_rejected(self, params, grid256,
+                                                  kernel256, consts):
+        # M_c - M keeps its sign on [0.5, 0.6] M*: the first step leaves it
+        with pytest.raises(ConvergenceError, match="above the cap"):
+            find_critical_mass(grid256, kernel256, params, 0.5 * consts.M_star,
+                               0.6 * consts.M_star, rel_tol=1e-3,
+                               support_radius_init=1.0)
+
     @pytest.mark.parametrize("lo, hi, rel_tol", [
         (1.0, 1.08, 0.0),  # would never stop
         (1.0, 1.08, math.nan),  # would run out of its solve budget
@@ -286,6 +294,125 @@ def bisect_critical_mass(grid, kernel, params, M_lo, M_hi, rel_tol):
         else:
             M_hi, d_hi = M_mid, d_mid
     return (M_lo * d_hi - M_hi * d_lo) / (d_hi - d_lo)
+
+
+def jroute_step(grid, kernel, params, M):
+    """critical_mass(J(U_M)) - M for the cold-started U_M: positive below
+    the J-route's mass and negative above it."""
+    result = extremal.el_fixed_point(grid, kernel, params, M, tol=1e-9,
+                                     support_radius_init=1.0)
+    return critical_mass(params.d, params.s, result.J_value) - M
+
+
+def bisect_jroute_mass(grid, kernel, params, M_lo, M_hi, rel_tol):
+    """Oracle: the root of ``jroute_step``, bisected to a bracket of width
+    rel_tol M_hi and read off the secant through its ends."""
+    g_lo, g_hi = (jroute_step(grid, kernel, params, M) for M in (M_lo, M_hi))
+    assert g_lo > 0.0 > g_hi
+    while M_hi - M_lo > rel_tol * M_hi:
+        M_mid = 0.5 * (M_lo + M_hi)
+        g_mid = jroute_step(grid, kernel, params, M_mid)
+        if g_mid > 0.0:
+            M_lo, g_lo = M_mid, g_mid
+        else:
+            M_hi, g_hi = M_mid, g_mid
+    return (M_lo * g_hi - M_hi * g_lo) / (g_hi - g_lo)
+
+
+def cold_jroute_mass(grid, kernel, params, M_start, rel_tol):
+    """Oracle: the J-route with every solve a cold start from the default
+    guess (the search without warm starts)."""
+    M = M_start
+    for _ in range(50):
+        M_next = M + jroute_step(grid, kernel, params, M)
+        if abs(M_next - M) <= rel_tol * M:
+            return M
+        M = M_next
+    raise AssertionError("cold J-route not settled within 50 solves")
+
+
+def counted_solves(mp, solves, search, *args, **kwargs):
+    """Run ``search`` with the mass of each anchored solve, the iteration
+    behind ``el_fixed_point`` and ``find_critical_mass``, appended to
+    ``solves``."""
+    solve = extremal._anchored_fixed_point
+
+    def counted(*solve_args):
+        solves.append(solve_args[3])
+        return solve(*solve_args)
+
+    mp.setattr(extremal, "_anchored_fixed_point", counted)
+    return search(*args, **kwargs)
+
+
+SEARCH_GRIDS = {"96": (96, 3.0, 0.0), "96-eps": (96, 3.0, 0.05), "512": (512, 4.0, 0.0)}
+SEARCH_TOLS = (1e-3, 1e-5, 1e-6, 1e-8)
+SEARCH_CASES = [(g, hi, tol) for g in SEARCH_GRIDS for hi in (1.08, 1.1)
+                for tol in SEARCH_TOLS]
+# J-route solves measured on every grid and cap: 2 / 3 / 3-4 / 3-4
+# (bisection: 9 / 15-16 / 19 / 25-26)
+SEARCH_SOLVES = dict(zip(SEARCH_TOLS, (3, 4, 5, 5)))
+
+
+@pytest.fixture(scope="module")
+def search_matrix(params, consts):
+    """Per case (grid, cap / M*, rel_tol): the search's M_c and its solved
+    masses, the bisection oracle's mass and solve count, the cold-start
+    J-route's mass, and ``jroute_step`` at M_c (1 -/+ rel_tol)."""
+    cases = {}
+    for name, (n_cells, r_max, eps) in SEARCH_GRIDS.items():
+        grid = RadialGrid.uniform(n_cells, r_max)
+        kernel = build_kernel(grid, params.s, epsilon=eps)
+        for _, hi, tol in (c for c in SEARCH_CASES if c[0] == name):
+            masses, bisect_masses = [], []
+            with pytest.MonkeyPatch.context() as mp:
+                M_c, _ = counted_solves(mp, masses, find_critical_mass, grid, kernel,
+                                        params, consts.M_star, hi * consts.M_star,
+                                        rel_tol=tol, support_radius_init=1.0)
+            with pytest.MonkeyPatch.context() as mp:
+                M_bisect = counted_solves(mp, bisect_masses, bisect_jroute_mass,
+                                          grid, kernel, params, consts.M_star,
+                                          hi * consts.M_star, tol)
+            steps = tuple(jroute_step(grid, kernel, params, M_c * (1.0 + side * tol))
+                          for side in (-1.0, 1.0))
+            cases[name, hi, tol] = dict(
+                M_c=M_c, masses=masses, M_bisect=M_bisect,
+                bisect_solves=len(bisect_masses),
+                M_cold=cold_jroute_mass(grid, kernel, params, consts.M_star, tol),
+                steps=steps)
+    return cases
+
+
+class TestIllinoisSearch:
+    """The case matrix of the bracketed (Illinois) search that the J-route
+    replaced, run on the J-route: three grids, two caps, four tolerances."""
+
+    @pytest.mark.parametrize("case", SEARCH_CASES)
+    def test_matches_bisection_oracle(self, search_matrix, case):
+        run = search_matrix[case]
+        assert abs(run["M_c"] - run["M_bisect"]) <= case[2] * run["M_bisect"]
+
+    @pytest.mark.parametrize("case", SEARCH_CASES)
+    def test_warm_starts_keep_the_cold_search_mass(self, search_matrix, case):
+        run = search_matrix[case]
+        assert run["M_c"] == pytest.approx(run["M_cold"], rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("case", SEARCH_CASES)
+    def test_solve_count_bound(self, search_matrix, case):
+        run = search_matrix[case]
+        assert len(run["masses"]) <= SEARCH_SOLVES[case[2]]
+        assert len(run["masses"]) < run["bisect_solves"]
+
+    @pytest.mark.parametrize("case", SEARCH_CASES)
+    def test_final_bracket_closes_on_the_sign_change(self, search_matrix, case,
+                                                     consts):
+        # M_c (1 -/+ rel_tol) brackets the root of the identity's step, and
+        # the search runs from M* to the returned mass below the cap
+        run = search_matrix[case]
+        below, above = run["steps"]
+        assert below > 0.0 > above
+        assert run["masses"][0] == consts.M_star
+        assert run["masses"][-1] == run["M_c"] < case[1] * consts.M_star
 
 
 class TestMaximizeVhls:
