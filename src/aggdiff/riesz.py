@@ -234,21 +234,22 @@ class _HankelToeplitzOperator:
         G = lambda z: (z * z + epsilon * epsilon) ** (1.0 - 0.5 * alpha)
         c_sum = (c[:, None] + c[None, :])[..., None]
         c_diff = (c[:, None] - c[None, :])[..., None]
-        hankel = np.zeros((order, order, self.size))
-        hankel[..., :2 * n - 1] = G(np.arange(2 * n - 1) * h + c_sum)
-        toeplitz = np.zeros((order, order, self.size))
+        # [H_a. | -T_a.] spectra against [conj(FFT(D v)) | FFT(D v)]
+        stacked = np.zeros((order, 2 * order, self.size))
+        stacked[:, :order, :2 * n - 1] = G(np.arange(2 * n - 1) * h + c_sum)
+        toeplitz = stacked[:, order:]
         lags = np.arange(-(n - 1), n)  # lag k sits at buffer index k mod L
         toeplitz[..., lags] = G(lags * h + c_diff)
-        const = 2.0 * np.pi / ((2.0 - alpha) * sphere_surface(3))
-        # [H_a. | -T_a.] spectra against [conj(FFT(D v)) | FFT(D v)]
-        self.spectra = const * rfft(np.concatenate((hankel, -toeplitz), axis=1))
+        np.negative(toeplitz, out=toeplitz)
+        self.spectra = rfft(stacked)
+        self.spectra *= 2.0 * np.pi / ((2.0 - alpha) * sphere_surface(3))
         self.head = _pair_average(grid, _kernel_fn(3, alpha, epsilon),
                                   n_rows=min(_EXACT_ROWS, n))
         # Work buffer reused by every matvec: D v goes before a zero tail,
         # because numpy.fft pads a short input slowly.
         self._padded = np.zeros((order, self.size))
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
         np.multiply(self.scale, v, out=self._padded[:, :self.n])
         Y = rfft(self._padded)
         order = len(Y)
@@ -266,31 +267,19 @@ class RieszKernel:
     """Symmetric positive interaction operator tied to one grid and one
     epsilon.
 
-    :meth:`apply` is the only matvec.  A kernel holds either the dense
-    matrix ``K`` or, from :func:`build_kernel` on a large uniform d = 3
-    grid, the structured operator; there ``K`` is the dense oracle,
-    built on first access.
+    A kernel holds the one operator :func:`build_kernel` chose: the
+    read-only dense pair-average matrix, or the structured FFT operator.
+    :meth:`apply` is the only matvec.
     """
 
     def __init__(self, grid: RadialGrid, s: float, epsilon: float,
-                 K: np.ndarray | None = None,
-                 operator: _HankelToeplitzOperator | None = None):
-        if (K is None) == (operator is None):
-            raise ValueError("a kernel needs exactly one of K and operator")
+                 operator: np.ndarray | _HankelToeplitzOperator):
         self.grid, self.s, self.epsilon = grid, s, epsilon
-        self._K, self._operator = K, operator
-
-    @property
-    def K(self) -> np.ndarray:
-        if self._K is None:
-            self._K = _dense_matrix(self.grid, self.s, self.epsilon)
-        return self._K
+        self._operator = operator
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """K @ x for a vector of N cell values."""
-        if self._operator is not None:
-            return self._operator(x)
-        return self._K @ x
+        return self._operator @ x
 
 
 def _is_uniform(grid: RadialGrid) -> bool:
@@ -301,14 +290,16 @@ def _is_uniform(grid: RadialGrid) -> bool:
 def build_kernel(grid: RadialGrid, s: float, epsilon: float = 0.0) -> RieszKernel:
     """Precompute the interaction operator for a grid: the structured FFT
     form on uniform d = 3 grids of at least ``STRUCTURED_MIN_CELLS``
-    cells, the dense matrix otherwise."""
+    cells, the dense matrix otherwise.  The kernel holds that one operator;
+    the FFT path never forms the N x N matrix."""
     alpha = check_alpha(grid.d - 2.0 * s)
     if epsilon < 0.0:
         raise ParameterDomainError(f"epsilon must be >= 0, got {epsilon}")
     if grid.d == 3 and grid.n_cells >= STRUCTURED_MIN_CELLS and _is_uniform(grid):
-        op = _HankelToeplitzOperator(grid, alpha, epsilon)
-        return RieszKernel(grid, s, epsilon, operator=op)
-    return RieszKernel(grid, s, epsilon, _dense_matrix(grid, s, epsilon))
+        operator = _HankelToeplitzOperator(grid, alpha, epsilon)
+    else:
+        operator = _dense_matrix(grid, s, epsilon)
+    return RieszKernel(grid, s, epsilon, operator)
 
 
 def potential(kernel: RieszKernel, u: DensityField, c_ds: float) -> np.ndarray:

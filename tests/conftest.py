@@ -9,6 +9,7 @@ from aggdiff import (
     derived_constants,
     find_critical_mass,
 )
+from aggdiff.riesz import _dense_matrix, _HankelToeplitzOperator
 
 # The working point for everything numerical: smallest dimension with
 # 2 < 2s < d, and alpha = 0.5 keeps the radial kernel in closed form.
@@ -38,7 +39,7 @@ def kernel96(grid96):
 @pytest.fixture(scope="session")
 def kernel96_no_attraction(grid96):
     """A zero interaction matrix on the 96-cell grid: phi is exactly 0."""
-    return RieszKernel(grid96, S, 0.0, K=np.zeros((96, 96)))
+    return RieszKernel(grid96, S, 0.0, np.zeros((96, 96)))
 
 
 @pytest.fixture(scope="session")
@@ -73,6 +74,18 @@ def critical512(params, grid512, kernel512):
     """Measured critical mass and steady profile at desk resolution."""
     return find_critical_mass(grid512, kernel512, params, rel_tol=1e-6,
                               support_radius_init=1.0)
+
+
+def dense_oracle(kernel):
+    """The kernel's N x N pair-average matrix (read-only), built by the
+    function behind build_kernel's dense path, whichever operator the kernel
+    holds."""
+    return _dense_matrix(kernel.grid, kernel.s, kernel.epsilon)
+
+
+def is_structured(kernel):
+    """True when the kernel holds the FFT operator, not a dense matrix."""
+    return isinstance(kernel._operator, _HankelToeplitzOperator)
 
 
 def random_bump_field(rng, grid):

@@ -22,6 +22,7 @@ from aggdiff import (DensityField, ModelParams, RadialGrid, RieszKernel,
                      read_field_csv, riesz_constant, vhls_constant_upper,
                      write_field_csv)
 from aggdiff.cli import _FIELDS, _REAL, DEFAULT_CONFIG, ConfigError, load_config, main
+from aggdiff.riesz import _dense_matrix
 from aggdiff.solver import diagnostics_to_csv
 
 
@@ -383,7 +384,8 @@ def test_fft_operator_and_run_leave_scipy_unloaded():
     # the structured operator's FFTs are numpy.fft's
     probe = ("import sys, numpy as np, aggdiff as ad, aggdiff.cli; "
              "p = ad.ModelParams(d=3, s=1.25); g = ad.RadialGrid.uniform(576, 4.0); "
-             "k = ad.build_kernel(g, p.s); assert k._operator is not None; "
+             "k = ad.build_kernel(g, p.s); "
+             "assert isinstance(k._operator, ad.riesz._HankelToeplitzOperator); "
              "assert np.all(k.apply(np.ones(576)) > 0); "
              "out = ad.run(ad.barenblatt_profile(g, 20.0, 1.0, p.m), k, p, "
              "ad.SolverConfig(t_end=1e-4, scheme='explicit')); "
@@ -625,16 +627,16 @@ class TestProfileHandoff:
 
 def nan_kernel(grid, s, epsilon=0.0):
     """The real kernel with one NaN entry, so the first step goes non-finite."""
-    K = build_kernel(grid, s, epsilon=epsilon).K.copy()
+    K = _dense_matrix(grid, s, epsilon).copy()
     K[0, -1] = np.nan
     return RieszKernel(grid, s, epsilon, K)
 
 
-def asymmetric_kernel(grid, s, epsilon=0.0):
-    """The real kernel with one entry off its mirror image."""
-    K = build_kernel(grid, s, epsilon=epsilon).K.copy()
+def asymmetric_matrix(grid, s, epsilon):
+    """The real dense matrix with one entry off its mirror image."""
+    K = _dense_matrix(grid, s, epsilon).copy()
     K[0, -1] *= 1.01
-    return RieszKernel(grid, s, epsilon, K)
+    return K
 
 
 class TestFailedRun:
@@ -903,7 +905,7 @@ class TestVerify:
         assert run_cli("verify", "--out", str(tmp_path / "out")) == 0
 
     def test_corrupted_kernel_fails(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(aggdiff.cli, "build_kernel", asymmetric_kernel)
+        monkeypatch.setattr(aggdiff.cli, "_dense_matrix", asymmetric_matrix)
         code = run_cli("verify", "--out", str(tmp_path / "out"))
         assert code == 2
         report = json.loads((tmp_path / "out" / "report.json").read_text())

@@ -30,6 +30,7 @@ from aggdiff import (
     vhls_constant_upper,
     vhls_ratio,
 )
+from conftest import dense_oracle
 
 
 class TestFixedPoint:
@@ -683,7 +684,7 @@ class TestMultiplierSolve:
         assert count_evaluations == []
 
     def test_nan_kernel_fails_loudly_in_fixed_point(self, params, grid96, kernel96):
-        K = kernel96.K.copy()
+        K = dense_oracle(kernel96).copy()
         K[0, -1] = K[-1, 0] = np.nan
         bad = RieszKernel(grid96, kernel96.s, kernel96.epsilon, K)
         with pytest.raises(ValueError, match="potential must be finite"):

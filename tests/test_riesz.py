@@ -23,20 +23,26 @@ from aggdiff import (
     ParameterDomainError,
     RadialGrid,
     RieszKernel,
+    SolverConfig,
+    SolverState,
     angular_kernel,
+    barenblatt_profile,
     build_kernel,
+    energy_report,
     hls_sharp_constant,
     interaction_energy,
     lp_norm,
     mass,
     potential,
     rearrange,
+    step,
+    vhls_ratio,
 )
 from aggdiff import riesz
 from aggdiff.field import face_gradient
 from aggdiff.riesz import build_weak_interaction_kernel
 from aggdiff.special import sphere_surface
-from conftest import S, random_bump_field
+from conftest import S, dense_oracle, is_structured, random_bump_field
 
 ALPHA = 0.5
 OMEGA_UNIT_BALL = 18.561966079063225  # frozen nested-quadrature oracle
@@ -98,7 +104,7 @@ class TestAngularKernel:
 
 class TestKernelMatrix:
     def test_symmetric_positive_finite(self, kernel256):
-        K = kernel256.K
+        K = dense_oracle(kernel256)
         assert np.array_equal(K, K.T)
         assert np.all(K > 0)
         assert np.all(np.isfinite(K))
@@ -107,7 +113,7 @@ class TestKernelMatrix:
         # at fixed r the sphere-averaged kernel decays as rho moves out
         # past r; toward the origin it instead climbs to r^-alpha, so
         # only the outward direction is monotone
-        K = kernel256.K
+        K = dense_oracle(kernel256)
         for i in (0, 64, 128, 255):
             right = K[i, i:]
             assert np.all(np.diff(right) <= 1e-12 * K[i, i])
@@ -117,7 +123,7 @@ class TestKernelMatrix:
     def test_epsilon_monotone_entrywise(self, grid96):
         k_small = build_kernel(grid96, 1.25, epsilon=0.05)
         k_large = build_kernel(grid96, 1.25, epsilon=0.2)
-        assert np.all(k_small.K >= k_large.K)
+        assert np.all(dense_oracle(k_small) >= dense_oracle(k_large))
 
     def test_alpha_restriction(self):
         g = RadialGrid(d=5, r_edges=np.linspace(0, 1, 9))
@@ -129,17 +135,14 @@ class TestKernelMatrix:
             build_kernel(grid96, 1.25, epsilon=-0.1)
 
     def test_matrix_is_read_only(self, kernel96):
+        assert not is_structured(kernel96)
         with pytest.raises(ValueError):
-            kernel96.K[0, 0] = 1.0
-
-    def test_kernel_needs_exactly_one_representation(self, grid96, kernel96):
-        with pytest.raises(ValueError, match="exactly one"):
-            RieszKernel(grid96, kernel96.s, kernel96.epsilon)
+            kernel96._operator[0, 0] = 1.0
 
 
 def _dense_twin(kernel):
     """The same kernel on its dense oracle matrix."""
-    return RieszKernel(kernel.grid, kernel.s, kernel.epsilon, kernel.K)
+    return RieszKernel(kernel.grid, kernel.s, kernel.epsilon, dense_oracle(kernel))
 
 
 class TestStructuredOperator:
@@ -150,8 +153,8 @@ class TestStructuredOperator:
     def test_matches_dense_oracle(self, n_cells, epsilon, order):
         g = RadialGrid.uniform(n_cells, 4.0)
         k = build_kernel(g, 1.25, epsilon=epsilon)
-        assert k._operator is not None and k._operator.scale.shape == (order, n_cells)
-        K = k.K
+        assert is_structured(k) and k._operator.scale.shape == (order, n_cells)
+        K = dense_oracle(k)
         rng = np.random.default_rng(n_cells + order)
         for v in (rng.random(n_cells), rng.random(n_cells) * g.shell_volumes,
                   rng.standard_normal(n_cells)):
@@ -167,28 +170,42 @@ class TestStructuredOperator:
             uKv = u @ k.apply(v)
             assert abs(uKv - v @ k.apply(u)) <= 1e-13 * abs(uKv)
 
-    def test_dense_oracle_is_built_on_first_access(self, params):
-        k = build_kernel(RadialGrid.uniform(1024, 4.0), params.s)
-        assert k._K is None
-        K = k.K
-        assert K is k.K and K.shape == (1024, 1024)
+    def test_fft_kernel_never_forms_the_dense_matrix(self, params, consts):
+        """A 4096-cell kernel, built and then used by every layer, traces a
+        peak far below one N x N matrix (128 MiB)."""
+        g = RadialGrid.uniform(4096, 4.0)
+        u = barenblatt_profile(g, 0.5 * consts.M_star, 1.0, params.m)
+        tracemalloc.start()
+        try:
+            k = build_kernel(g, params.s)
+            k.apply(u.values)
+            potential(k, u, params.c_ds)
+            energy_report(u, k, params)
+            vhls_ratio(u, k, params)
+            step(SolverState(t=0.0, u=u), k, params, SolverConfig(t_end=1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert is_structured(k)
+        assert peak <= 16 * 2 ** 20
 
     @pytest.mark.parametrize("n_cells", [96, 256, 512])
     def test_small_uniform_grids_stay_dense(self, params, n_cells):
         g = RadialGrid.uniform(n_cells, 4.0)
         k = build_kernel(g, params.s)
-        assert k._operator is None
+        assert not is_structured(k)
         u = DensityField(g, np.exp(-g.centers ** 2))
         phi = potential(k, u, params.c_ds)
-        assert np.array_equal(phi, params.c_ds * (k.K @ (u.values * g.shell_volumes)))
+        ref = params.c_ds * (dense_oracle(k) @ (u.values * g.shell_volumes))
+        assert np.array_equal(phi, ref)
 
     def test_dispatch_rule(self, params, monkeypatch):
         """Only uniform d = 3 grids of at least STRUCTURED_MIN_CELLS cells take
         the FFT path; rearranged grids and d = 5 keep the dense matrix."""
         monkeypatch.setattr(riesz, "STRUCTURED_MIN_CELLS", 16)
         uniform = RadialGrid.uniform(96, 3.0)
-        assert build_kernel(uniform, params.s)._operator is not None
-        assert build_kernel(RadialGrid.uniform(12, 3.0), params.s)._operator is None
+        assert is_structured(build_kernel(uniform, params.s))
+        assert not is_structured(build_kernel(RadialGrid.uniform(12, 3.0), params.s))
         rng = np.random.default_rng(32)
         u = rearrange(DensityField(uniform, random_bump_field(rng, uniform)))
         assert not np.array_equal(u.grid.r_edges, uniform.r_edges)
@@ -196,9 +213,9 @@ class TestStructuredOperator:
         u5 = DensityField(g5, np.exp(-g5.centers ** 2))
         for field, s in ((u, params.s), (u5, 2.0)):
             k = build_kernel(field.grid, s)
-            assert k._operator is None
+            assert not is_structured(k)
             phi = potential(k, field, params.c_ds)
-            ref = params.c_ds * (k.K @ (field.values * field.grid.shell_volumes))
+            ref = params.c_ds * (dense_oracle(k) @ (field.values * field.grid.shell_volumes))
             assert np.array_equal(phi, ref)
 
     def test_matches_oracle_below_threshold_when_forced(self, params, monkeypatch):
@@ -206,9 +223,9 @@ class TestStructuredOperator:
         for n_cells in (8, 40, 96):
             g = RadialGrid.uniform(n_cells, 3.0)
             k = build_kernel(g, params.s)
-            assert k._operator is not None
+            assert is_structured(k)
             v = np.random.default_rng(n_cells).random(n_cells)
-            ref = k.K @ v
+            ref = dense_oracle(k) @ v
             assert np.max(np.abs(k.apply(v) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -335,7 +352,7 @@ class TestWeakInteractionKernel:
         # grad(psi) = 2x makes the symmetrised difference quotient equal 2,
         # so the pair matrix must reduce to 2 * K
         M = build_weak_interaction_kernel(grid96, params.s, lambda r: 2.0 * r)
-        assert np.allclose(M, 2.0 * kernel96.K, rtol=1e-10, atol=0.0)
+        assert np.allclose(M, 2.0 * dense_oracle(kernel96), rtol=1e-10, atol=0.0)
 
     def test_dimension_restriction(self):
         g = RadialGrid(d=4, r_edges=np.linspace(0, 1, 9))
@@ -420,7 +437,7 @@ class TestPairAverageBlocks:
     def test_head_rows_bitwise_equal_to_oracle(self, n_cells, epsilon):
         grid = RadialGrid.uniform(n_cells, 4.0)
         k = build_kernel(grid, S, epsilon=epsilon)
-        assert k._operator is not None
+        assert is_structured(k)
         oracle = chunked_oracle(grid, riesz._kernel_fn(3, 3 - 2 * S, epsilon),
                                 n_rows=riesz._EXACT_ROWS)
         assert np.array_equal(k._operator.head, oracle)
@@ -495,12 +512,39 @@ def unbuffered_matvec(op, v, rfft=rfft, irfft=irfft):
     return out
 
 
+def out_of_place_spectra(grid, alpha, epsilon):
+    """The operator's spectra from separate Hankel and Toeplitz buffers,
+    stacked by concatenate with a negated copy and scaled out of place."""
+    n, order = grid.n_cells, riesz._GAUSS_ORDER
+    h = grid.r_max / n
+    x, _ = np.polynomial.legendre.leggauss(order)
+    c = 0.5 * h * (1.0 + x)
+    size = riesz._next_fast_len(2 * n - 1)
+    G = lambda z: (z * z + epsilon * epsilon) ** (1.0 - 0.5 * alpha)
+    hankel = np.zeros((order, order, size))
+    hankel[..., :2 * n - 1] = G(np.arange(2 * n - 1) * h
+                                + (c[:, None] + c[None, :])[..., None])
+    toeplitz = np.zeros((order, order, size))
+    lags = np.arange(-(n - 1), n)
+    toeplitz[..., lags] = G(lags * h + (c[:, None] - c[None, :])[..., None])
+    const = 2.0 * np.pi / ((2.0 - alpha) * sphere_surface(3))
+    return const * rfft(np.concatenate((hankel, -toeplitz), axis=1))
+
+
 class TestOperatorBuffers:
+    @pytest.mark.parametrize("n_cells", [600, 4096])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    def test_spectra_bitwise_equal_to_out_of_place(self, n_cells, epsilon):
+        k = build_kernel(RadialGrid.uniform(n_cells, 4.0), S, epsilon=epsilon)
+        assert is_structured(k)
+        ref = out_of_place_spectra(k.grid, ALPHA, epsilon)
+        assert k._operator.spectra.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("n_cells", [riesz.STRUCTURED_MIN_CELLS, 1024, 4096])
     def test_apply_bitwise_equal_to_unbuffered(self, n_cells):
         for epsilon in (0.0, 0.05):
             k = build_kernel(RadialGrid.uniform(n_cells, 4.0), S, epsilon=epsilon)
-            assert k._operator is not None
+            assert is_structured(k)
             rng = np.random.default_rng(n_cells)
             for v in (rng.random(n_cells), rng.standard_normal(n_cells)):
                 assert np.array_equal(k.apply(v), unbuffered_matvec(k._operator, v))

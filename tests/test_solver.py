@@ -41,6 +41,7 @@ from aggdiff import (
 )
 from aggdiff import cli, solver
 from aggdiff.solver import diagnostics_to_csv
+from conftest import dense_oracle, is_structured
 
 
 def l1_distance(a, b, grid):
@@ -208,7 +209,7 @@ class TestRun:
                 CountingMatrix.matvecs += 1
                 return np.asarray(self) @ other
 
-        K = kernel96.K.copy()
+        K = dense_oracle(kernel96).copy()
         K[0, -1] = np.nan
         bad = RieszKernel(grid96, kernel96.s, kernel96.epsilon,
                           K.view(CountingMatrix))
@@ -234,8 +235,8 @@ class TestRun:
     def test_structured_kernel_run_matches_dense(self, params, consts):
         g = RadialGrid.uniform(1024, 4.0)
         k = build_kernel(g, params.s)
-        assert k._operator is not None
-        dense = RieszKernel(g, k.s, k.epsilon, k.K)
+        assert is_structured(k)
+        dense = RieszKernel(g, k.s, k.epsilon, dense_oracle(k))
         u0 = barenblatt_profile(g, 0.5 * consts.M_star, 1.0, params.m)
         cfg = SolverConfig(t_end=2e-4, output_every=20)
         fast, ref = run(u0, k, params, cfg), run(u0, dense, params, cfg)
@@ -513,6 +514,9 @@ class TestDichotomyRun:
                                                DICHOTOMY_CONFIG)
         assert entry["status"] == out.status
         assert entry["status"] == ("completed" if ratio < 1 else "blowup")
+        # F0 and T* are exactly the run's t = 0 row F and chord time
+        assert entry["F0"] == out.diagnostics[0].F
+        assert entry["blowup_time_upper_bound"] == out.blowup_time_upper_bound
 
     @pytest.mark.parametrize("ratio", [0.5, 1.5])
     def test_start_takes_one_matvec(self, params, grid96, kernel96, monkeypatch,
@@ -712,7 +716,7 @@ class TestImplicit:
                                                       kernel96):
         # u changes by ~1e-9 over the run, near the roundoff of u
         u = DensityField(grid96, np.full(96, 0.8))
-        weak = RieszKernel(grid96, params.s, 0.0, kernel96.K * (1e-8 / params.c_ds))
+        weak = RieszKernel(grid96, params.s, 0.0, dense_oracle(kernel96) * (1e-8 / params.c_ds))
         out = run(u, weak, params, SolverConfig(t_end=0.01, scheme="implicit"))
         assert out.status == "completed"
         assert_mass_exact_and_energy_monotone(out)
