@@ -51,7 +51,8 @@ from .field import (
     scale,
     write_field_csv,
 )
-from .riesz import _dense_matrix, build_kernel, check_alpha, interaction_energy
+from .riesz import (_dense_matrix, build_kernel, check_alpha, check_epsilon,
+                    interaction_energy)
 from .solver import (
     SolverConfig,
     diagnostics_to_csv,
@@ -86,12 +87,13 @@ def _is_real(v) -> bool:
 # a _REAL value must pass _is_real (so it is no infinity), and a predicate
 # of None means that type check is the whole check here.  Solver defaults and
 # ranges are SolverConfig's own, the dichotomy horizon's default
-# dichotomy_run's, the 2 < 2s < d rule ModelParams'.
+# dichotomy_run's, the 2 < 2s < d rule ModelParams', the epsilon rule
+# riesz.check_epsilon's.
 _FIELDS = [
     ("seed", 1234, int, lambda v: v >= 0, "non-negative integer"),
     ("model.d", 3, int, None, "integer"),
     ("model.s", 1.25, _REAL, None, "real"),
-    ("model.epsilon", 0.0, _REAL, lambda v: v >= 0.0, "non-negative real"),
+    ("model.epsilon", 0.0, _REAL, None, "real"),
     ("grid.n_cells", 512, int, lambda v: 8 <= v <= 4096, "integer in [8, 4096]"),
     ("grid.r_max", 4.0, _REAL, lambda v: v > 0.0, "positive real"),
     ("solver.cfl", SolverConfig.cfl, _REAL, None, "real"),
@@ -103,7 +105,7 @@ _FIELDS = [
                 and len({_ratio_tag(x) for x in v}) == len(v)),
      "list of positive reals distinct to 6 significant digits"),
     ("experiment.eps_list", [0.2, 0.1, 0.05, 0.025], list,
-     lambda v: all(_is_real(x) and x >= 0 for x in v), "list of non-negative reals"),
+     lambda v: all(_is_real(x) for x in v), "list of reals"),
     ("experiment.n_random_fields", 40, int, lambda v: v >= 1, "integer >= 1"),
     ("experiment.t_fix", 0.005, _REAL, lambda v: v > 0.0, "positive real"),
     ("experiment.t_end_diffusive_times",
@@ -201,6 +203,13 @@ def validate_config(cfg: dict) -> None:
                 or (types is _REAL and not _is_real(value))
                 or (pred is not None and not pred(value))):
             raise ConfigError(f"config field '{path}' must be {desc}, got {value!r}")
+    for path, values in (("model.epsilon", [cfg["model"]["epsilon"]]),
+                         ("experiment.eps_list", cfg["experiment"]["eps_list"])):
+        for eps in values:
+            try:
+                check_epsilon(eps)
+            except ParameterDomainError as exc:
+                raise ConfigError(f"config field '{path}': {exc}") from exc
     d, s = cfg["model"]["d"], cfg["model"]["s"]
     try:
         model.derived_constants(model.ModelParams(d=d, s=s))
@@ -494,6 +503,8 @@ def cmd_dichotomy(cfg: dict, profile: str | None = None) -> int:
                 diagnostics_to_csv(diagnostics,
                                    outdir / f"diagnostics_{_ratio_tag(ratio)}.csv")
                 rows.append(entry)
+        except ParameterDomainError as exc:  # dichotomy_run's rule on F(u0)
+            raise ConfigError(f"config field 'experiment.mass_ratios': {exc}") from exc
         finally:  # waits for the runs already handed out
             pool.shutdown(cancel_futures=True)
     results = {"M_star": M_star, "table": rows}

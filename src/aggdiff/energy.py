@@ -5,11 +5,11 @@ The flow dissipates
     F(u) = 1/(m-1) * int u^m  -  c_ds/2 * omega(u)  =  S - W,
 
 whose variational derivative is the chemical potential
-mu = m/(m-1) u^{m-1} - phi.  The dissipation quadrature deliberately
-reuses the solver's upwind face stencil so that the semi-discrete
-identity dF/dt = -D holds exactly for the unregularised flow; any
-mismatch between the two stencils would show up as a spurious energy
-identity violation.
+mu = m/(m-1) u^{m-1} - phi.  The dissipation quadrature and the
+solver's flux read one upwind face stencil (``_upwind_flow``), so the
+semi-discrete identity dF/dt = -D holds exactly for the unregularised
+flow; any mismatch between two stencils would show up as a spurious
+energy identity violation.
 """
 
 from __future__ import annotations
@@ -19,17 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import DensityField, face_gradient, require_same_grid
+from .field import DensityField, RadialGrid, face_gradient, require_same_grid
 from .model import ModelParams
 from .riesz import RieszKernel, potential_values
 from .special import ball_volume
 
 
-def upwind_face_values(cell_values: np.ndarray, velocity: np.ndarray) -> np.ndarray:
-    """Donor-cell values at interior faces for a given face velocity."""
-    inner = cell_values[:-1]
-    outer = cell_values[1:]
-    return np.where(velocity[1:-1] > 0.0, inner, outer)
+def _upwind_flow(values: np.ndarray, mu: np.ndarray, grid: RadialGrid):
+    """The upwind stencil: face velocity w = -dmu/dr at the N+1 faces (zero
+    at both walls) and the donor-cell values at the N-1 interior faces."""
+    w = -face_gradient(mu, grid)
+    return w, np.where(w[1:-1] > 0.0, values[:-1], values[1:])
 
 
 def chemical_potential(u: DensityField, kernel: RieszKernel,
@@ -46,10 +46,9 @@ def _mu(values: np.ndarray, phi: np.ndarray, m: float) -> np.ndarray:
 def dissipation(u: DensityField, mu: np.ndarray) -> float:
     """D = int u |grad mu|^2, with upwind face densities on the solver stencil."""
     grid = u.grid
-    w = -face_gradient(mu, grid)
-    u_up = upwind_face_values(u.values, w)
+    w, donor = _upwind_flow(u.values, mu, grid)
     face_measure = grid.face_areas[1:-1] * grid.center_spacing
-    return float(np.sum(u_up * w[1:-1] ** 2 * face_measure))
+    return float(np.sum(donor * w[1:-1] ** 2 * face_measure))
 
 
 @dataclass(frozen=True)

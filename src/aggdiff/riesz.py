@@ -29,6 +29,8 @@ and Toeplitz parts and never stored; elsewhere it is a dense matrix.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.fft import irfft, rfft
 
@@ -88,6 +90,16 @@ def check_alpha(alpha: float) -> float:
         raise ParameterDomainError(
             f"kernel supports alpha = d - 2s in (0, 2); got alpha={alpha}")
     return alpha
+
+
+def check_epsilon(epsilon: float) -> None:
+    """Checks the regularisation length: >= 0 with a finite square, past
+    which (epsilon near 1.34e154) every kernel entry is NaN."""
+    if not epsilon >= 0.0:
+        raise ParameterDomainError(f"epsilon must be >= 0, got {epsilon}")
+    if not math.isfinite(epsilon * epsilon):
+        raise ParameterDomainError(
+            f"epsilon^2 overflows double precision at epsilon={epsilon}")
 
 
 def angular_kernel(r, rho, d: int, alpha: float, epsilon: float = 0.0):
@@ -293,8 +305,7 @@ def build_kernel(grid: RadialGrid, s: float, epsilon: float = 0.0) -> RieszKerne
     cells, the dense matrix otherwise.  The kernel holds that one operator;
     the FFT path never forms the N x N matrix."""
     alpha = check_alpha(grid.d - 2.0 * s)
-    if epsilon < 0.0:
-        raise ParameterDomainError(f"epsilon must be >= 0, got {epsilon}")
+    check_epsilon(epsilon)
     if grid.d == 3 and grid.n_cells >= STRUCTURED_MIN_CELLS and _is_uniform(grid):
         operator = _HankelToeplitzOperator(grid, alpha, epsilon)
     else:

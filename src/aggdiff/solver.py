@@ -31,11 +31,10 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .energy import _mu, energy_report, free_energy, upwind_face_values
+from .energy import _mu, _upwind_flow, energy_report, free_energy
 from .errors import ParameterDomainError
 from .extremal import blowup_initial_data
-from .field import (DensityField, face_gradient, lp_norm, mass, require_same_grid,
-                    second_moment)
+from .field import DensityField, lp_norm, mass, require_same_grid, second_moment
 from .model import ModelParams, derived_constants
 from .riesz import (RieszKernel, build_kernel, build_weak_interaction_kernel,
                     potential_values)
@@ -164,15 +163,17 @@ class _Stepper:
         self.vols = grid.shell_volumes
         self.band_face = int(np.searchsorted(grid.r_edges, 0.95 * grid.r_max))
 
-    def _flux(self, u_vals: np.ndarray, mu: np.ndarray):
-        """Face velocity w = -dmu/dr and the donor-cell flux, plus eps
-        diffusion, at the N+1 faces (zero at both walls)."""
-        w = -face_gradient(mu, self.grid)
+    def _evaluate(self, u_vals: np.ndarray, phi: np.ndarray):
+        """A state's face velocity w and donor values (the dissipation's
+        stencil, ``energy._upwind_flow``), its face flux with eps diffusion
+        (zero at both walls) and each shell's net outward flux A F."""
+        w, donor = _upwind_flow(u_vals, _mu(u_vals, phi, self.m), self.grid)
         flux = np.zeros(w.size)
-        flux[1:-1] = upwind_face_values(u_vals, w) * w[1:-1]
+        flux[1:-1] = donor * w[1:-1]
         if self.epsilon > 0.0:
             flux[1:-1] -= self.epsilon * (u_vals[1:] - u_vals[:-1]) / self.dr
-        return w, flux
+        net = self.areas[1:] * flux[1:] - self.areas[:-1] * flux[:-1]
+        return w, donor, flux, net
 
     def _stable_dt(self, u_vals: np.ndarray, w: np.ndarray) -> float:
         """CFL step: advective face limit, nonlinear-diffusion limit, and a
@@ -189,19 +190,15 @@ class _Stepper:
             dt_vol = np.where(outflow > 0.0, vols / outflow, np.inf).min()
         return self.cfl * min(dt_adv, dt_diff, dt_vol)
 
-    def _divergence(self, flux: np.ndarray) -> np.ndarray:
-        """Net outward flux A F of each shell (not yet divided by its volume)."""
-        return self.areas[1:] * flux[1:] - self.areas[:-1] * flux[:-1]
-
     def advance(self, u_vals: np.ndarray, t_left: float):
         """Returns (new values, dt taken, stable dt, clipped mass, outward
         flux rate at the 95% R_max face)."""
         vols = self.vols
         phi = potential_values(self.kernel, u_vals, self.c_ds)
-        w, flux = self._flux(u_vals, _mu(u_vals, phi, self.m))
+        w, _, flux, net = self._evaluate(u_vals, phi)
         dt_stab = self._stable_dt(u_vals, w)
         dt = min(dt_stab, t_left)
-        new_vals = u_vals - dt * self._divergence(flux) / vols
+        new_vals = u_vals - dt * net / vols
         clipped = 0.0
         neg = new_vals < 0.0
         if neg.any():
@@ -230,8 +227,8 @@ class _ImplicitStepper(_Stepper):
     Where that leaves a cell negative (mass moving into vacuum), the try
     takes the linearised backward-Euler update J delta = dt f(u^n) at the
     same dt instead, J being ``_jacobian`` at step dt; ``fallback_steps``
-    counts the steps so taken.  W and J satisfy V^T W = V^T, so every
-    update keeps the mass of u^n exactly, and nothing is clipped.
+    counts the steps so taken.  W and J come from one ``_bands`` per step
+    and satisfy V^T W = V^T: every update keeps the mass of u^n exactly.
 
     dt starts at the explicit stable step of the first state, then aims at
     max|u^{n+1} - u^n| = ``_STEP_CHANGE`` * max u and grows at most
@@ -244,28 +241,25 @@ class _ImplicitStepper(_Stepper):
 
     dt_next = dt_explicit = None  # step proposal and first stable dt, set by advance
 
-    def _rate(self, u_vals: np.ndarray):
-        """Face velocity and f(u) = -div(A F(u)) / V, phi evaluated at u."""
-        phi = potential_values(self.kernel, u_vals, self.c_ds)
-        w, flux = self._flux(u_vals, _mu(u_vals, phi, self.m))
-        return w, -self._divergence(flux) / self.vols
-
     def advance(self, u_vals: np.ndarray, t_left: float):
         """Same contract as :meth:`_Stepper.advance`, with the step proposal
         as the stable dt (u comes back unchanged below ``_DT_MIN``), no
         clipping, and the band flux read off the update itself."""
-        w, rate = self._rate(u_vals)
+        phi = potential_values(self.kernel, u_vals, self.c_ds)
+        w, donor, _, net = self._evaluate(u_vals, phi)
+        rate = -net / self.vols  # f(u^n)
         if self.dt_next is None:
             self.dt_next = self.dt_explicit = self._stable_dt(u_vals, w)
+        bands = self._bands(u_vals, w, donor)
         aim = _STEP_CHANGE * float(u_vals.max())
         dt_try = self.dt_next
         while dt_try >= _DT_MIN:
             dt = min(dt_try, t_left)
-            delta = self._ros2_update(u_vals, w, rate, dt)
+            delta = self._ros2_update(u_vals, rate, bands, dt)
             new_vals = u_vals + delta
             fallback = bool(new_vals.min() < 0.0)
             if fallback:
-                factors = _factor_tridiagonal(*self._jacobian(u_vals, w, dt))
+                factors = _factor_tridiagonal(*self._jacobian(bands, dt))
                 delta = _substitute(factors, dt * rate)
                 new_vals = u_vals + delta
             change = float(np.max(np.abs(delta)))
@@ -280,34 +274,40 @@ class _ImplicitStepper(_Stepper):
             dt_try = 0.5 * dt
         return u_vals, 0.0, dt_try, 0.0, 0.0
 
-    def _ros2_update(self, u: np.ndarray, w: np.ndarray, rate: np.ndarray,
+    def _ros2_update(self, u: np.ndarray, rate: np.ndarray, bands,
                      dt: float) -> np.ndarray:
         """u^{n+1} - u^n of one ROS2 step of size dt from u with f(u) = rate."""
-        factors = _factor_tridiagonal(*self._jacobian(u, w, _GAMMA * dt))
+        factors = _factor_tridiagonal(*self._jacobian(bands, _GAMMA * dt))
         k1 = _substitute(factors, dt * rate)
-        _, rate_star = self._rate(np.maximum(u + k1, 0.0))
-        k2 = _substitute(factors, dt * rate_star - 2.0 * k1)
+        u_star = np.maximum(u + k1, 0.0)
+        _, _, _, net = self._evaluate(
+            u_star, potential_values(self.kernel, u_star, self.c_ds))
+        k2 = _substitute(factors, dt * (-net / self.vols) - 2.0 * k1)
         return 1.5 * k1 + 0.5 * k2
 
-    def _jacobian(self, u: np.ndarray, w: np.ndarray, dt: float):
-        """(lower, diagonal, upper) of d/du [u + dt/V div(A F(u))] with phi
-        and the donor side of every face held fixed."""
+    def _bands(self, u: np.ndarray, w: np.ndarray, donor: np.ndarray):
+        """A dF/du for the left and the right cell of each interior face from
+        u's :meth:`_evaluate`, phi and the donor side of every face held fixed."""
         m, dr = self.m, self.dr
         dmu = np.zeros(u.size)
         occupied = u > 0.0
         dmu[occupied] = m * u[occupied] ** (m - 2.0)
         w_in = w[1:-1]
         from_left = w_in > 0.0
-        donor = upwind_face_values(u, w)
         eps_rate = self.eps_rate[1:-1]
-        # A dF/du for the left and the right cell of each interior face
         area = self.areas[1:-1]
         d_left = area * (np.where(from_left, w_in, 0.0) + donor * dmu[:-1] / dr
                          + eps_rate)
         d_right = area * (np.where(from_left, 0.0, w_in) - donor * dmu[1:] / dr
                           - eps_rate)
+        return d_left, d_right
+
+    def _jacobian(self, bands, dt: float):
+        """(lower, diagonal, upper) of d/du [u + dt/V div(A F(u))] assembled
+        from :meth:`_bands`."""
+        d_left, d_right = bands
         s = dt / self.vols
-        diag = np.ones(u.size)
+        diag = np.ones(s.size)
         diag[:-1] += s[:-1] * d_left
         diag[1:] -= s[1:] * d_right
         return -s[1:] * d_left, diag, s[:-1] * d_right
@@ -518,11 +518,17 @@ def dichotomy_run(U: DensityField, ratio: float, M_ref: float, kernel: RieszKern
     without it); below ratio 1 also ge_bound_lm_power_m, the
     global-existence bound F0 / (C* c_ds/2 (M*^{2s/d} - M^{2s/d})) on
     ||u||_m^m with the closed-form C* and M*, inf when the denominator
-    is not positive.
+    is not positive.  Raises :class:`ParameterDomainError` when F0 is
+    infinite (W overflows at a huge mass), which leaves no chord time; a
+    NaN F0 (a non-finite kernel) goes to the run, which ends "failed".
     """
     M = ratio * M_ref
     u0 = blowup_initial_data(U, M, params)
-    F0 = free_energy(u0, kernel, params)
+    with np.errstate(over="ignore", invalid="ignore"):  # F0 is checked next
+        F0 = free_energy(u0, kernel, params)
+    if math.isinf(F0):
+        raise ParameterDomainError(
+            f"free energy F(u0) = {F0} at mass ratio {ratio} overflows")
     chord = _chord_time(second_moment(u0), F0, kernel, params)
     if ratio < 1.0:
         t_end = diffusive_times * diffusive_time(u0, params)

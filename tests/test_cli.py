@@ -211,6 +211,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="model.epsilon"):
             load_config(None, ["model.epsilon=-0.1"])
 
+    @pytest.mark.parametrize("command, setting", [
+        *((command, "model.epsilon=1e200") for command in
+          ("simulate", "extremal", "dichotomy", "verify", "constants")),
+        ("eps-study", "experiment.eps_list=[0.1,1e200]"),
+    ])
+    def test_epsilon_whose_square_overflows_exits_1_before_any_kernel(
+            self, tmp_path, capsys, monkeypatch, command, setting):
+        monkeypatch.setattr(aggdiff.cli, "build_kernel", kernel_must_not_be_built)
+        out = tmp_path / "out"
+        assert run_cli(command, *SMALL, "--set", setting, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert f"config field '{setting.split('=')[0]}'" in captured.err
+        assert "epsilon^2 overflows" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_json_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "model": {\n')
@@ -867,6 +883,19 @@ class TestDichotomy:
         assert len(csvs) == 4
         for name in csvs:
             assert (out / name).read_bytes() == (serial / name).read_bytes()
+
+    def test_ratio_whose_energy_overflows_exits_1_naming_field(
+            self, tmp_path, extremal_profile, capsys):
+        # W overflows at 1e160 M*, so F(u0) = -inf and the chord time is 0
+        out = tmp_path / "out"
+        code = run_cli("dichotomy", *SMALL, "--set", "experiment.mass_ratios=[1e160]",
+                       "--profile", str(extremal_profile), "--out", str(out))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "config field 'experiment.mass_ratios'" in captured.err
+        assert "F(u0) = -inf" in captured.err and "Traceback" not in captured.err
+        assert not (out / "report.json").exists()
+        assert multiprocessing.active_children() == []
 
     def test_empty_ratio_list(self, tmp_path, capsys):
         out = tmp_path / "out"

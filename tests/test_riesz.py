@@ -134,6 +134,17 @@ class TestKernelMatrix:
         with pytest.raises(ParameterDomainError, match="epsilon"):
             build_kernel(grid96, 1.25, epsilon=-0.1)
 
+    @pytest.mark.parametrize("n_cells", [96, riesz.STRUCTURED_MIN_CELLS])
+    def test_epsilon_whose_square_overflows_rejected(self, n_cells):
+        # once eps^2 overflows, every dense or FFT kernel entry is NaN
+        g = RadialGrid.uniform(n_cells, 4.0)
+        for eps in (1.35e154, 1e200, math.inf, math.nan):
+            with pytest.raises(ParameterDomainError, match="epsilon"):
+                build_kernel(g, 1.25, epsilon=eps)
+        k = build_kernel(g, 1.25, epsilon=1.3e154)
+        assert is_structured(k) == (n_cells >= riesz.STRUCTURED_MIN_CELLS)
+        assert np.all(np.isfinite(k.apply(np.ones(n_cells))))
+
     def test_matrix_is_read_only(self, kernel96):
         assert not is_structured(kernel96)
         with pytest.raises(ValueError):

@@ -39,7 +39,7 @@ from aggdiff import (
     weak_form_residual,
     write_field_csv,
 )
-from aggdiff import cli, solver
+from aggdiff import cli, energy, solver
 from aggdiff.solver import diagnostics_to_csv
 from conftest import dense_oracle, is_structured
 
@@ -534,6 +534,23 @@ class TestDichotomyRun:
         assert len(calls) == 1
         assert (entry["blowup_time_upper_bound"] is None) == (ratio < 1.0)
 
+    @pytest.mark.parametrize("ratio", [1e150, 1e160])
+    def test_start_whose_energy_overflows_is_rejected(self, params, grid96, kernel96,
+                                                      monkeypatch, ratio):
+        # at 1e160 the interaction energy W overflows: F0 = -inf and T* = 0
+        row = SimpleNamespace(lm_norm=1.0)
+        monkeypatch.setattr(solver, "run", lambda *args: SimpleNamespace(
+            status="stalled", t_detect=None, diagnostics=[row]))
+        U = barenblatt_profile(grid96, 100.0, 1.0, params.m)
+        if ratio == 1e160:
+            with pytest.raises(ParameterDomainError, match=r"F\(u0\) = -inf"):
+                dichotomy_run(U, ratio, 150.0, kernel96, params, DICHOTOMY_CONFIG)
+        else:  # F0 is still finite, so the run starts
+            entry, _ = dichotomy_run(U, ratio, 150.0, kernel96, params,
+                                     DICHOTOMY_CONFIG)
+            assert math.isfinite(entry["F0"]) and entry["F0"] < 0.0
+            assert entry["t_end"] > 0.0
+
     def test_global_existence_bound_is_criterion_6s(self, params, consts,
                                                     dichotomy96):
         M_c, _ = dichotomy96["critical"]
@@ -645,6 +662,44 @@ class TestImplicit:
         assert_mass_exact_and_energy_monotone(out)  # a row per step
         assert all(vals.min() >= 0.0 for _, vals in out.fields)
 
+    def test_one_stencil_per_row_step_and_try_and_one_jacobian_per_step(
+            self, params, grid96, kernel96, monkeypatch):
+        # the dissipation, the fluxes and the Jacobian share one upwind
+        # stencil: one evaluation per diagnostics row, one at each step's
+        # start (which also gives that step's bands) and one at each ROS2
+        # try's u*; a fallback or a retried try reuses the step's bands
+        calls = {"stencil": 0, "bands": 0}
+        stencil, bands = energy._upwind_flow, solver._ImplicitStepper._bands
+
+        def counted_stencil(*args):
+            calls["stencil"] += 1
+            return stencil(*args)
+
+        def counted_bands(*args):
+            calls["bands"] += 1
+            return bands(*args)
+
+        monkeypatch.setattr(energy, "_upwind_flow", counted_stencil)
+        monkeypatch.setattr(solver, "_upwind_flow", counted_stencil)
+        monkeypatch.setattr(solver._ImplicitStepper, "_bands", counted_bands)
+        kernel = build_kernel(grid96, params.s, epsilon=0.05)
+        u0 = barenblatt_profile(grid96, 20.0, 1.0, params.m)
+        out = run(u0, kernel, params,
+                  SolverConfig(t_end=0.05, output_every=5, scheme="implicit"))
+        assert out.status == "completed" and out.fallback_steps > 0
+        steps = out.final_state.step_count
+        tries = steps + out.rejected_steps
+        assert calls["stencil"] == len(out.diagnostics) + steps + tries
+        assert calls["bands"] == steps
+        # every try of one step overshoots below zero and is retried
+        calls.update(stencil=0, bands=0)
+        monkeypatch.setattr(solver, "_substitute",
+                            lambda factors, rhs: np.full(rhs.size, -1e6))
+        out = run(u0, kernel96, params, SolverConfig(t_end=1.0, scheme="implicit"))
+        assert out.final_state.step_count == 0 and out.rejected_steps > 1
+        assert calls["stencil"] == len(out.diagnostics) + 1 + out.rejected_steps
+        assert calls["bands"] == 1
+
     def test_negative_tries_stall_without_hanging(self, params, grid96, kernel96,
                                                   monkeypatch):
         # every try overshoots a cell below zero, at any dt: the ROS2 stages
@@ -732,11 +787,11 @@ class TestImplicit:
         dt = 1e-3
 
         def residual(vals):  # with u_old = u and phi lagged
-            _, flux = stepper._flux(vals, solver._mu(vals, phi, params.m))
-            return vals - u + dt * stepper._divergence(flux) / grid96.shell_volumes
+            net = stepper._evaluate(vals, phi)[3]
+            return vals - u + dt * net / grid96.shell_volumes
 
-        w, _ = stepper._flux(u, solver._mu(u, phi, params.m))
-        lower, diag, upper = stepper._jacobian(u, w, dt)
+        w, donor, _, _ = stepper._evaluate(u, phi)
+        lower, diag, upper = stepper._jacobian(stepper._bands(u, w, donor), dt)
         J = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
         vols = grid96.shell_volumes
         assert np.allclose(vols @ J, vols, rtol=1e-14, atol=0.0)
@@ -759,10 +814,11 @@ class TestImplicit:
         stepper = solver._ImplicitStepper(
             kernel96, params, SolverConfig(t_end=1.0, scheme="implicit"), params.c_ds)
         u = barenblatt_profile(grid96, 20.0, 1.0, params.m).values
-        w, rate = stepper._rate(u)
-        dt = 50.0 * stepper._stable_dt(u, w)
-        delta = stepper._ros2_update(u, w, rate, dt)
         vols = grid96.shell_volumes
+        w, donor, _, net = stepper._evaluate(
+            u, solver.potential_values(kernel96, u, params.c_ds))
+        dt = 50.0 * stepper._stable_dt(u, w)
+        delta = stepper._ros2_update(u, -net / vols, stepper._bands(u, w, donor), dt)
         assert np.max(np.abs(delta)) > 1e-2 * np.max(u)
         assert abs(np.dot(vols, delta)) <= 1e-13 * np.dot(vols, u)
 
