@@ -15,7 +15,6 @@ from .model import (
     derived_constants,
     hls_sharp_constant,
     riesz_constant,
-    vhls_constant_upper,
 )
 from .field import (
     DensityField,
@@ -55,11 +54,8 @@ from .solver import (
     dichotomy_run,
     diffusive_time,
     epsilon_convergence_study,
-    plateau_test_function,
-    quadratic_test_function,
     run,
     step,
-    weak_form_residual,
 )
 from .extremal import (
     ExtremalResult,

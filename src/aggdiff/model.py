@@ -13,7 +13,7 @@ the single source of truth for the derived constants used elsewhere:
     c_ds          Riesz normalisation
     C_hls         sharp bilinear interaction constant at kernel power d-2s
     C_star_upper  closed-form upper bound for the optimal ratio
-                  omega(u) / (||u||_1^{2s/d} ||u||_m^m)
+                  omega(u) / (||u||_1^{2s/d} ||u||_m^m), equal to C_hls
     M_star        critical mass separating global existence from blow-up
 """
 
@@ -57,29 +57,17 @@ def hls_sharp_constant(d: int, s: float) -> float:
         |iint f(x) g(y) |x-y|^{-beta} dx dy| <= C ||f||_q ||g||_q,
 
     evaluated at the diagonal exponent q = 2d/(2d - beta) with
-    beta = d - 2s (the kernel power of the attraction).
-    """
-    _check_ds(d, s)
-    beta = d - 2.0 * s
-    return (
-        math.pi ** (beta / 2.0)
-        * gamma(d / 2.0 - beta / 2.0)
-        / gamma(d - beta / 2.0)
-        * (gamma(d / 2.0) / gamma(d)) ** (-1.0 + beta / d)
-    )
+    beta = d - 2s (the kernel power of the attraction), coded in s.
 
-
-def vhls_constant_upper(d: int, s: float) -> float:
-    """Upper bound for the optimal constant of the mass-weighted variant
+    The same value bounds the optimal constant of the mass-weighted
+    variant
 
         omega(u) <= C ||u||_1^{2s/d} ||u||_m^m,   m = 2 - 2s/d.
 
-    Algebraically identical to :func:`hls_sharp_constant` (substitute
-    beta = d - 2s); kept as an independently coded expression so the
-    identity is testable.  Whether the optimal constant actually attains
-    this bound is open: the interpolation step loses strictness for any
-    single profile, so the package treats this value as an upper bound
-    and reports measured extremal ratios separately.
+    Whether that optimal constant attains the bound is open: the
+    interpolation step loses strictness for any single profile, so the
+    package treats this value as an upper bound (``C_star_upper``) and
+    reports measured extremal ratios separately.
     """
     _check_ds(d, s)
     return (
@@ -145,10 +133,10 @@ class DerivedConstants:
 
 
 def derived_constants(params: ModelParams) -> DerivedConstants:
-    C_up = vhls_constant_upper(params.d, params.s)
+    C = hls_sharp_constant(params.d, params.s)
     return DerivedConstants(
         c_ds=riesz_constant(params.d, params.s),
-        C_hls=hls_sharp_constant(params.d, params.s),
-        C_star_upper=C_up,
-        M_star=critical_mass(params.d, params.s, C_up),
+        C_hls=C,
+        C_star_upper=C,
+        M_star=critical_mass(params.d, params.s, C),
     )

@@ -27,17 +27,16 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .energy import _mu, _upwind_flow, energy_report, free_energy
+from .energy import _mu, _upwind_flow, energy_report
 from .errors import ParameterDomainError
 from .extremal import blowup_initial_data
 from .field import DensityField, lp_norm, mass, require_same_grid, second_moment
 from .model import ModelParams, derived_constants
-from .riesz import (RieszKernel, build_kernel, build_weak_interaction_kernel,
-                    potential_values)
+from .riesz import RieszKernel, build_kernel, potential_values
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,6 @@ class RunOutcome:
     reason: str | None = None
     boundary_mass_flux_total: float = 0.0
     clipped_mass_total: float = 0.0
-    fields: list = field(default_factory=list)
     rejected_steps: int = 0
     fallback_steps: int = 0
     blowup_time_upper_bound: float | None = None
@@ -388,7 +386,7 @@ def _diag_row(u: DensityField, kernel, params, t, dt) -> DiagnosticsRow:
 
 
 def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
-        config: SolverConfig, store_fields: bool = False) -> RunOutcome:
+        config: SolverConfig) -> RunOutcome:
     """Integrate from u0 until t_end, blow-up, or step collapse.
 
     Diagnostics are recorded every ``output_every`` steps plus at the
@@ -413,12 +411,12 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
     u_vals = u0.values.copy()
     u0_linf = float(np.max(u_vals, initial=0.0))
     t = 0.0
+    dt_last = math.nan
     steps = 0
     clipped_total = 0.0
     band_flux_total = 0.0
     rows = [_diag_row(u0, kernel, params, 0.0, math.nan)]
     t_chord = _chord_time(rows[0].m2, rows[0].F, kernel, params)
-    fields = [(0.0, u_vals.copy())] if store_fields else []
     status, reason, t_detect = "completed", None, None
 
     while t < config.t_end * (1.0 - 1e-14):
@@ -437,6 +435,7 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
             break
         u_vals = new_vals
         t += dt
+        dt_last = dt
         steps += 1
         clipped_total += clipped
         band_flux_total += band_rate * dt
@@ -449,19 +448,14 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
         if steps % config.output_every == 0:
             rows.append(_diag_row(DensityField(kernel.grid, u_vals), kernel, params,
                                   t, dt))
-            if store_fields:
-                fields.append((t, u_vals.copy()))
         if steps >= _MAX_STEPS:
             status, reason = "stalled", "max_steps"
             break
 
     u_final = DensityField(kernel.grid, u_vals)
     if rows[-1].t < t:
-        rows.append(_diag_row(u_final, kernel, params, t, rows[-1].dt))
-    if store_fields and fields[-1][0] < t:
-        fields.append((t, u_vals.copy()))
-    final_state = SolverState(t=t, u=u_final, step_count=steps,
-                              dt_last=rows[-1].dt)
+        rows.append(_diag_row(u_final, kernel, params, t, dt_last))
+    final_state = SolverState(t=t, u=u_final, step_count=steps, dt_last=dt_last)
     return RunOutcome(
         status=status,
         final_state=final_state,
@@ -470,7 +464,6 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
         reason=reason,
         boundary_mass_flux_total=band_flux_total,
         clipped_mass_total=clipped_total,
-        fields=fields,
         rejected_steps=stepper.rejected_steps,
         fallback_steps=stepper.fallback_steps,
         blowup_time_upper_bound=t_chord,
@@ -519,16 +512,19 @@ def dichotomy_run(U: DensityField, ratio: float, M_ref: float, kernel: RieszKern
     global-existence bound F0 / (C* c_ds/2 (M*^{2s/d} - M^{2s/d})) on
     ||u||_m^m with the closed-form C* and M*, inf when the denominator
     is not positive.  Raises :class:`ParameterDomainError` when F0 is
-    infinite (W overflows at a huge mass), which leaves no chord time; a
-    NaN F0 (a non-finite kernel) goes to the run, which ends "failed".
+    infinite (W overflows at a huge mass), which leaves no chord time, or
+    the dissipation D(u0) is, where no step can be taken; a NaN (a
+    non-finite kernel) goes to the run, which ends "failed".
     """
     M = ratio * M_ref
     u0 = blowup_initial_data(U, M, params)
-    with np.errstate(over="ignore", invalid="ignore"):  # F0 is checked next
-        F0 = free_energy(u0, kernel, params)
-    if math.isinf(F0):
-        raise ParameterDomainError(
-            f"free energy F(u0) = {F0} at mass ratio {ratio} overflows")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        start = energy_report(u0, kernel, params)
+    F0 = start.F
+    for name, value in (("free energy F(u0)", F0), ("dissipation D(u0)", start.D)):
+        if math.isinf(value):
+            raise ParameterDomainError(
+                f"{name} = {value} at mass ratio {ratio} overflows")
     chord = _chord_time(second_moment(u0), F0, kernel, params)
     if ratio < 1.0:
         t_end = diffusive_times * diffusive_time(u0, params)
@@ -555,96 +551,6 @@ def dichotomy_run(U: DensityField, ratio: float, M_ref: float, kernel: RieszKern
                  * (consts.M_star ** two_s_over_d - M ** two_s_over_d))
         entry["ge_bound_lm_power_m"] = F0 / denom if denom > 0 else math.inf
     return entry, outcome
-
-
-@dataclass(frozen=True)
-class RadialTestFunction:
-    """Smooth radial test function with analytic first two derivatives,
-    compactly supported inside the grid."""
-
-    psi: object
-    dpsi: object
-    ddpsi: object
-    support_radius: float
-
-    def laplacian(self, r: np.ndarray, d: int) -> np.ndarray:
-        return self.ddpsi(r) + (d - 1) * self.dpsi(r) / r
-
-
-def _smoothstep(x):
-    """Quintic step: 1 at x<=0 falling to 0 at x>=1, C^2 at both ends."""
-    xc = np.clip(x, 0.0, 1.0)
-    return 1.0 - xc ** 3 * (10.0 - 15.0 * xc + 6.0 * xc * xc)
-
-
-def _smoothstep_d1(x):
-    xc = np.clip(x, 0.0, 1.0)
-    return -30.0 * xc ** 2 * (1.0 - xc) ** 2
-
-
-def _smoothstep_d2(x):
-    xc = np.clip(x, 0.0, 1.0)
-    return -60.0 * xc * (1.0 - xc) * (1.0 - 2.0 * xc)
-
-
-def plateau_test_function(a: float, b: float) -> RadialTestFunction:
-    """psi = 1 on [0, a], quintic decay to 0 at b."""
-    if not (0.0 < a < b):
-        raise ValueError("requires 0 < a < b")
-    span = b - a
-    return RadialTestFunction(
-        psi=lambda r: _smoothstep((np.asarray(r) - a) / span),
-        dpsi=lambda r: _smoothstep_d1((np.asarray(r) - a) / span) / span,
-        ddpsi=lambda r: _smoothstep_d2((np.asarray(r) - a) / span) / span ** 2,
-        support_radius=b,
-    )
-
-
-def quadratic_test_function(a: float, b: float) -> RadialTestFunction:
-    """psi = r^2 on [0, a], smoothly truncated to 0 at b (virial probe):
-    r^2 times :func:`plateau_test_function`, by the product rule."""
-    f = plateau_test_function(a, b)
-    return RadialTestFunction(
-        psi=lambda r: r * r * f.psi(r),
-        dpsi=lambda r: 2.0 * r * f.psi(r) + r * r * f.dpsi(r),
-        ddpsi=lambda r: 2.0 * f.psi(r) + 4.0 * r * f.dpsi(r) + r * r * f.ddpsi(r),
-        support_radius=b,
-    )
-
-
-def weak_form_residual(trajectory, psi: RadialTestFunction, kernel: RieszKernel,
-                       params: ModelParams) -> float:
-    """Gap between the two sides of the distributional formulation over
-    the trajectory's time span.
-
-    ``trajectory`` is a sequence of (t, values) snapshots as produced by
-    ``run(..., store_fields=True)``.  The right-hand side integrates
-    int lap(psi) u^m plus the symmetrised double-sum interaction term in
-    time by the trapezoidal rule, so the residual measures the spatial
-    consistency of the scheme at first order in the snapshot spacing.
-    """
-    if psi.support_radius > kernel.grid.r_max * (1.0 + 1e-12):
-        raise ValueError("test function support exceeds the grid")
-    c_ds = params.c_ds
-    grid = kernel.grid
-    vols = grid.shell_volumes
-    centers = grid.centers
-    psi_c = psi.psi(centers)
-    lap_c = psi.laplacian(centers, grid.d)
-    M_psi = build_weak_interaction_kernel(grid, params.s, psi.dpsi,
-                                          epsilon=kernel.epsilon)
-
-    def rhs_rate(vals):
-        uv = vals * vols
-        diffusion = float(np.dot(lap_c, vals ** params.m * vols))
-        interaction = float(uv @ (M_psi @ uv))
-        return diffusion - 0.5 * params.alpha * c_ds * interaction
-
-    times = np.array([t for t, _ in trajectory])
-    rates = np.array([rhs_rate(vals) for _, vals in trajectory])
-    rhs = float(np.trapezoid(rates, times))
-    lhs = float(np.dot(psi_c, (trajectory[-1][1] - trajectory[0][1]) * vols))
-    return abs(lhs - rhs)
 
 
 def epsilon_convergence_study(u0: DensityField, params: ModelParams,

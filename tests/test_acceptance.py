@@ -35,10 +35,10 @@ from aggdiff import (
     riesz_constant,
     run,
     scale,
-    vhls_constant_upper,
     vhls_ratio,
 )
 from conftest import random_bump_field
+from oracles import hls_constant_beta_form
 
 
 def report(criterion, name, ok):
@@ -71,8 +71,8 @@ def test_criterion_1_constants_against_gamma_oracle():
     d, s = 3, 1.25
     m = 2 - 2 * s / d
     c = riesz_constant(d, s)
-    C_hls = hls_sharp_constant(d, s)
-    C_up = vhls_constant_upper(d, s)
+    C_hls = hls_constant_beta_form(d, s)  # the second coding, in beta = d - 2s
+    C_up = hls_sharp_constant(d, s)
     M_star = critical_mass(d, s, C_up)
     oracle_M = (2 / ((m - 1) * oracle_hls(d, s) * oracle_riesz(d, s))) ** (d / (2 * s))
     ok = (

@@ -19,11 +19,11 @@ import aggdiff
 from aggdiff import (DensityField, ModelParams, RadialGrid, RieszKernel,
                      SolverConfig, build_kernel, derived_constants,
                      dichotomy_run, el_fixed_point, hls_sharp_constant,
-                     read_field_csv, riesz_constant, vhls_constant_upper,
-                     write_field_csv)
+                     read_field_csv, riesz_constant, write_field_csv)
 from aggdiff.cli import _FIELDS, _REAL, DEFAULT_CONFIG, ConfigError, load_config, main
 from aggdiff.riesz import _dense_matrix
 from aggdiff.solver import diagnostics_to_csv
+from oracles import hls_constant_beta_form
 
 
 def run_cli(*argv):
@@ -291,8 +291,8 @@ class TestConstants:
         res = report["results"]
         assert res["c_ds"] == pytest.approx(riesz_constant(3, 1.25), rel=1e-15)
         assert res["C_hls"] == pytest.approx(hls_sharp_constant(3, 1.25), rel=1e-15)
-        assert res["C_star_upper"] == pytest.approx(vhls_constant_upper(3, 1.25),
-                                                    rel=1e-15)
+        assert res["C_star_upper"] == pytest.approx(
+            hls_constant_beta_form(3, 1.25), rel=1e-15)
         assert res["M_star"] > 0
         assert "config_sha256" in report
 
@@ -896,6 +896,27 @@ class TestDichotomy:
         assert "F(u0) = -inf" in captured.err and "Traceback" not in captured.err
         assert not (out / "report.json").exists()
         assert multiprocessing.active_children() == []
+
+    def test_ratio_whose_dissipation_overflows_exits_1_naming_field(
+            self, tmp_path, extremal_profile, capsys):
+        # at 1e120 M* the start's D overflows while F(u0) is finite, so no
+        # step can be taken; at 1e100 D is finite and the run stalls at step 0
+        runs = {}
+        for ratio in ("1e100", "1e120"):
+            out = tmp_path / ratio
+            code = run_cli("dichotomy", *SMALL, "--set",
+                           f"experiment.mass_ratios=[{ratio}]",
+                           "--profile", str(extremal_profile), "--out", str(out))
+            runs[ratio] = code, out, capsys.readouterr().err
+        code, out, err = runs["1e100"]
+        assert code == 0 and err == ""
+        table = json.loads((out / "report.json").read_text())["results"]["table"]
+        assert table[0]["status"] == "stalled"
+        code, out, err = runs["1e120"]
+        assert code == 1
+        assert "config field 'experiment.mass_ratios'" in err
+        assert "D(u0) = inf" in err and "Traceback" not in err
+        assert not (out / "report.json").exists()
 
     def test_empty_ratio_list(self, tmp_path, capsys):
         out = tmp_path / "out"

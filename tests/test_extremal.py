@@ -27,10 +27,10 @@ from aggdiff import (
     project_onto,
     rearrange,
     second_moment,
-    vhls_constant_upper,
     vhls_ratio,
 )
 from conftest import dense_oracle
+from oracles import hls_constant_beta_form
 
 
 class TestFixedPoint:
@@ -42,7 +42,7 @@ class TestFixedPoint:
         assert np.all(np.diff(U.values) <= 1e-12 * U.values.max())
         assert result.support_radius < grid256.r_max
         assert result.iterations <= 500
-        C_up = vhls_constant_upper(params.d, params.s)
+        C_up = hls_constant_beta_form(params.d, params.s)
         assert result.J_value <= C_up * 1.02
 
     def test_idempotence_at_fixed_point(self, params, grid256, kernel256,
@@ -420,7 +420,7 @@ class TestMaximizeVhls:
     def test_measured_constant_below_closed_form_bound(self, params, grid96,
                                                        kernel96):
         res = maximize_vhls(grid96, kernel96, params, n_starts=3, seed=5)
-        C_up = vhls_constant_upper(params.d, params.s)
+        C_up = hls_constant_beta_form(params.d, params.s)
         assert res.J_value <= C_up * 1.02
 
     def test_cross_validates_fixed_point_ratio(self, params, grid256, kernel256,

@@ -17,10 +17,10 @@ from aggdiff import (
     derived_constants,
     hls_sharp_constant,
     riesz_constant,
-    vhls_constant_upper,
 )
 from aggdiff.special import gamma as lanczos_gamma
 from aggdiff.special import sphere_surface
+from oracles import hls_constant_beta_form
 
 
 def oracle_riesz(d, s):
@@ -114,8 +114,20 @@ class TestHlsConstant:
         # d/2 - beta/2 = s, d - beta/2 = (d+2s)/2, -1 + beta/d = -2s/d
         for d, s in SWEEP:
             a = hls_sharp_constant(d, s)
-            b = vhls_constant_upper(d, s)
+            b = hls_constant_beta_form(d, s)
             assert abs(a - b) / a < 1e-12
+
+    @pytest.mark.parametrize("d, s", [(3, 1.25), (3, 1.45), (4, 1.25), (4, 1.9),
+                                      (5, 2.0), (3, 1.05)])
+    def test_two_codings_agree_to_the_last_bit(self, d, s):
+        # the library codes the constant in s, the oracle in beta = d - 2s;
+        # the two roundings part by 1 ulp at (3, 1.05)
+        a = hls_sharp_constant(d, s)
+        b = hls_constant_beta_form(d, s)
+        if (d, s) == (3, 1.05):
+            assert abs(a - b) <= math.ulp(a)
+        else:
+            assert a == b
 
     def test_high_dimension_finite(self):
         val = hls_sharp_constant(5, 1.2)
@@ -130,7 +142,7 @@ class TestHlsConstant:
 
 class TestCriticalMass:
     def test_working_point(self):
-        C = vhls_constant_upper(3, 1.25)
+        C = hls_constant_beta_form(3, 1.25)
         # frozen from the oracle composition, exponent d/(2s) = 1.2
         assert critical_mass(3, 1.25, C) == pytest.approx(146.80798415298818,
                                                           rel=1e-8)

@@ -40,9 +40,9 @@ from aggdiff import (
 )
 from aggdiff import riesz
 from aggdiff.field import face_gradient
-from aggdiff.riesz import build_weak_interaction_kernel
 from aggdiff.special import sphere_surface
 from conftest import S, dense_oracle, is_structured, random_bump_field
+from oracles import build_weak_interaction_kernel
 
 ALPHA = 0.5
 OMEGA_UNIT_BALL = 18.561966079063225  # frozen nested-quadrature oracle
@@ -142,7 +142,7 @@ class TestKernelMatrix:
             with pytest.raises(ParameterDomainError, match="epsilon"):
                 build_kernel(g, 1.25, epsilon=eps)
         k = build_kernel(g, 1.25, epsilon=1.3e154)
-        assert is_structured(k) == (n_cells >= riesz.STRUCTURED_MIN_CELLS)
+        assert not is_structured(k)  # epsilon > r_max: dense at any size
         assert np.all(np.isfinite(k.apply(np.ones(n_cells))))
 
     def test_matrix_is_read_only(self, kernel96):
@@ -171,6 +171,17 @@ class TestStructuredOperator:
                   rng.standard_normal(n_cells)):
             ref = K @ v
             assert np.max(np.abs(k.apply(v) - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("epsilon", [4.0, 100.0, 1e8])
+    def test_matches_dense_matrix_to_1e12_at_any_epsilon(self, epsilon):
+        # past epsilon = r_max the FFT form's Hankel - Toeplitz difference
+        # cancels (1.6e-12 at 100, 2 at 1e8), so the kernel stays dense there
+        g = RadialGrid.uniform(600, 4.0)
+        k = build_kernel(g, 1.25, epsilon=epsilon)
+        assert is_structured(k) == (epsilon <= g.r_max)
+        v = np.random.default_rng(600).random(600)
+        ref = riesz._dense_matrix(g, 1.25, epsilon) @ v
+        assert np.max(np.abs(k.apply(v) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_bilinear_symmetry(self, params):
         g = RadialGrid.uniform(1024, 4.0)

@@ -31,17 +31,16 @@ from aggdiff import (
     lp_norm,
     lr_lower_bound,
     mass,
-    plateau_test_function,
-    quadratic_test_function,
     run,
     second_moment,
     step,
-    weak_form_residual,
     write_field_csv,
 )
 from aggdiff import cli, energy, solver
 from aggdiff.solver import diagnostics_to_csv
 from conftest import dense_oracle, is_structured
+from oracles import (plateau_test_function, quadratic_test_function, run_with_snapshots,
+                     weak_form_residual)
 
 
 def l1_distance(a, b, grid):
@@ -256,6 +255,19 @@ class TestRun:
         out = run(wide, kernel96_no_attraction, params, cfg)
         assert out.boundary_mass_flux_total > 0.0
 
+    def test_final_row_records_the_last_steps_dt(self, params, consts, grid96,
+                                                 kernel96):
+        # 185 implicit steps: the last output row is step 150's, whose dt
+        # (3.137e-4) is not the final step's (3.040e-4)
+        u0 = barenblatt_profile(grid96, 0.5 * consts.M_star, 1.0, params.m)
+        cfg = SolverConfig(t_end=0.05, output_every=50, scheme="implicit")
+        out = run(u0, kernel96, params, cfg)
+        last_dt = run(u0, kernel96, params,
+                      replace(cfg, output_every=1)).diagnostics[-1].dt
+        assert out.final_state.step_count == 185
+        assert out.diagnostics[-1].dt == out.final_state.dt_last == last_dt
+        assert out.diagnostics[-2].dt != last_dt
+
     def test_diagnostics_csv(self, tmp_path, params, grid96, kernel96):
         u0 = barenblatt_profile(grid96, 10.0, 1.0, params.m)
         out = run(u0, kernel96, params, SolverConfig(t_end=0.005, output_every=10))
@@ -381,9 +393,9 @@ class TestWeakForm:
         M_c, result = critical256
         u0 = blowup_initial_data(result.U, 0.5 * M_c, params)
         cfg = SolverConfig(t_end=0.002, output_every=5)
-        out = run(u0, kernel256, params, cfg, store_fields=True)
+        _, trajectory = run_with_snapshots(u0, kernel256, params, cfg)
         psi = plateau_test_function(3.0, 3.9)
-        residual = weak_form_residual(out.fields, psi, kernel256, params)
+        residual = weak_form_residual(trajectory, psi, kernel256, params)
         assert residual <= 1e-9 * mass(u0)
 
     def test_quadratic_probe_tracks_second_moment_budget(self, params, grid256,
@@ -391,9 +403,9 @@ class TestWeakForm:
         M_c, result = critical256
         u0 = blowup_initial_data(result.U, 0.5 * M_c, params)
         cfg = SolverConfig(t_end=0.01, output_every=5)
-        out = run(u0, kernel256, params, cfg, store_fields=True)
+        out, trajectory = run_with_snapshots(u0, kernel256, params, cfg)
         psi = quadratic_test_function(3.0, 3.9)
-        residual = weak_form_residual(out.fields, psi, kernel256, params)
+        residual = weak_form_residual(trajectory, psi, kernel256, params)
         dm2 = abs(second_moment(out.final_state.u) - second_moment(u0))
         # the gap is the virial identity defect, first order in dr
         assert residual <= 0.10 * dm2
@@ -404,11 +416,10 @@ class TestWeakForm:
             g = RadialGrid.uniform(n_cells, 4.0)
             k = build_kernel(g, params.s)
             u0 = barenblatt_profile(g, 0.5 * consts.M_star, 1.0, params.m)
-            out = run(u0, k, params, SolverConfig(t_end=0.01, cfl=cfl,
-                                                  output_every=5),
-                      store_fields=True)
+            _, trajectory = run_with_snapshots(
+                u0, k, params, SolverConfig(t_end=0.01, cfl=cfl, output_every=5))
             psi = quadratic_test_function(3.0, 3.9)
-            resid[n_cells] = weak_form_residual(out.fields, psi, k, params)
+            resid[n_cells] = weak_form_residual(trajectory, psi, k, params)
         assert resid[256] < 0.7 * resid[128]
 
     def test_support_outside_grid_rejected(self, params, grid96, kernel96):
@@ -534,10 +545,11 @@ class TestDichotomyRun:
         assert len(calls) == 1
         assert (entry["blowup_time_upper_bound"] is None) == (ratio < 1.0)
 
-    @pytest.mark.parametrize("ratio", [1e150, 1e160])
+    @pytest.mark.parametrize("ratio", [1e100, 1e120, 1e150, 1e160])
     def test_start_whose_energy_overflows_is_rejected(self, params, grid96, kernel96,
                                                       monkeypatch, ratio):
-        # at 1e160 the interaction energy W overflows: F0 = -inf and T* = 0
+        # from ~1e105 the dissipation D(u0) overflows while F0 is finite; at
+        # 1e160 the interaction energy W overflows: F0 = -inf and T* = 0
         row = SimpleNamespace(lm_norm=1.0)
         monkeypatch.setattr(solver, "run", lambda *args: SimpleNamespace(
             status="stalled", t_detect=None, diagnostics=[row]))
@@ -545,7 +557,10 @@ class TestDichotomyRun:
         if ratio == 1e160:
             with pytest.raises(ParameterDomainError, match=r"F\(u0\) = -inf"):
                 dichotomy_run(U, ratio, 150.0, kernel96, params, DICHOTOMY_CONFIG)
-        else:  # F0 is still finite, so the run starts
+        elif ratio > 1e100:
+            with pytest.raises(ParameterDomainError, match=r"D\(u0\) = inf"):
+                dichotomy_run(U, ratio, 150.0, kernel96, params, DICHOTOMY_CONFIG)
+        else:  # F0 and D(u0) are still finite, so the run starts
             entry, _ = dichotomy_run(U, ratio, 150.0, kernel96, params,
                                      DICHOTOMY_CONFIG)
             assert math.isfinite(entry["F0"]) and entry["F0"] < 0.0
@@ -654,13 +669,13 @@ class TestImplicit:
                                                                     grid96):
         kernel = build_kernel(grid96, params.s, epsilon=0.05)
         u0 = barenblatt_profile(grid96, 20.0, 1.0, params.m)
-        out = run(u0, kernel, params,
-                  SolverConfig(t_end=0.05, output_every=1, scheme="implicit"),
-                  store_fields=True)
+        out, trajectory = run_with_snapshots(
+            u0, kernel, params,
+            SolverConfig(t_end=0.05, output_every=1, scheme="implicit"))
         assert out.status == "completed"
         assert out.fallback_steps > 0
         assert_mass_exact_and_energy_monotone(out)  # a row per step
-        assert all(vals.min() >= 0.0 for _, vals in out.fields)
+        assert all(vals.min() >= 0.0 for _, vals in trajectory)
 
     def test_one_stencil_per_row_step_and_try_and_one_jacobian_per_step(
             self, params, grid96, kernel96, monkeypatch):
