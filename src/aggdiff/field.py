@@ -257,10 +257,22 @@ def scale(u: DensityField, lam: float, mu: float) -> DensityField:
     return DensityField(new_grid, lam * u.values)
 
 
+# Gauss-Legendre nodes and weights on [-1, 1] by order: the doubles
+# numpy.polynomial.legendre.leggauss returns, tabulated so that no kernel
+# build or profile imports numpy.polynomial or calls LAPACK.
+_GAUSS_LEGENDRE = {
+    2: ((-0.5773502691896257, 0.5773502691896257), (1.0, 1.0)),
+    6: ((-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+         0.2386191860831969, 0.6612093864662645, 0.9324695142031519),
+        (0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+         0.46791393457269104, 0.3607615730481387, 0.17132449237917027)),
+}
+
+
 def _cell_gauss(grid: RadialGrid, order: int):
     """The order-point Gauss-Legendre rule mapped into every cell: nodes and
     volume-measure weights w r^{d-1}, each of shape (n_cells, order)."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = np.array(_GAUSS_LEGENDRE[order])
     lo = grid.r_edges[:-1][:, None]
     hi = grid.r_edges[1:][:, None]
     nodes = 0.5 * (hi - lo) * x[None, :] + 0.5 * (hi + lo)

@@ -19,9 +19,12 @@ v = shell_volumes:
     interaction: omega(u) = (u*v) @ K @ (u*v)
 
 and the identity c_ds * omega(u) == sum(phi * u * v) holds to roundoff
-by construction.  The pair averages are evaluated in blocks of at most
-``_BLOCK_PAIRS`` node pairs over the upper triangle and mirrored, so K
-equals K.T exactly and a build's temporaries do not grow with the grid.
+by construction.  The pair averages are evaluated over the upper
+triangle in blocks of whole rows and mirrored, so K equals K.T exactly.
+A block holds about 1/``_BLOCKS`` of the rows, within ``_MIN_BLOCK_PAIRS``
+to ``_BLOCK_PAIRS`` node pairs, so a build evaluates few pairs below the
+diagonal and its temporaries neither grow with the grid nor, on small
+grids, outgrow the matrix it keeps.
 On uniform d = 3 grids of at least ``STRUCTURED_MIN_CELLS`` cells, with
 epsilon at most r_max, K is applied through FFTs of its Hankel and
 Toeplitz parts and never stored; elsewhere it is a dense matrix.
@@ -35,12 +38,16 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from .errors import ParameterDomainError
-from .field import DensityField, RadialGrid, _cell_gauss, require_same_grid
+from .field import (_GAUSS_LEGENDRE, DensityField, RadialGrid, _cell_gauss,
+                    require_same_grid)
 from .special import sphere_surface
 
-# Node pairs per evaluation block: 512 KiB per temporary at any grid size.
-_BLOCK_PAIRS = 1 << 16
-_GAUSS_ORDER = 2  # Gauss nodes per cell in every pair average
+# Pair-average blocks: about _BLOCKS per build (a block's diagonal square
+# re-evaluates its lower half), each of at least _MIN_BLOCK_PAIRS node pairs
+# (~0.3 ms of kernel evaluation against ~50 us of numpy calls per block) and
+# at most _BLOCK_PAIRS (512 KiB per temporary at any grid size).
+_BLOCKS, _MIN_BLOCK_PAIRS, _BLOCK_PAIRS = 16, 1 << 14, 1 << 16
+_GAUSS_ORDER = 2  # Gauss nodes per cell in every pair average (a tabulated order)
 # Smallest uniform d = 3 grid that gets the FFT operator: the measured
 # single-thread matvec crossover (dense faster at 512 cells, a tie at 544,
 # FFT faster from 576 on; table in CHANGES.md).
@@ -161,7 +168,8 @@ def _pair_average(grid: RadialGrid, eval_fn, n_rows: int | None = None) -> np.nd
 
     ``eval_fn(r, rho)`` must equal ``eval_fn(rho, r)``; the d = 3 closed
     form and the d != 3 quadrature both do.  The nodes are evaluated in
-    blocks of whole cell rows holding at most ``_BLOCK_PAIRS`` node pairs,
+    ``_BLOCKS`` blocks of whole cell rows, unless that would put fewer than
+    ``_MIN_BLOCK_PAIRS`` or more than ``_BLOCK_PAIRS`` node pairs in one,
     so no temporary grows with the grid.  For the full matrix each block
     starts at its own first cell column: the upper triangle is evaluated
     once and mirrored, so the result equals its transpose exactly.  With
@@ -173,7 +181,9 @@ def _pair_average(grid: RadialGrid, eval_fn, n_rows: int | None = None) -> np.nd
     full = n_rows is None
     rows = n if full else n_rows
     out = np.empty((rows, n))
-    rows_per_block = max(1, _BLOCK_PAIRS // (order * order * n))
+    rows_per_block = max(1, min(_BLOCK_PAIRS // (order * order * n),
+                                max(_MIN_BLOCK_PAIRS // (order * order * n),
+                                    math.ceil(rows / _BLOCKS))))
     for i0 in range(0, rows, rows_per_block):
         i1 = min(i0 + rows_per_block, rows)
         j0 = i0 if full else 0
@@ -236,8 +246,7 @@ class _HankelToeplitzOperator:
     def __init__(self, grid: RadialGrid, alpha: float, epsilon: float):
         n, order = grid.n_cells, _GAUSS_ORDER
         h = grid.r_max / n
-        x, _ = np.polynomial.legendre.leggauss(order)
-        c = 0.5 * h * (1.0 + x)  # node offsets inside a cell
+        c = 0.5 * h * (1.0 + np.array(_GAUSS_LEGENDRE[order][0]))  # node offsets in a cell
         nodes, weights = _gauss_nodes(grid)
         self.n = n
         self.size = _next_fast_len(2 * n - 1)
@@ -253,6 +262,7 @@ class _HankelToeplitzOperator:
         toeplitz[..., lags] = G(lags * h + c_diff)
         np.negative(toeplitz, out=toeplitz)
         self.spectra = rfft(stacked)
+        del stacked, toeplitz  # before the head rows' blocks are evaluated
         self.spectra *= 2.0 * np.pi / ((2.0 - alpha) * sphere_surface(3))
         self.head = _pair_average(grid, _kernel_fn(3, alpha, epsilon),
                                   n_rows=min(_EXACT_ROWS, n))

@@ -434,6 +434,22 @@ def test_critical_mass_search_leaves_scipy_linalg_unloaded():
     assert run_probe(probe) == "[]"
 
 
+def test_kernel_builds_and_profiles_leave_numpy_polynomial_unloaded():
+    # the Gauss-Legendre rules are tabulated: no leggauss, so no LAPACK
+    # eigenvalue solve and no numpy.polynomial import
+    probe = ("import sys, aggdiff as ad, aggdiff.cli; "
+             "p = ad.ModelParams(d=3, s=1.25); "
+             "dense = ad.build_kernel(ad.RadialGrid.uniform(256, 4.0), p.s); "
+             "fft = ad.build_kernel(ad.RadialGrid.uniform(4096, 4.0), p.s); "
+             "assert not isinstance(dense._operator, ad.riesz._HankelToeplitzOperator); "
+             "assert isinstance(fft._operator, ad.riesz._HankelToeplitzOperator); "
+             "g = ad.RadialGrid.uniform(96, 3.0); "
+             "ad.barenblatt_profile(g, 20.0, 1.0, p.m); "
+             "ad.hls_extremizer_profile(g, 1.0, 0.7, p.s); "
+             "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    assert run_probe(probe) == "[]"
+
+
 @pytest.fixture(scope="module")
 def extremal_profile(tmp_path_factory):
     """Steady profile written by ``aggdiff extremal`` on the SMALL grid."""

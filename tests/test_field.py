@@ -23,7 +23,7 @@ from aggdiff import (
     write_field_csv,
 )
 from aggdiff import riesz
-from aggdiff.field import _cell_average, dilate
+from aggdiff.field import _GAUSS_LEGENDRE, _cell_average, dilate
 from aggdiff.special import sphere_surface
 from conftest import is_structured, random_bump_field
 
@@ -370,6 +370,13 @@ def cell_gauss_grid(kind, d):
 
 
 class TestCellGauss:
+    @pytest.mark.parametrize("order", sorted(_GAUSS_LEGENDRE))
+    def test_table_bitwise_equal_to_leggauss(self, order):
+        x, w = np.polynomial.legendre.leggauss(order)
+        table_x, table_w = np.array(_GAUSS_LEGENDRE[order])
+        assert table_x.tobytes() == x.tobytes()
+        assert table_w.tobytes() == w.tobytes()
+
     @pytest.mark.parametrize("d", [3, 4, 5])
     @pytest.mark.parametrize("kind", ["uniform", "rearranged", "random-edges"])
     def test_pair_average_nodes_bitwise_equal_to_former_code(self, kind, d):

@@ -464,6 +464,28 @@ class TestPairAverageBlocks:
                                 n_rows=riesz._EXACT_ROWS)
         assert np.array_equal(k._operator.head, oracle)
 
+    @pytest.mark.parametrize("n_cells", [256, 1024])
+    def test_dense_build_evaluates_little_below_the_diagonal(self, monkeypatch, n_cells):
+        """The node pairs a dense build evaluates stay within 1.1x of the
+        upper triangle's order^2 n (n + 1) / 2: only the blocks' diagonal
+        squares evaluate pairs below the diagonal."""
+        pairs = []
+        kernel_fn = riesz._kernel_fn
+
+        def counting_kernel_fn(*args):
+            fn = kernel_fn(*args)
+
+            def counted(r, rho):
+                pairs.append(np.broadcast(r, rho).size)
+                return fn(r, rho)
+
+            return counted
+
+        monkeypatch.setattr(riesz, "_kernel_fn", counting_kernel_fn)
+        riesz._dense_matrix(RadialGrid.uniform(n_cells, 4.0), S, 0.0)
+        triangle = riesz._GAUSS_ORDER ** 2 * n_cells * (n_cells + 1) // 2
+        assert triangle <= sum(pairs) <= 1.1 * triangle
+
 
 def out_of_place_power_diff(t_plus, u, p):
     """_power_diff written with fresh arrays, the reference for the
@@ -622,14 +644,21 @@ BUILD_CASES = {
 }
 
 
+# Transient budget per case, MiB.  dense256 and fft4096 measure 0.53 and
+# 1.00; 2^16-pair blocks at every grid size and a generator array kept
+# alive under the FFT operator's head rows took 1.51 and 2.32.
+BUILD_BUDGETS_MIB = {"dense256": 1.0, "fft4096": 1.5, "graded1024": 8.0, "weak512": 8.0}
+
+
 @pytest.mark.parametrize("case", sorted(BUILD_CASES))
 def test_build_transient_memory_budget(case):
     """Traced allocations of a build, beyond what the result keeps, stay
-    within 8 MiB at any grid size."""
+    within the case's budget: 8 MiB at any grid size, and at most twice the
+    kept matrix for a small dense build."""
     tracemalloc.start()
     try:
         result = BUILD_CASES[case]()  # still alive: `held` counts what it keeps
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - held <= 8 * 2 ** 20
+    assert peak - held <= BUILD_BUDGETS_MIB[case] * 2 ** 20
