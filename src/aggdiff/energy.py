@@ -19,17 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import DensityField, RadialGrid, face_gradient, require_same_grid
+from .field import DensityField, RadialGrid, require_same_grid
 from .model import ModelParams
 from .riesz import RieszKernel, potential_values
 from .special import ball_volume
 
 
 def _upwind_flow(values: np.ndarray, mu: np.ndarray, grid: RadialGrid):
-    """The upwind stencil: face velocity w = -dmu/dr at the N+1 faces (zero
-    at both walls) and the donor-cell values at the N-1 interior faces."""
-    w = -face_gradient(mu, grid)
-    return w, np.where(w[1:-1] > 0.0, values[:-1], values[1:])
+    """The upwind stencil on the N-1 interior faces: the face velocity
+    w = -dmu/dr, a central difference across adjacent cell centers, and
+    the donor-cell values.  The walls carry no flux and have no entry."""
+    w = (mu[:-1] - mu[1:]) / grid.center_spacing
+    return w, np.where(w > 0.0, values[:-1], values[1:])
 
 
 def chemical_potential(u: DensityField, kernel: RieszKernel,
@@ -44,11 +45,12 @@ def _mu(values: np.ndarray, phi: np.ndarray, m: float) -> np.ndarray:
 
 
 def dissipation(u: DensityField, mu: np.ndarray) -> float:
-    """D = int u |grad mu|^2, with upwind face densities on the solver stencil."""
+    """D = int u |grad mu|^2, summed over the interior faces of the solver's
+    stencil with the upwind face densities."""
     grid = u.grid
     w, donor = _upwind_flow(u.values, mu, grid)
     face_measure = grid.face_areas[1:-1] * grid.center_spacing
-    return float(np.sum(donor * w[1:-1] ** 2 * face_measure))
+    return float(np.sum(donor * w ** 2 * face_measure))
 
 
 @dataclass(frozen=True)

@@ -156,14 +156,6 @@ def require_same_grid(a: RadialGrid, b: RadialGrid, what: str):
         raise GridMismatchError(f"{what} live on different radial grids")
 
 
-def face_gradient(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """Central difference across adjacent cell centers at the N+1 faces;
-    zero at r = 0 (symmetry) and at the outer wall."""
-    grad = np.zeros(grid.n_cells + 1)
-    grad[1:-1] = (values[1:] - values[:-1]) / grid.center_spacing
-    return grad
-
-
 def mass(u: DensityField) -> float:
     return float(np.dot(u.values, u.grid.shell_volumes))
 

@@ -118,8 +118,10 @@ class RunOutcome:
     produces a non-finite value ends the run "failed" (reason
     "non_finite") with the last finite state as the final state.
     ``boundary_mass_flux_total`` accumulates the signed mass transported
-    outward across the face at 95% of R_max, the observable for
-    truncation artefacts.
+    outward across the band face, the first cell edge at or beyond 95% of
+    R_max: the observable for truncation artefacts.  On a uniform grid of
+    fewer than 20 cells no interior edge lies in [0.95 R_max, R_max), so
+    the band face is the outer wall, which carries no flux: the total is 0.0.
     ``rejected_steps`` counts the implicit scheme's retried steps and
     ``fallback_steps`` its steps taken by backward Euler because the ROS2
     update had a negative cell (see ``_ImplicitStepper``).
@@ -155,36 +157,38 @@ class _Stepper:
         self.cfl, self.epsilon = config.cfl, kernel.epsilon
         self.dr = grid.center_spacing
         self.min_width2 = np.min(grid.widths) ** 2
-        self.areas = grid.face_areas
-        # boundary faces carry no flux; pad their spacing to keep it finite
-        self.eps_rate = kernel.epsilon / np.concatenate(([1.0], self.dr, [1.0]))
+        self.areas = grid.face_areas[1:-1]  # the interior faces'
+        self.eps_rate = kernel.epsilon / self.dr
         self.vols = grid.shell_volumes
         self.band_face = int(np.searchsorted(grid.r_edges, 0.95 * grid.r_max))
 
     def _evaluate(self, u_vals: np.ndarray, phi: np.ndarray):
-        """A state's face velocity w and donor values (the dissipation's
-        stencil, ``energy._upwind_flow``), its face flux with eps diffusion
-        (zero at both walls) and each shell's net outward flux A F."""
+        """A state's velocity w and donor values on the interior faces (the
+        dissipation's stencil, ``energy._upwind_flow``), the outward rate A F
+        through all N+1 faces (the flux with eps diffusion, zero at both
+        walls) and each shell's net outward flux, the differences of A F."""
         w, donor = _upwind_flow(u_vals, _mu(u_vals, phi, self.m), self.grid)
-        flux = np.zeros(w.size)
-        flux[1:-1] = donor * w[1:-1]
+        flux = donor * w
         if self.epsilon > 0.0:
-            flux[1:-1] -= self.epsilon * (u_vals[1:] - u_vals[:-1]) / self.dr
-        net = self.areas[1:] * flux[1:] - self.areas[:-1] * flux[:-1]
-        return w, donor, flux, net
+            flux -= self.epsilon * (u_vals[1:] - u_vals[:-1]) / self.dr
+        area_flux = np.zeros(u_vals.size + 1)
+        area_flux[1:-1] = self.areas * flux
+        return w, donor, area_flux, area_flux[1:] - area_flux[:-1]
 
     def _stable_dt(self, u_vals: np.ndarray, w: np.ndarray) -> float:
         """CFL step: advective face limit, nonlinear-diffusion limit, and a
         volumetric donor-cell positivity limit (binding near the origin)."""
-        eps, dr, areas, vols = self.epsilon, self.dr, self.areas, self.vols
+        eps, vols = self.epsilon, self.vols
         speeds = np.abs(w)
         u_max = float(u_vals.max())  # validated non-negative by the caller
         diff_coeff = 2.0 * self.m * u_max ** (self.m - 1.0) + 2.0 * eps
         dt_diff = self.min_width2 / diff_coeff if diff_coeff > 0.0 else np.inf
-        outflow = areas * (speeds + self.eps_rate)
-        outflow = outflow[:-1] + outflow[1:]
+        face_out = self.areas * (speeds + self.eps_rate)
+        outflow = np.zeros(vols.size)  # the walls add nothing
+        outflow[:-1] = face_out
+        outflow[1:] += face_out
         with np.errstate(divide="ignore"):
-            dt_adv = np.where(speeds[1:-1] > 0.0, dr / speeds[1:-1], np.inf).min()
+            dt_adv = np.where(speeds > 0.0, self.dr / speeds, np.inf).min()
             dt_vol = np.where(outflow > 0.0, vols / outflow, np.inf).min()
         return self.cfl * min(dt_adv, dt_diff, dt_vol)
 
@@ -193,7 +197,7 @@ class _Stepper:
         flux rate at the 95% R_max face)."""
         vols = self.vols
         phi = potential_values(self.kernel, u_vals, self.c_ds)
-        w, _, flux, net = self._evaluate(u_vals, phi)
+        w, _, area_flux, net = self._evaluate(u_vals, phi)
         dt_stab = self._stable_dt(u_vals, w)
         dt = min(dt_stab, t_left)
         new_vals = u_vals - dt * net / vols
@@ -202,7 +206,7 @@ class _Stepper:
         if neg.any():
             clipped = float(-np.dot(new_vals[neg], vols[neg]))
             new_vals = np.where(neg, 0.0, new_vals)
-        band_rate = float(self.areas[self.band_face] * flux[self.band_face])
+        band_rate = float(area_flux[self.band_face])
         return new_vals, dt, dt_stab, clipped, band_rate
 
 
@@ -265,8 +269,9 @@ class _ImplicitStepper(_Stepper):
             if (new_vals.min() >= 0.0 and small) or not math.isfinite(change):
                 self.dt_next = dt * (min(1.5, aim / change) if change > 0.0 else 1.5)
                 self.fallback_steps += fallback
-                band = self.band_face
-                band_rate = -float(np.dot(self.vols[:band], delta[:band])) / dt
+                band = self.band_face  # the outer wall carries no flux
+                band_rate = (-float(np.dot(self.vols[:band], delta[:band])) / dt
+                             if band < u_vals.size else 0.0)
                 return new_vals, dt, dt_try, 0.0, band_rate
             self.rejected_steps += 1
             dt_try = 0.5 * dt
@@ -286,17 +291,14 @@ class _ImplicitStepper(_Stepper):
     def _bands(self, u: np.ndarray, w: np.ndarray, donor: np.ndarray):
         """A dF/du for the left and the right cell of each interior face from
         u's :meth:`_evaluate`, phi and the donor side of every face held fixed."""
-        m, dr = self.m, self.dr
+        m, dr, area, eps_rate = self.m, self.dr, self.areas, self.eps_rate
         dmu = np.zeros(u.size)
         occupied = u > 0.0
         dmu[occupied] = m * u[occupied] ** (m - 2.0)
-        w_in = w[1:-1]
-        from_left = w_in > 0.0
-        eps_rate = self.eps_rate[1:-1]
-        area = self.areas[1:-1]
-        d_left = area * (np.where(from_left, w_in, 0.0) + donor * dmu[:-1] / dr
+        from_left = w > 0.0
+        d_left = area * (np.where(from_left, w, 0.0) + donor * dmu[:-1] / dr
                          + eps_rate)
-        d_right = area * (np.where(from_left, 0.0, w_in) - donor * dmu[1:] / dr
+        d_right = area * (np.where(from_left, 0.0, w) - donor * dmu[1:] / dr
                           - eps_rate)
         return d_left, d_right
 

@@ -8,6 +8,9 @@
   the equation along a stored trajectory (:func:`run_with_snapshots`),
   with its own discretisation of the symmetrised interaction term
   (:func:`build_weak_interaction_kernel`).
+* :func:`wall_padded_step_terms` forms a stepper's face terms on all N+1
+  faces, zero wall entries and sentinel spacings included, as the solver
+  did before its stencil dropped the walls.
 """
 
 import math
@@ -184,3 +187,47 @@ def weak_form_residual(trajectory, psi: RadialTestFunction, kernel: RieszKernel,
     rhs = float(np.trapezoid(rates, times))
     lhs = float(np.dot(psi_c, (trajectory[-1][1] - trajectory[0][1]) * vols))
     return abs(lhs - rhs)
+
+
+def wall_padded_step_terms(stepper, u_vals: np.ndarray, phi: np.ndarray):
+    """A stepper's face terms at the state ``u_vals`` with potential ``phi``,
+    formed on all N+1 faces: the face velocity -dmu/dr set to zero at both
+    walls, a zero-filled face flux and an eps rate whose wall entries divide
+    by a [1.0] sentinel spacing, so the outer wall adds A(R_max) eps to the
+    last cell's outflow.  Returns the outward rate A F at every face, each
+    cell's net outward flux, the CFL step and the implicit Jacobian's bands
+    (``_ImplicitStepper._bands``)."""
+    grid, m, eps = stepper.grid, stepper.m, stepper.epsilon
+    dr, areas, vols = grid.center_spacing, grid.face_areas, grid.shell_volumes
+    mu = m / (m - 1.0) * u_vals ** (m - 1.0) - phi
+    grad = np.zeros(grid.n_cells + 1)
+    grad[1:-1] = (mu[1:] - mu[:-1]) / dr
+    w = -grad
+    donor = np.where(w[1:-1] > 0.0, u_vals[:-1], u_vals[1:])
+    eps_rate = eps / np.concatenate(([1.0], dr, [1.0]))
+    flux = np.zeros(w.size)
+    flux[1:-1] = donor * w[1:-1]
+    if eps > 0.0:
+        flux[1:-1] -= eps * (u_vals[1:] - u_vals[:-1]) / dr
+    net = areas[1:] * flux[1:] - areas[:-1] * flux[:-1]
+
+    speeds = np.abs(w)
+    diff_coeff = 2.0 * m * float(u_vals.max()) ** (m - 1.0) + 2.0 * eps
+    dt_diff = np.min(grid.widths) ** 2 / diff_coeff if diff_coeff > 0.0 else np.inf
+    outflow = areas * (speeds + eps_rate)
+    outflow = outflow[:-1] + outflow[1:]
+    with np.errstate(divide="ignore"):
+        dt_adv = np.where(speeds[1:-1] > 0.0, dr / speeds[1:-1], np.inf).min()
+        dt_vol = np.where(outflow > 0.0, vols / outflow, np.inf).min()
+    dt = stepper.cfl * min(dt_adv, dt_diff, dt_vol)
+
+    dmu = np.zeros(u_vals.size)
+    occupied = u_vals > 0.0
+    dmu[occupied] = m * u_vals[occupied] ** (m - 2.0)
+    w_in = w[1:-1]
+    from_left = w_in > 0.0
+    d_left = areas[1:-1] * (np.where(from_left, w_in, 0.0) + donor * dmu[:-1] / dr
+                            + eps_rate[1:-1])
+    d_right = areas[1:-1] * (np.where(from_left, 0.0, w_in) - donor * dmu[1:] / dr
+                             - eps_rate[1:-1])
+    return areas * flux, net, dt, (d_left, d_right)

@@ -31,6 +31,7 @@ from aggdiff import (
     lp_norm,
     lr_lower_bound,
     mass,
+    rearrange,
     run,
     second_moment,
     step,
@@ -38,9 +39,9 @@ from aggdiff import (
 )
 from aggdiff import cli, energy, solver
 from aggdiff.solver import diagnostics_to_csv
-from conftest import dense_oracle, is_structured
+from conftest import dense_oracle, is_structured, random_bump_field
 from oracles import (plateau_test_function, quadratic_test_function, run_with_snapshots,
-                     weak_form_residual)
+                     wall_padded_step_terms, weak_form_residual)
 
 
 def l1_distance(a, b, grid):
@@ -840,3 +841,53 @@ class TestImplicit:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="scheme"):
             SolverConfig(t_end=1.0, scheme="crank-nicolson")
+
+
+def face_stencil_grid(shape: str, rng) -> RadialGrid:
+    if shape == "uniform96":
+        return RadialGrid.uniform(96, 3.0, d=3)
+    if shape == "expm1_256":  # fine at the origin
+        i = np.arange(257)
+        return RadialGrid(d=3, r_edges=4.0 * np.expm1(3.0 * i / 256) / np.expm1(3.0))
+    g = RadialGrid.uniform(256, 4.0, d=3)
+    return rearrange(DensityField(g, random_bump_field(rng, g))).grid
+
+
+class TestInteriorFaceStencil:
+    """The steppers' face terms live on the N-1 interior faces; the walls
+    carry no flux and have no entry."""
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    @pytest.mark.parametrize("shape", ["uniform96", "expm1_256", "rearranged256"])
+    def test_matches_the_wall_padded_faces_bit_for_bit(self, params, shape, epsilon):
+        rng = np.random.default_rng(38)
+        grid = face_stencil_grid(shape, rng)
+        kernel = build_kernel(grid, params.s, epsilon=epsilon)
+        stepper = solver._ImplicitStepper(
+            kernel, params, SolverConfig(t_end=1.0, scheme="implicit"), params.c_ds)
+        for _ in range(4):
+            u = random_bump_field(rng, grid)
+            u[rng.random(u.size) < 0.2] = 0.0  # scattered vacuum cells
+            phi = solver.potential_values(kernel, u, params.c_ds)
+            w, donor, area_flux, net = stepper._evaluate(u, phi)
+            ref_area_flux, ref_net, ref_dt, ref_bands = wall_padded_step_terms(
+                stepper, u, phi)
+            assert w.size == donor.size == grid.n_cells - 1
+            assert area_flux.tobytes() == ref_area_flux.tobytes()
+            assert net.tobytes() == ref_net.tobytes()
+            assert stepper._stable_dt(u, w) == ref_dt
+            for band, ref in zip(stepper._bands(u, w, donor), ref_bands, strict=True):
+                assert band.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    @pytest.mark.parametrize("n_cells", [8, 19])
+    def test_band_face_is_the_outer_wall_below_20_cells(self, params, consts,
+                                                        n_cells, scheme):
+        grid = RadialGrid.uniform(n_cells, 3.0, d=3)
+        # no interior edge lies in [0.95 R_max, R_max)
+        assert np.searchsorted(grid.r_edges, 0.95 * grid.r_max) == n_cells
+        u0 = barenblatt_profile(grid, 0.5 * consts.M_star, 1.0, params.m)
+        out = run(u0, build_kernel(grid, params.s, epsilon=0.05), params,
+                  SolverConfig(t_end=0.5, scheme=scheme))
+        assert out.status == "completed" and out.final_state.step_count > 0
+        assert out.boundary_mass_flux_total == 0.0
