@@ -38,28 +38,13 @@ from . import model
 from .energy import vhls_ratio
 from .errors import ConvergenceError, ParameterDomainError
 from .extremal import el_fixed_point, find_critical_mass
-from .field import (
-    DensityField,
-    RadialGrid,
-    _random_bump_field,
-    barenblatt_profile,
-    hls_extremizer_profile,
-    lp_norm,
-    mass,
-    read_field_csv,
-    rearrange,
-    scale,
-    write_field_csv,
-)
+from .field import (DensityField, RadialGrid, _random_bump_field, barenblatt_profile,
+                    hls_extremizer_profile, lp_norm, mass, read_field_csv, rearrange,
+                    scale, write_field_csv)
 from .riesz import (_dense_matrix, build_kernel, check_alpha, check_epsilon,
                     interaction_energy)
-from .solver import (
-    SolverConfig,
-    diagnostics_to_csv,
-    dichotomy_run,
-    epsilon_convergence_study,
-    run,
-)
+from .solver import (SolverConfig, diagnostics_to_csv, dichotomy_run,
+                     epsilon_convergence_study, run)
 
 
 class ConfigError(Exception):

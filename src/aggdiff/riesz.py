@@ -11,6 +11,13 @@ which for d = 3 has the closed form
     A = 2 pi / (r rho (2 - alpha)) * [ ((r+rho)^2 + eps^2)^{(2-alpha)/2}
                                       - ((r-rho)^2 + eps^2)^{(2-alpha)/2} ].
 
+For d != 3, in the half angle phi = theta / 2 and with e = (r-rho)^2 + eps^2,
+
+    A = 2 omega_{d-1} int_0^{pi/2} sin^{d-2}(2 phi) (e + 4 r rho sin^2 phi)^{-alpha/2} dphi
+
+is summed by one fixed tanh-sinh rule (Takahasi & Mori 1974), within
+1e-11 relative of a tight adaptive quadrature, the kink at r = rho included.
+
 The matrix K is the cell-pair average of A / omega_d with a fixed
 Gauss rule per cell, weighted by the volume measure, so that with
 v = shell_volumes:
@@ -48,6 +55,8 @@ from .special import sphere_surface
 # at most _BLOCK_PAIRS (512 KiB per temporary at any grid size).
 _BLOCKS, _MIN_BLOCK_PAIRS, _BLOCK_PAIRS = 16, 1 << 14, 1 << 16
 _GAUSS_ORDER = 2  # Gauss nodes per cell in every pair average (a tabulated order)
+# The d != 3 tanh-sinh rule: step 0.05 and 2 * 60 + 1 nodes, |t| <= 3.
+_TANH_SINH_STEP, _TANH_SINH_HALF_NODES = 0.05, 60
 # Smallest uniform d = 3 grid that gets the FFT operator: the measured
 # single-thread matvec crossover (dense faster at 512 cells, a tie at 544,
 # FFT faster from 576 on; table in CHANGES.md).
@@ -110,14 +119,15 @@ def check_epsilon(epsilon: float) -> None:
 
 
 def angular_kernel(r, rho, d: int, alpha: float, epsilon: float = 0.0):
-    """Sphere-averaged interaction kernel A(r, rho); closed form for d = 3,
-    adaptive quadrature otherwise.  Supports alpha in (0, 2)."""
+    """Sphere-averaged interaction kernel A(r, rho), a scalar for scalar
+    input: the closed form for d = 3, the tanh-sinh rule otherwise.
+    Supports alpha in (0, 2)."""
     check_alpha(alpha)
     r = np.asarray(r, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    if d == 3:
-        return _angular_kernel_d3(r, rho, alpha, epsilon)[()]  # 0-d -> scalar
-    return _angular_kernel_quad(r, rho, d, alpha, epsilon)
+    A = (_angular_kernel_d3(r, rho, alpha, epsilon) if d == 3
+         else _angular_kernel_tanh_sinh(r, rho, d, alpha, epsilon))
+    return A[()]  # 0-d -> scalar
 
 
 def _angular_kernel_d3(r, rho, alpha, epsilon):
@@ -137,23 +147,29 @@ def _angular_kernel_d3(r, rho, alpha, epsilon):
     return diff
 
 
-def _angular_kernel_quad(r, rho, d, alpha, epsilon):
-    """General-d reduction: omega_{d-1} * int_0^pi sin^{d-2} / z^alpha dtheta.
+def _angular_kernel_tanh_sinh(r, rho, d, alpha, epsilon):
+    """The d != 3 half-angle integral as a new array of the broadcast shape.
 
-    Reference path, not performance tuned.
+    The nodes phi_k = pi/4 (1 + tanh(pi/2 sinh t_k)) with t_k = k
+    ``_TANH_SINH_STEP``, |k| <= ``_TANH_SINH_HALF_NODES``, take 1 + tanh as
+    2 / (1 + e^{-2 u}), so sin(phi) keeps its digits near 0 and, reversed,
+    cos(phi) near pi/2.  Each node's term is added into the result in place.
     """
-    from scipy.integrate import quad
-
-    ring = sphere_surface(d - 1)
-
-    def one(rr, pp):
-        f = lambda th: np.sin(th) ** (d - 2) * (
-            rr * rr + pp * pp - 2.0 * rr * pp * np.cos(th) + epsilon * epsilon
-        ) ** (-alpha / 2.0)
-        val, _ = quad(f, 0.0, np.pi, limit=200)
-        return ring * val
-
-    return np.vectorize(one)(r, rho)
+    t = _TANH_SINH_STEP * np.arange(-_TANH_SINH_HALF_NODES, _TANH_SINH_HALF_NODES + 1)
+    u = 0.5 * np.pi * np.sinh(t)
+    sin_phi = np.sin(0.5 * np.pi / (1.0 + np.exp(-2.0 * u)))
+    weights = (sphere_surface(d - 1) * _TANH_SINH_STEP * np.pi ** 2 / 4.0 * np.cosh(t)
+               / np.cosh(u) ** 2 * (2.0 * sin_phi * sin_phi[::-1]) ** (d - 2))
+    e = (r - rho) ** 2 + epsilon * epsilon
+    r_rho = r * rho
+    A, term = np.zeros(e.shape), np.empty(e.shape)
+    for q, w in zip(4.0 * sin_phi * sin_phi, weights):
+        np.multiply(r_rho, q, out=term)
+        term += e
+        term **= -0.5 * alpha
+        term *= w
+        A += term
+    return A
 
 
 def _gauss_nodes(grid: RadialGrid):
@@ -167,7 +183,7 @@ def _pair_average(grid: RadialGrid, eval_fn, n_rows: int | None = None) -> np.nd
     """Cell-pair averages of a symmetric two-point radial function.
 
     ``eval_fn(r, rho)`` must equal ``eval_fn(rho, r)``; the d = 3 closed
-    form and the d != 3 quadrature both do.  The nodes are evaluated in
+    form and the d != 3 tanh-sinh rule both do.  The nodes are evaluated in
     ``_BLOCKS`` blocks of whole cell rows, unless that would put fewer than
     ``_MIN_BLOCK_PAIRS`` or more than ``_BLOCK_PAIRS`` node pairs in one,
     so no temporary grows with the grid.  For the full matrix each block
@@ -303,11 +319,6 @@ class RieszKernel:
         return self._operator @ x
 
 
-def _is_uniform(grid: RadialGrid) -> bool:
-    return bool(np.array_equal(
-        grid.r_edges, np.linspace(0.0, grid.r_max, grid.n_cells + 1)))
-
-
 def build_kernel(grid: RadialGrid, s: float, epsilon: float = 0.0) -> RieszKernel:
     """Precompute the interaction operator for a grid: the structured FFT
     form on uniform d = 3 grids of at least ``STRUCTURED_MIN_CELLS``
@@ -319,8 +330,8 @@ def build_kernel(grid: RadialGrid, s: float, epsilon: float = 0.0) -> RieszKerne
     N x N matrix."""
     alpha = check_alpha(grid.d - 2.0 * s)
     check_epsilon(epsilon)
-    if (grid.d == 3 and grid.n_cells >= STRUCTURED_MIN_CELLS
-            and epsilon <= grid.r_max and _is_uniform(grid)):
+    if (grid.d == 3 and grid.n_cells >= STRUCTURED_MIN_CELLS and epsilon <= grid.r_max
+            and np.array_equal(grid.r_edges, np.linspace(0.0, grid.r_max, grid.n_cells + 1))):
         operator = _HankelToeplitzOperator(grid, alpha, epsilon)
     else:
         operator = _dense_matrix(grid, s, epsilon)

@@ -8,6 +8,9 @@
   the equation along a stored trajectory (:func:`run_with_snapshots`),
   with its own discretisation of the symmetrised interaction term
   (:func:`build_weak_interaction_kernel`).
+* :func:`angular_kernel_quad` is the sphere average by one tight adaptive
+  quadrature (scipy.integrate.quad) per node pair, the reference for the
+  library's fixed tanh-sinh rule at d != 3.
 * :func:`wall_padded_step_terms` forms a stepper's face terms on all N+1
   faces, zero wall entries and sentinel spacings included, as the solver
   did before its stencil dropped the walls.
@@ -17,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad
 
 from aggdiff import (ModelParams, ParameterDomainError, RadialGrid, RieszKernel,
                      riesz, solver)
@@ -37,6 +41,24 @@ def hls_constant_beta_form(d: int, s: float) -> float:
         / gamma(d - beta / 2.0)
         * (gamma(d / 2.0) / gamma(d)) ** (-1.0 + beta / d)
     )
+
+
+def angular_kernel_quad(r, rho, d: int, alpha: float, epsilon: float = 0.0):
+    """A(r, rho) = omega_{d-1} int_0^pi sin^{d-2}(theta) z^{-alpha} dtheta by
+    one adaptive quad per pair (epsrel 1e-13, limit 500), broadcast over
+    ``r`` and ``rho``.  z^2 = r^2 + rho^2 - 2 r rho cos(theta) + eps^2 is
+    summed as (r - rho)^2 + 4 r rho sin^2(theta/2) + eps^2, which loses no
+    digits to cancellation where theta is small and r is near rho."""
+    ring = sphere_surface(d - 1)
+
+    def one(rr, pp):
+        gap = (rr - pp) ** 2 + epsilon * epsilon
+        f = lambda th: math.sin(th) ** (d - 2) * (
+            gap + 4.0 * rr * pp * math.sin(0.5 * th) ** 2) ** (-0.5 * alpha)
+        val, _ = quad(f, 0.0, math.pi, epsabs=0.0, epsrel=1e-13, limit=500)
+        return ring * val
+
+    return np.vectorize(one)(r, rho)
 
 
 def run_with_snapshots(u0, kernel, params, config):

@@ -378,8 +378,8 @@ def run_probe(code: str) -> str:
     return out.stdout.strip()
 
 
-# Prints every loaded module named scipy or scipy.*.  Only the d != 3
-# kernel quadrature imports scipy (scipy.integrate, lazily, on first use).
+# Prints every loaded module named scipy or scipy.*.  No module of the
+# package imports scipy; it serves only the tests' oracles.
 SCIPY_MODULES = ("print(sorted(m for m in sys.modules "
                  "if m == 'scipy' or m.startswith('scipy.')))")
 
@@ -431,6 +431,16 @@ def test_critical_mass_search_leaves_scipy_linalg_unloaded():
              "rel_tol=1e-3, support_radius_init=1.0); "
              "assert c.M_star < M_c < 1.08 * c.M_star and res.iterations > 1; "
              + SCIPY_MODULES)
+    assert run_probe(probe) == "[]"
+
+
+def test_general_dimension_kernel_and_search_leave_scipy_unloaded():
+    # the d != 3 sphere average is a fixed tanh-sinh rule in numpy
+    probe = ("import sys, aggdiff as ad, aggdiff.cli; "
+             "p = ad.ModelParams(d=4, s=1.25); c = ad.derived_constants(p); "
+             "g = ad.RadialGrid.uniform(32, 4.0, d=4); k = ad.build_kernel(g, p.s); "
+             "M_c, res = ad.find_critical_mass(g, k, p, support_radius_init=1.0); "
+             "assert c.M_star < M_c < 1.2 * c.M_star; " + SCIPY_MODULES)
     assert run_probe(probe) == "[]"
 
 

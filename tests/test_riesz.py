@@ -41,7 +41,7 @@ from aggdiff import (
 from aggdiff import riesz
 from aggdiff.special import sphere_surface
 from conftest import S, dense_oracle, is_structured, random_bump_field
-from oracles import build_weak_interaction_kernel
+from oracles import angular_kernel_quad, build_weak_interaction_kernel
 
 ALPHA = 0.5
 OMEGA_UNIT_BALL = 18.561966079063225  # frozen nested-quadrature oracle
@@ -99,6 +99,47 @@ class TestAngularKernel:
     def test_alpha_out_of_range_rejected(self):
         with pytest.raises(ParameterDomainError):
             angular_kernel(1.0, 1.0, 5, 2.6)  # d=5, s=1.2 leaves the kernel range
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_scalar_input_gives_a_scalar(self, d):
+        val = angular_kernel(0.7, 1.3, d, 1.5, 0.05)
+        assert isinstance(val, np.float64) and not isinstance(val, np.ndarray)
+        assert val == angular_kernel(np.array([0.7]), np.array([1.3]), d, 1.5, 0.05)[0]
+
+
+def tanh_sinh_test_pairs():
+    """(r, rho) node pairs that stress the d != 3 rule: r = rho, the two
+    Gauss nodes of one cell, nodes of adjacent cells (cells 0-1 and 11-12
+    of a 32-cell grid on [0, 4]) and r / rho >= 1e3 either way."""
+    nodes, _ = riesz._gauss_nodes(RadialGrid.uniform(32, 4.0, d=4))
+    pairs = [(1.0, 1.0), (nodes[0], nodes[0]), (nodes[0], nodes[1]),
+             (nodes[22], nodes[23]), (nodes[1], nodes[2]), (nodes[23], nodes[24]),
+             (nodes[22], nodes[25]), (4.0, 2e-3), (1e-3, 2.0), (nodes[0], 3.9)]
+    return np.array(pairs).T
+
+
+class TestTanhSinhRule:
+    """The d != 3 sphere average against one tight adaptive quad per pair."""
+
+    def test_matches_tight_quadrature_oracle(self):
+        r, rho = tanh_sinh_test_pairs()
+        worst = 0.0
+        for d in (4, 5, 6):
+            # the smallest s with alpha = d - 2s < 2 and s > 1, and the largest
+            for s in (max(1.0, d / 2 - 1) + 0.05, d / 2 - 0.05):
+                for eps in (0.0, 0.05):
+                    val = angular_kernel(r, rho, d, d - 2 * s, eps)
+                    ref = angular_kernel_quad(r, rho, d, d - 2 * s, eps)
+                    worst = max(worst, float(np.max(np.abs(val - ref) / ref)))
+        assert worst <= 1e-11
+
+    def test_dense_matrix_matches_oracle_matrix(self):
+        grid = RadialGrid.uniform(32, 4.0, d=4)
+        s, omega_4 = 1.25, sphere_surface(4)
+        K = riesz._dense_matrix(grid, s, 0.0)
+        oracle = riesz._pair_average(
+            grid, lambda r, rho: angular_kernel_quad(r, rho, 4, 4 - 2 * s) / omega_4)
+        assert np.max(np.abs(K - oracle) / oracle) <= 1e-11
 
 
 class TestKernelMatrix:
@@ -450,7 +491,7 @@ class TestPairAverageBlocks:
 
     def test_general_dimension_matches_chunked_oracle(self):
         grid = RadialGrid(d=4, r_edges=np.linspace(0.0, 1.0, 9))
-        K = riesz._dense_matrix(grid, 1.3, 0.0)  # quadrature path, alpha = 1.4
+        K = riesz._dense_matrix(grid, 1.3, 0.0)  # tanh-sinh path, alpha = 1.4
         assert_symmetric_near_oracle(K, chunked_oracle(grid, riesz._kernel_fn(4, 1.4, 0.0)))
 
     @pytest.mark.parametrize("n_cells", [1024, 4096])
