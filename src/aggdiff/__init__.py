@@ -10,7 +10,6 @@ the extremal machinery that locates the critical mass.
 from .model import (
     DerivedConstants,
     ModelParams,
-    critical_exponent,
     critical_mass,
     derived_constants,
     hls_sharp_constant,

@@ -221,7 +221,7 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _write_report(cfg: dict, command: str, results: dict, input_hashes: dict) -> Path:
+def _write_report(cfg: dict, command: str, results: dict, input_hashes: dict) -> None:
     outdir = Path(cfg["output"]["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
     report = {
@@ -231,9 +231,7 @@ def _write_report(cfg: dict, command: str, results: dict, input_hashes: dict) ->
         "input_hashes": input_hashes,
         "results": results,
     }
-    path = outdir / "report.json"
-    path.write_text(_canonical_json(report) + "\n")
-    return path
+    (outdir / "report.json").write_text(_canonical_json(report) + "\n")
 
 
 def _check_kernel_params(params: model.ModelParams) -> None:
@@ -272,8 +270,7 @@ def _checked_start(cfg: dict, bump_ratio: float, profile: str | None = None):
     try:  # the radius and density rules are barenblatt_profile's
         bump = _start_profile(cfg, params, grid, bump_ratio)
     except (ParameterDomainError, OverflowError) as exc:
-        raise ConfigError(f"config fields 'grid.r_max'/'experiment.fixed_point."
-                          f"support_radius': {exc}") from exc
+        raise ConfigError(f"{_BUMP_FIELDS}: {exc}") from exc
     return params, grid, (bump, mass(bump), {})
 
 
@@ -325,6 +322,7 @@ def _load_profile(path: str, params: model.ModelParams,
 
 
 _START_RATIO = 0.5  # the start's mass over M*
+_BUMP_FIELDS = "config fields 'grid.r_max'/'experiment.fixed_point.support_radius'"
 
 
 def _start_profile(cfg: dict, params, grid, ratio: float = _START_RATIO) -> DensityField:
@@ -381,7 +379,11 @@ def cmd_constants(cfg: dict, profile: str | None = None) -> int:
         field, _, hashes = _load_profile(profile, params)
         input_hashes.update(hashes)
         kernel = build_kernel(field.grid, params.s, epsilon=cfg["model"]["epsilon"])
-        measured = vhls_ratio(field, kernel, params)
+        try:  # an overflowing profile has no ratio
+            with np.errstate(over="ignore"):  # vhls_ratio checks for it
+                measured = vhls_ratio(field, kernel, params)
+        except ValueError as exc:
+            raise ConfigError(f"profile {profile}: {exc}") from exc
         results["C_star_measured"] = measured
         results["M_star_measured"] = model.critical_mass(params.d, params.s, measured)
         results["profile_mass"] = mass(field)
@@ -418,7 +420,11 @@ def cmd_extremal(cfg: dict) -> int:
 def cmd_simulate(cfg: dict, profile: str | None = None) -> int:
     params, grid, kernel, (u0, _, input_hashes) = _build_workspace(cfg, _START_RATIO,
                                                                    profile)
-    outcome = run(u0, kernel, params, _solver_config(cfg))
+    try:
+        outcome = run(u0, kernel, params, _solver_config(cfg))
+    except ParameterDomainError as exc:  # run's rule on F(u0) and D(u0)
+        start = _BUMP_FIELDS if profile is None else f"profile {profile}"
+        raise ConfigError(f"{start}: {exc}") from exc
     outdir = Path(cfg["output"]["directory"])
     outdir.mkdir(parents=True, exist_ok=True)
     diagnostics_to_csv(outcome.diagnostics, outdir / "diagnostics_simulate.csv")
@@ -488,8 +494,10 @@ def cmd_dichotomy(cfg: dict, profile: str | None = None) -> int:
                 diagnostics_to_csv(diagnostics,
                                    outdir / f"diagnostics_{_ratio_tag(ratio)}.csv")
                 rows.append(entry)
-        except ParameterDomainError as exc:  # dichotomy_run's rule on F(u0)
-            raise ConfigError(f"config field 'experiment.mass_ratios': {exc}") from exc
+        except ParameterDomainError as exc:  # run's rule on F(u0) and D(u0)
+            start = "" if profile is None else f" with profile {profile}"
+            raise ConfigError(
+                f"config field 'experiment.mass_ratios'{start}: {exc}") from exc
         finally:  # waits for the runs already handed out
             pool.shutdown(cancel_futures=True)
     results = {"M_star": M_star, "table": rows}

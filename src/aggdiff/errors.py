@@ -10,14 +10,4 @@ class GridMismatchError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when a fixed-point iteration exhausts its iteration budget.
-
-    Carries the last successive change and the last Euler-Lagrange
-    residual so callers can inspect how far the iteration got.
-    """
-
-    def __init__(self, message: str, last_change: float = float("nan"),
-                 last_residual: float = float("nan")):
-        super().__init__(message)
-        self.last_change = last_change
-        self.last_residual = last_residual
+    """Raised when an iteration exhausts its budget or leaves its range."""

@@ -263,13 +263,8 @@ def _anchored_fixed_point(grid: RadialGrid, kernel: RieszKernel,
         del outputs[:-_MIXING_DEPTH - 1], residuals[:-_MIXING_DEPTH - 1]
         u_vals = _anderson_mix(outputs, residuals, vols, M_target)
     else:
-        U_last = DensityField(grid, u_vals)
-        raise ConvergenceError(
-            f"no fixed point within {max_iter} iterations "
-            f"(last relative L1 change {change:.3e})",
-            last_change=change,
-            last_residual=el_residual(U_last, kernel, params, M_target),
-        )
+        raise ConvergenceError(f"no fixed point within {max_iter} iterations "
+                               f"(last relative L1 change {change:.3e})")
     U = DensityField(grid, u_vals)
     lam_var = variational_multiplier(U, params, M_target)
     return ExtremalResult(

@@ -35,12 +35,6 @@ def _check_ds(d: int, s: float) -> None:
         )
 
 
-def critical_exponent(d: int, s: float) -> float:
-    """Diffusion exponent m = 2 - 2s/d at which mass is scale invariant."""
-    _check_ds(d, s)
-    return 2.0 - 2.0 * s / d
-
-
 def riesz_constant(d: int, s: float) -> float:
     """Normalisation c_{d,s} = Gamma(d/2 - s) / (pi^{d/2} 4^s Gamma(s)).
 
@@ -84,10 +78,9 @@ def critical_mass(d: int, s: float, C_star: float) -> float:
     ``C_star`` is the interaction constant used operationally (the
     closed-form upper bound by default, or a measured extremal ratio).
     """
-    _check_ds(d, s)
+    m = ModelParams(d=d, s=s).m  # checks (d, s)
     if not (C_star > 0.0 and math.isfinite(C_star)):
         raise ParameterDomainError(f"C_star must be positive and finite, got {C_star}")
-    m = critical_exponent(d, s)
     return (2.0 / ((m - 1.0) * C_star * riesz_constant(d, s))) ** (d / (2.0 * s))
 
 

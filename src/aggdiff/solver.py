@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .energy import _mu, _upwind_flow, energy_report
+from .energy import _mu, _upwind_flow, energy_report, free_energy
 from .errors import ParameterDomainError
 from .extremal import blowup_initial_data
 from .field import DensityField, lp_norm, mass, require_same_grid, second_moment
@@ -87,7 +87,6 @@ class SolverState:
     t: float
     u: DensityField
     step_count: int = 0
-    dt_last: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -176,21 +175,21 @@ class _Stepper:
         return w, donor, area_flux, area_flux[1:] - area_flux[:-1]
 
     def _stable_dt(self, u_vals: np.ndarray, w: np.ndarray) -> float:
-        """CFL step: advective face limit, nonlinear-diffusion limit, and a
-        volumetric donor-cell positivity limit (binding near the origin)."""
+        """CFL step: nonlinear-diffusion and donor-cell positivity limits.  The
+        latter implies the advective limit dr/|w| at faces with min(V_k, V_{k+1})
+        < A_k dr_k (uniform, geometric, graded grids); where neighbouring widths
+        differ by orders of magnitude, the positivity limit alone bounds dt."""
         eps, vols = self.epsilon, self.vols
-        speeds = np.abs(w)
         u_max = float(u_vals.max())  # validated non-negative by the caller
         diff_coeff = 2.0 * self.m * u_max ** (self.m - 1.0) + 2.0 * eps
         dt_diff = self.min_width2 / diff_coeff if diff_coeff > 0.0 else np.inf
-        face_out = self.areas * (speeds + self.eps_rate)
+        face_out = self.areas * (np.abs(w) + self.eps_rate)
         outflow = np.zeros(vols.size)  # the walls add nothing
         outflow[:-1] = face_out
         outflow[1:] += face_out
         with np.errstate(divide="ignore"):
-            dt_adv = np.where(speeds > 0.0, self.dr / speeds, np.inf).min()
             dt_vol = np.where(outflow > 0.0, vols / outflow, np.inf).min()
-        return self.cfl * min(dt_adv, dt_diff, dt_vol)
+        return self.cfl * min(dt_diff, dt_vol)
 
     def advance(self, u_vals: np.ndarray, t_left: float):
         """Returns (new values, dt taken, stable dt, clipped mass, outward
@@ -366,7 +365,6 @@ def step(state: SolverState, kernel: RieszKernel, params: ModelParams,
         t=state.t + dt,
         u=state.u.with_values(new_vals),
         step_count=state.step_count + 1,
-        dt_last=dt,
     )
 
 
@@ -406,18 +404,24 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
     epsilon > 0 the chord bound does not hold and this rule is off.  A
     non-finite L^inf after a step ends the run "failed" ("non_finite").
     Raises :class:`ParameterDomainError` for a kernel built for another
-    s or d.
+    s or d, and when F(u0) or D(u0) overflows (no chord time, or no step); a
+    NaN (a non-finite kernel) goes to the run, which ends "failed".
     """
     require_same_grid(u0.grid, kernel.grid, "initial condition and kernel")
     stepper = _STEPPERS[config.scheme](kernel, params, config, params.c_ds)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        rows = [_diag_row(u0, kernel, params, 0.0, math.nan)]
+    for name, value in (("free energy F(u0)", rows[0].F),
+                        ("dissipation D(u0)", rows[0].D)):
+        if math.isinf(value):
+            raise ParameterDomainError(f"{name} = {value} overflows")
     u_vals = u0.values.copy()
-    u0_linf = float(np.max(u_vals, initial=0.0))
+    u0_linf = rows[0].linf_norm
     t = 0.0
     dt_last = math.nan
     steps = 0
     clipped_total = 0.0
     band_flux_total = 0.0
-    rows = [_diag_row(u0, kernel, params, 0.0, math.nan)]
     t_chord = _chord_time(rows[0].m2, rows[0].F, kernel, params)
     status, reason, t_detect = "completed", None, None
 
@@ -457,7 +461,7 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
     u_final = DensityField(kernel.grid, u_vals)
     if rows[-1].t < t:
         rows.append(_diag_row(u_final, kernel, params, t, dt_last))
-    final_state = SolverState(t=t, u=u_final, step_count=steps, dt_last=dt_last)
+    final_state = SolverState(t=t, u=u_final, step_count=steps)
     return RunOutcome(
         status=status,
         final_state=final_state,
@@ -475,8 +479,8 @@ def run(u0: DensityField, kernel: RieszKernel, params: ModelParams,
 def _chord_time(m2: float, F: float, kernel: RieszKernel,
                 params: ModelParams) -> float | None:
     """Zero of the second-moment chord m2 + 2(d-2s) F t; None unless
-    epsilon = 0 and F < 0, where the chord bounds the blow-up time."""
-    if kernel.epsilon != 0.0 or not F < 0.0:
+    epsilon = 0 and -inf < F < 0, where the chord bounds the blow-up time."""
+    if kernel.epsilon != 0.0 or not -math.inf < F < 0.0:
         return None
     return m2 / (2.0 * params.alpha * abs(F))
 
@@ -503,9 +507,8 @@ def dichotomy_run(U: DensityField, ratio: float, M_ref: float, kernel: RieszKern
     Below ratio 1 the run is implicit over ``diffusive_times`` diffusive
     times of the initial data (its explicit step count would grow as
     (R/dr)^2); at 1 or above it is explicit to 2 T*, or to
-    ``config.t_end`` without T* (F0 >= 0 or epsilon > 0).  ``config``
-    supplies every other solver field; only ``t_end`` and ``scheme`` are
-    set here.
+    ``config.t_end`` without T*.  ``config`` supplies every other solver
+    field; only ``t_end`` and ``scheme`` are set here.
 
     Returns (entry, outcome).  The entry holds mass_ratio, mass, F0,
     status, t_detect, t_end, sup_lm_norm_power_m (the largest ||u||_m^m
@@ -513,20 +516,12 @@ def dichotomy_run(U: DensityField, ratio: float, M_ref: float, kernel: RieszKern
     without it); below ratio 1 also ge_bound_lm_power_m, the
     global-existence bound F0 / (C* c_ds/2 (M*^{2s/d} - M^{2s/d})) on
     ||u||_m^m with the closed-form C* and M*, inf when the denominator
-    is not positive.  Raises :class:`ParameterDomainError` when F0 is
-    infinite (W overflows at a huge mass), which leaves no chord time, or
-    the dissipation D(u0) is, where no step can be taken; a NaN (a
-    non-finite kernel) goes to the run, which ends "failed".
+    is not positive.  :func:`run`'s error on an overflowing start gains the ratio.
     """
     M = ratio * M_ref
     u0 = blowup_initial_data(U, M, params)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked next
-        start = energy_report(u0, kernel, params)
-    F0 = start.F
-    for name, value in (("free energy F(u0)", F0), ("dissipation D(u0)", start.D)):
-        if math.isinf(value):
-            raise ParameterDomainError(
-                f"{name} = {value} at mass ratio {ratio} overflows")
+    with np.errstate(over="ignore", invalid="ignore"):  # run checks the start
+        F0 = free_energy(u0, kernel, params)
     chord = _chord_time(second_moment(u0), F0, kernel, params)
     if ratio < 1.0:
         t_end = diffusive_times * diffusive_time(u0, params)
@@ -534,7 +529,10 @@ def dichotomy_run(U: DensityField, ratio: float, M_ref: float, kernel: RieszKern
     else:
         t_end = 2.0 * chord if chord is not None else config.t_end
         scheme = "explicit"
-    outcome = run(u0, kernel, params, replace(config, t_end=t_end, scheme=scheme))
+    try:
+        outcome = run(u0, kernel, params, replace(config, t_end=t_end, scheme=scheme))
+    except ParameterDomainError as exc:
+        raise ParameterDomainError(f"{exc} at mass ratio {ratio}") from exc
     entry = {
         "mass_ratio": ratio,
         "mass": M,

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 
 import aggdiff
 from aggdiff import (DensityField, ModelParams, RadialGrid, RieszKernel,
-                     SolverConfig, build_kernel, derived_constants,
+                     SolverConfig, barenblatt_profile, build_kernel, derived_constants,
                      dichotomy_run, el_fixed_point, hls_sharp_constant,
                      read_field_csv, riesz_constant, write_field_csv)
 from aggdiff.cli import _FIELDS, _REAL, DEFAULT_CONFIG, ConfigError, load_config, main
@@ -512,6 +513,30 @@ class TestProfileHandoff:
                        "experiment.fixed_point.support_radius=1e-6",
                        "--profile", str(extremal_profile), "--out", str(out)) == 0
         assert (out / "report.json").exists()
+
+    @pytest.mark.parametrize("command, total_mass", [
+        ("simulate", 1e120), ("simulate", 1e160), ("constants", 1e160),
+        ("dichotomy", 1e120), ("dichotomy", 1e160)])
+    def test_overflowing_profile_exits_1_naming_it(self, tmp_path, capsys, command,
+                                                   total_mass):
+        # a 64-cell bump whose D(u0) (1e120) or F(u0) = -inf (1e160) overflows;
+        # constants reads the scale-invariant ratio J, undefined only at 1e160
+        csv_path = tmp_path / "huge.csv"
+        write_field_csv(barenblatt_profile(RadialGrid.uniform(64, 4.0), total_mass,
+                                           1.0, 7.0 / 6.0), csv_path)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli(command, "--set", "grid.n_cells=64",
+                           "--set", "experiment.mass_ratios=[0.5]",
+                           "--profile", str(csv_path), "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"profile {csv_path}" in err and "Traceback" not in err
+        assert not (out / "report.json").exists()
+        if command == "dichotomy":  # the field and the ratio are still named
+            assert "config field 'experiment.mass_ratios'" in err
+            assert "at mass ratio 0.5" in err
 
     def test_profile_on_other_grid_is_config_error(self, tmp_path, extremal_profile,
                                                    capsys):

@@ -3,8 +3,10 @@ private method in the package is read somewhere in the package besides its
 own definition, and every public function, method and property is read
 there or in the demos, the benchmark harness or the README's examples,
 where every defaulted parameter of a public function or method is also
-passed by some call.  Tests may reach any name or setting, but they do not
-keep it alive; a name or setting only the tests use belongs in the tests."""
+passed by some call.  State too: every dataclass field and every attribute
+a class sets on ``self`` is read there.  Tests may reach any name or
+setting, but they do not keep it alive; a name or setting only the tests
+use belongs in the tests."""
 
 import ast
 import re
@@ -98,6 +100,48 @@ def unread_public_names(sources: dict, users=()) -> list:
     return _unread(trees, _public_definitions, reads)
 
 
+# classes whose fields are read whole, each with its reason to stay
+FIELDS_READ_WHOLE = {
+    # diagnostics_to_csv writes one column per field through fields()
+    "solver:DiagnosticsRow",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _state_definitions(tree: ast.Module, module: str):
+    """(``Class.name``, name) for each field of a module-level dataclass and
+    each ``self.<name>`` a module-level class assigns."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if _is_dataclass(node) and f"{module}:{node.name}" not in FIELDS_READ_WHOLE:
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                yield f"{node.name}.{sub.attr}", sub.attr
+
+
+def unread_state(sources: dict, users=()) -> list:
+    """``module:Class.name`` for each dataclass field or ``self`` attribute
+    in ``sources`` that no attribute read in the package or the ``users``
+    texts reaches.  Reads are matched by attribute name, whatever the
+    object; a bare name of the same spelling is no read."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = Counter(sub.attr for tree in [*trees.values(), *map(ast.parse, users)]
+                    for sub in ast.walk(tree)
+                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+    return sorted({f"{module}:{label}" for module, tree in trees.items()
+                   for label, name in _state_definitions(tree, module) if not reads[name]})
+
+
 def package_sources() -> dict:
     return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -146,6 +190,22 @@ def test_the_check_sees_the_users():
 
 def test_every_public_name_is_read():
     assert set(unread_public_names(package_sources(), user_sources())) == TEST_ONLY_PUBLIC
+
+
+def test_the_check_sees_unread_state():
+    sources = {"a": "from dataclasses import dataclass\n\n@dataclass(frozen=True)\n"
+                    "class P:\n    read: int\n    unread: float = 0.0\n\n"
+                    "class C:\n    def __init__(self):\n"
+                    "        self.kept, self.lost = 1, 2\n\n"
+                    "    def total(self):\n        return self.kept + P(1).read\n",
+               "solver": "from dataclasses import dataclass\n\n@dataclass\n"
+                         "class DiagnosticsRow:\n    t: float\n"}
+    assert unread_state(sources) == ["a:C.lost", "a:P.unread"]
+    assert unread_state(sources, ["print(c.lost)"]) == ["a:P.unread"]
+
+
+def test_every_field_and_attribute_is_read():
+    assert unread_state(package_sources(), user_sources()) == []
 
 
 # defaulted parameters that no caller sets, each with its reason to stay

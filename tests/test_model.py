@@ -12,7 +12,6 @@ import pytest
 from aggdiff import (
     ModelParams,
     ParameterDomainError,
-    critical_exponent,
     critical_mass,
     derived_constants,
     hls_sharp_constant,
@@ -73,17 +72,18 @@ class TestGamma:
 
 
 class TestCriticalExponent:
+    """m = 2 - 2s/d is ModelParams.m, the one coding critical_mass reads."""
+
     def test_values(self):
-        assert critical_exponent(3, 1.25) == pytest.approx(7.0 / 6.0, rel=1e-15)
-        assert critical_exponent(4, 1.5) == pytest.approx(1.25, rel=1e-15)
+        assert ModelParams(3, 1.25).m == pytest.approx(7.0 / 6.0, rel=1e-15)
+        assert ModelParams(4, 1.5).m == pytest.approx(1.25, rel=1e-15)
 
     def test_boundary_rejected(self):
-        with pytest.raises(ParameterDomainError):
-            critical_exponent(3, 1.5)  # 2s = d
-        with pytest.raises(ParameterDomainError):
-            critical_exponent(3, 1.0)  # 2s = 2
-        with pytest.raises(ParameterDomainError):
-            critical_exponent(2, 1.2)
+        for d, s in [(3, 1.5), (3, 1.0), (2, 1.2)]:  # 2s = d, 2s = 2, d = 2
+            with pytest.raises(ParameterDomainError):
+                ModelParams(d, s)
+            with pytest.raises(ParameterDomainError):
+                critical_mass(d, s, 1.0)
 
 
 class TestRieszConstant:

@@ -4,6 +4,7 @@ form, eps study."""
 import inspect
 import json
 import math
+import warnings
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -187,7 +188,7 @@ class TestRun:
                                                 kernel96, monkeypatch):
         u0 = barenblatt_profile(grid96, 2.0 * consts.M_star, 0.5, params.m)
         dt0 = step(SolverState(t=0.0, u=u0), kernel96, params,
-                   SolverConfig(t_end=1.0)).dt_last
+                   SolverConfig(t_end=1.0)).t  # the step's dt from t = 0
         # the L^inf threshold is out of reach, so the shrinking step has to
         # trip the floor, and L^inf has more than doubled by then
         monkeypatch.setattr(solver, "_DT_MIN", 0.5 * dt0)
@@ -201,7 +202,8 @@ class TestRun:
     @staticmethod
     def nan_kernel_run(params, grid96, kernel96, monkeypatch, scheme):
         """A run on a kernel with one NaN entry ends "failed" on its first
-        step, with u0 as its final state."""
+        step, with u0 as its final state: a NaN start, unlike an infinite
+        F(u0) or D(u0), is no overflow and goes to the run."""
         class CountingMatrix(np.ndarray):
             matvecs = 0
 
@@ -219,6 +221,7 @@ class TestRun:
         cfg = SolverConfig(t_end=1.0, output_every=10_000, scheme=scheme)
         out = run(u0, bad, params, cfg)
         assert (out.status, out.reason) == ("failed", "non_finite")
+        assert math.isnan(out.diagnostics[0].F)
         assert out.final_state.t == 0.0 and out.final_state.step_count == 0
         assert np.array_equal(out.final_state.u.values, u0.values)
         # one for the initial diagnostics row, one per step taken
@@ -231,6 +234,24 @@ class TestRun:
     def test_nan_kernel_fails_on_the_next_implicit_step(self, params, grid96,
                                                         kernel96, monkeypatch):
         self.nan_kernel_run(params, grid96, kernel96, monkeypatch, "implicit")
+
+    @pytest.mark.parametrize("total_mass, match", [
+        (1e100, None),  # F(u0) and D(u0) finite: the run starts, and stalls
+        (1e120, r"dissipation D\(u0\) = inf overflows"),
+        (1e160, r"free energy F\(u0\) = -inf overflows"),  # W overflows
+    ])
+    def test_overflowing_start_is_rejected_before_any_step(self, params, grid96,
+                                                           kernel96, total_mass, match):
+        u0 = barenblatt_profile(grid96, total_mass, 1.0, params.m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the start is formed without warnings
+            if match is None:
+                out = run(u0, kernel96, params, SolverConfig(t_end=1.0))
+                assert (out.status, out.final_state.step_count) == ("stalled", 0)
+                assert math.isfinite(out.diagnostics[0].D)
+            else:
+                with pytest.raises(ParameterDomainError, match=f"^{match}$"):
+                    run(u0, kernel96, params, SolverConfig(t_end=1.0))
 
     def test_structured_kernel_run_matches_dense(self, params, consts):
         g = RadialGrid.uniform(1024, 4.0)
@@ -266,7 +287,7 @@ class TestRun:
         last_dt = run(u0, kernel96, params,
                       replace(cfg, output_every=1)).diagnostics[-1].dt
         assert out.final_state.step_count == 185
-        assert out.diagnostics[-1].dt == out.final_state.dt_last == last_dt
+        assert out.diagnostics[-1].dt == last_dt
         assert out.diagnostics[-2].dt != last_dt
 
     def test_diagnostics_csv(self, tmp_path, params, grid96, kernel96):
@@ -331,7 +352,7 @@ class TestBlowupTimeBound:
         assert (out.status, out.reason) == ("blowup", "chord_exhausted")
         assert out.blowup_time_upper_bound == chord
         assert out.t_detect == out.final_state.t
-        assert chord * (1 - 1e-12) <= out.t_detect <= chord + out.final_state.dt_last
+        assert chord * (1 - 1e-12) <= out.t_detect <= chord + out.diagnostics[-1].dt
         assert out.diagnostics[-1].linf_norm < 1e3 * out.diagnostics[0].linf_norm
 
     def test_regularised_run_may_outlive_the_chord_time(self, params, grid96,
@@ -548,24 +569,24 @@ class TestDichotomyRun:
 
     @pytest.mark.parametrize("ratio", [1e100, 1e120, 1e150, 1e160])
     def test_start_whose_energy_overflows_is_rejected(self, params, grid96, kernel96,
-                                                      monkeypatch, ratio):
+                                                      ratio):
         # from ~1e105 the dissipation D(u0) overflows while F0 is finite; at
-        # 1e160 the interaction energy W overflows: F0 = -inf and T* = 0
-        row = SimpleNamespace(lm_norm=1.0)
-        monkeypatch.setattr(solver, "run", lambda *args: SimpleNamespace(
-            status="stalled", t_detect=None, diagnostics=[row]))
+        # 1e160 the interaction energy W overflows: F0 = -inf, so no chord
+        # time, and the horizon falls back to config.t_end.  run rejects the
+        # start before any step; the ratio is added to its message.
         U = barenblatt_profile(grid96, 100.0, 1.0, params.m)
-        if ratio == 1e160:
-            with pytest.raises(ParameterDomainError, match=r"F\(u0\) = -inf"):
+        match = {1e160: r"F\(u0\) = -inf", 1e150: r"D\(u0\) = inf",
+                 1e120: r"D\(u0\) = inf"}.get(ratio)
+        if match is not None:
+            with pytest.raises(ParameterDomainError, match=match) as excinfo:
                 dichotomy_run(U, ratio, 150.0, kernel96, params, DICHOTOMY_CONFIG)
-        elif ratio > 1e100:
-            with pytest.raises(ParameterDomainError, match=r"D\(u0\) = inf"):
-                dichotomy_run(U, ratio, 150.0, kernel96, params, DICHOTOMY_CONFIG)
-        else:  # F0 and D(u0) are still finite, so the run starts
-            entry, _ = dichotomy_run(U, ratio, 150.0, kernel96, params,
-                                     DICHOTOMY_CONFIG)
+            assert str(excinfo.value).endswith(f" overflows at mass ratio {ratio}")
+        else:  # F0 and D(u0) are still finite, so the run starts and stalls
+            entry, out = dichotomy_run(U, ratio, 150.0, kernel96, params,
+                                       DICHOTOMY_CONFIG)
             assert math.isfinite(entry["F0"]) and entry["F0"] < 0.0
-            assert entry["t_end"] > 0.0
+            assert entry["t_end"] == 2.0 * entry["blowup_time_upper_bound"] > 0.0
+            assert (out.status, out.reason) == ("stalled", "dt_min")
 
     def test_global_existence_bound_is_criterion_6s(self, params, consts,
                                                     dichotomy96):
@@ -769,13 +790,13 @@ class TestImplicit:
                                                            kernel96):
         u0 = barenblatt_profile(grid96, 20.0, 1.0, params.m)
         state = SolverState(t=0.0, u=u0)
-        dt0 = step(state, kernel96, params, SolverConfig(t_end=1.0)).dt_last
+        dt0 = step(state, kernel96, params, SolverConfig(t_end=1.0)).t  # from t = 0
         gaps = []
         for t_end in (1.0, 0.5 * dt0, 0.25 * dt0):  # full, half, quarter step
             steps = [step(state, kernel96, params, SolverConfig(t_end=t_end,
                                                                 scheme=scheme))
                      for scheme in ("explicit", "implicit")]
-            assert steps[0].dt_last == steps[1].dt_last == min(dt0, t_end)
+            assert steps[0].t == steps[1].t == min(dt0, t_end)
             assert mass(steps[1].u) == pytest.approx(mass(u0), rel=1e-13)
             gaps.append(np.max(np.abs(steps[0].u.values - steps[1].u.values)))
         change = np.max(np.abs(step(state, kernel96, params,
@@ -891,3 +912,44 @@ class TestInteriorFaceStencil:
                   SolverConfig(t_end=0.5, scheme=scheme))
         assert out.status == "completed" and out.final_state.step_count > 0
         assert out.boundary_mass_flux_total == 0.0
+
+
+def face_volume_ratio(grid: RadialGrid) -> np.ndarray:
+    """min(V_k, V_{k+1}) / (A_k dr_k) at each interior face k."""
+    vols = grid.shell_volumes
+    return (np.minimum(vols[:-1], vols[1:])
+            / (grid.face_areas[1:-1] * grid.center_spacing))
+
+
+class TestAdvectiveLimitIsImplied:
+    """Why ``_Stepper._stable_dt`` keeps no advective limit dr/|w|: at a
+    face k with speed |w_k| > 0 both neighbours' outflow is at least
+    A_k |w_k|, so the positivity limit is at most
+    min(V_k, V_{k+1}) / (A_k |w_k|), below dr_k / |w_k| wherever the face
+    ratio min(V_k, V_{k+1}) / (A_k dr_k) is below 1.  On such grids
+    ``TestInteriorFaceStencil`` matches the step bit for bit against the
+    oracle that keeps all three limits."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
+    def test_uniform_grids(self, d):
+        for n_cells in (8, 64, 256, 4096):
+            grid = RadialGrid.uniform(n_cells, 4.0, d=d)
+            assert face_volume_ratio(grid).max() < 1.0  # 0.99976 at d = 3, 4096
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_geometric_grids(self, d):
+        # edges 0, r0 q^k up to 4
+        for n_cells in (64, 256):
+            for r0 in (1e-4, 1e-3, 1e-2, 1e-1):
+                grid = RadialGrid(d, np.concatenate(
+                    [[0.0], r0 * (4.0 / r0) ** (np.arange(n_cells) / (n_cells - 1))]))
+                assert face_volume_ratio(grid).max() < 1.0  # 0.979 at most
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 8])
+    def test_expm1_graded_grids(self, d):
+        # fine at the origin, as face_stencil_grid's expm1_256
+        for n_cells in (64, 256, 1024):
+            i = np.arange(n_cells + 1)
+            grid = RadialGrid(d=d, r_edges=4.0 * np.expm1(3.0 * i / n_cells)
+                              / np.expm1(3.0))
+            assert face_volume_ratio(grid).max() < 1.0  # 0.996 at most
