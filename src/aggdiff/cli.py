@@ -200,7 +200,7 @@ def validate_config(cfg: dict) -> None:
         model.derived_constants(model.ModelParams(d=d, s=s))
     except ParameterDomainError as exc:
         raise ConfigError(f"config fields 'model.d'/'model.s': {exc}") from exc
-    except OverflowError as exc:  # special.gamma's range ends near 142
+    except OverflowError as exc:  # math.gamma past 171.6: from d = 172 at alpha = 1
         raise ConfigError(f"config fields 'model.d'/'model.s': the closed-form "
                           f"constants overflow double precision at d={d}, s={s}"
                           ) from exc
@@ -380,8 +380,7 @@ def cmd_constants(cfg: dict, profile: str | None = None) -> int:
         input_hashes.update(hashes)
         kernel = build_kernel(field.grid, params.s, epsilon=cfg["model"]["epsilon"])
         try:  # an overflowing profile has no ratio
-            with np.errstate(over="ignore"):  # vhls_ratio checks for it
-                measured = vhls_ratio(field, kernel, params)
+            measured = vhls_ratio(field, kernel, params)
         except ValueError as exc:
             raise ConfigError(f"profile {profile}: {exc}") from exc
         results["C_star_measured"] = measured

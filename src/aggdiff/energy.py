@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import DensityField, RadialGrid, require_same_grid
+from .field import DensityField, RadialGrid, require_same_grid, sphere_surface
 from .model import ModelParams
 from .riesz import RieszKernel, potential_values
-from .special import ball_volume
 
 
 def _upwind_flow(values: np.ndarray, mu: np.ndarray, grid: RadialGrid):
@@ -92,7 +91,8 @@ def vhls_ratio(u: DensityField, kernel: RieszKernel, params: ModelParams) -> flo
     above by the sharp interaction constant.
     """
     require_same_grid(u.grid, kernel.grid, "field and kernel")
-    return _ratio(u.values, kernel, params)
+    with np.errstate(over="ignore"):  # _ratio checks omega and ||u||_m^m
+        return _ratio(u.values, kernel, params)
 
 
 def _ratio(values: np.ndarray, kernel: RieszKernel, params: ModelParams) -> float:
@@ -137,6 +137,6 @@ def lr_lower_bound(M: float, m2: float, r: float, d: int) -> float:
     if r <= 1.0:
         raise ValueError(f"exponent r must be > 1, got {r}")
     p = d * (r - 1.0) / r
-    C3 = ball_volume(d) ** ((r - 1.0) / r)
+    C3 = (sphere_surface(d) / d) ** ((r - 1.0) / r)
     Kp = (2.0 / p) ** (p / (p + 2.0)) + (p / 2.0) ** (2.0 / (p + 2.0))
     return (M / Kp) ** ((p + 2.0) / 2.0) * m2 ** (-p / 2.0) / C3

@@ -14,13 +14,22 @@ and second moments use the exact shell average of |x|^2 per cell.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import GridMismatchError, ParameterDomainError
-from .special import sphere_surface
+
+
+@cache
+def sphere_surface(d: int) -> float:
+    """Surface measure of the unit sphere in R^d (4*pi for d=3), cached
+    per d (a call that raises caches nothing)."""
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -352,8 +361,8 @@ def read_field_csv(path, d: int = 3) -> DensityField:
     """Rebuild a field written by :func:`write_field_csv` in dimension ``d``.
     Its grid has edges 0 and the stored ``r_outer``, so it is the writer's
     grid bit for bit, and its shell volumes equal the stored ``volume``
-    column bit for bit.  Any other header, or volumes of another dimension,
-    raise ``ValueError``."""
+    column bit for bit.  Any other header, or other volumes (another
+    dimension, or an older aggdiff's roundoff), raise ``ValueError``."""
     vals, vols, outer = [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -368,5 +377,6 @@ def read_field_csv(path, d: int = 3) -> DensityField:
     grid = RadialGrid(d=d, r_edges=[0.0, *outer])
     if not np.array_equal(grid.shell_volumes, vols):
         raise ValueError(f"volume column is not the d = {d} shell volumes of the "
-                         f"r_outer edges (written in another dimension?)")
+                         f"r_outer edges (written in another dimension, or by "
+                         f"an older aggdiff?)")
     return DensityField(grid, np.array(vals))

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterDomainError
-from .special import gamma
 
 
 def _check_ds(d: int, s: float) -> None:
@@ -42,7 +41,7 @@ def riesz_constant(d: int, s: float) -> float:
     approaches its pole.
     """
     _check_ds(d, s)
-    return gamma(d / 2.0 - s) / (math.pi ** (d / 2.0) * 4.0 ** s * gamma(s))
+    return math.gamma(d / 2.0 - s) / (math.pi ** (d / 2.0) * 4.0 ** s * math.gamma(s))
 
 
 def hls_sharp_constant(d: int, s: float) -> float:
@@ -66,9 +65,9 @@ def hls_sharp_constant(d: int, s: float) -> float:
     _check_ds(d, s)
     return (
         math.pi ** ((d - 2.0 * s) / 2.0)
-        * gamma(s)
-        / gamma((d + 2.0 * s) / 2.0)
-        * (gamma(d / 2.0) / gamma(d)) ** (-2.0 * s / d)
+        * math.gamma(s)
+        / math.gamma((d + 2.0 * s) / 2.0)
+        * (math.gamma(d / 2.0) / math.gamma(d)) ** (-2.0 * s / d)
     )
 
 

@@ -46,8 +46,7 @@ from numpy.fft import irfft, rfft
 
 from .errors import ParameterDomainError
 from .field import (_GAUSS_LEGENDRE, DensityField, RadialGrid, _cell_gauss,
-                    require_same_grid)
-from .special import sphere_surface
+                    require_same_grid, sphere_surface)
 
 # Pair-average blocks: about _BLOCKS per build (a block's diagonal square
 # re-evaluates its lower half), each of at least _MIN_BLOCK_PAIRS node pairs

@@ -501,14 +501,16 @@ def dichotomy_run(U: DensityField, ratio: float, M_ref: float, kernel: RieszKern
                   params: ModelParams, config: SolverConfig,
                   diffusive_times: float = 5.0) -> tuple[dict, RunOutcome]:
     """One run of the mass-ratio dichotomy, from the steady profile ``U``
-    rescaled to mass M = ``ratio * M_ref`` (:func:`blowup_initial_data`),
-    with free energy F0 and chord time T* (:func:`_chord_time`).
+    rescaled to mass M = ``ratio * M_ref`` (:func:`blowup_initial_data`).
+    Its free energy F0 and chord time T* (:func:`_chord_time`) are the
+    run's t = 0 row F and ``blowup_time_upper_bound``.
 
     Below ratio 1 the run is implicit over ``diffusive_times`` diffusive
     times of the initial data (its explicit step count would grow as
     (R/dr)^2); at 1 or above it is explicit to 2 T*, or to
-    ``config.t_end`` without T*.  ``config`` supplies every other solver
-    field; only ``t_end`` and ``scheme`` are set here.
+    ``config.t_end`` without T*, so only there is F0 formed before the
+    run.  ``config`` supplies every other solver field; only ``t_end``
+    and ``scheme`` are set here.
 
     Returns (entry, outcome).  The entry holds mass_ratio, mass, F0,
     status, t_detect, t_end, sup_lm_norm_power_m (the largest ||u||_m^m
@@ -520,19 +522,20 @@ def dichotomy_run(U: DensityField, ratio: float, M_ref: float, kernel: RieszKern
     """
     M = ratio * M_ref
     u0 = blowup_initial_data(U, M, params)
-    with np.errstate(over="ignore", invalid="ignore"):  # run checks the start
-        F0 = free_energy(u0, kernel, params)
-    chord = _chord_time(second_moment(u0), F0, kernel, params)
     if ratio < 1.0:
         t_end = diffusive_times * diffusive_time(u0, params)
         scheme = "implicit"
     else:
+        with np.errstate(over="ignore", invalid="ignore"):  # run checks the start
+            F0 = free_energy(u0, kernel, params)
+        chord = _chord_time(second_moment(u0), F0, kernel, params)
         t_end = 2.0 * chord if chord is not None else config.t_end
         scheme = "explicit"
     try:
         outcome = run(u0, kernel, params, replace(config, t_end=t_end, scheme=scheme))
     except ParameterDomainError as exc:
         raise ParameterDomainError(f"{exc} at mass ratio {ratio}") from exc
+    F0 = outcome.diagnostics[0].F
     entry = {
         "mass_ratio": ratio,
         "mass": M,
@@ -542,7 +545,7 @@ def dichotomy_run(U: DensityField, ratio: float, M_ref: float, kernel: RieszKern
         "t_end": t_end,
         "sup_lm_norm_power_m": max(row.lm_norm ** params.m
                                    for row in outcome.diagnostics),
-        "blowup_time_upper_bound": chord,
+        "blowup_time_upper_bound": outcome.blowup_time_upper_bound,
     }
     if ratio < 1.0:
         consts = derived_constants(params)

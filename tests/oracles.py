@@ -24,7 +24,7 @@ from scipy.integrate import quad
 
 from aggdiff import (ModelParams, ParameterDomainError, RadialGrid, RieszKernel,
                      riesz, solver)
-from aggdiff.special import gamma, sphere_surface
+from aggdiff.field import sphere_surface
 
 
 def hls_constant_beta_form(d: int, s: float) -> float:
@@ -37,9 +37,9 @@ def hls_constant_beta_form(d: int, s: float) -> float:
     beta = d - 2.0 * s
     return (
         math.pi ** (beta / 2.0)
-        * gamma(d / 2.0 - beta / 2.0)
-        / gamma(d - beta / 2.0)
-        * (gamma(d / 2.0) / gamma(d)) ** (-1.0 + beta / d)
+        * math.gamma(d / 2.0 - beta / 2.0)
+        / math.gamma(d - beta / 2.0)
+        * (math.gamma(d / 2.0) / math.gamma(d)) ** (-1.0 + beta / d)
     )
 
 

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gamma
 
 from aggdiff import (
     DensityField,
@@ -59,14 +60,15 @@ def identity_gaps(rows):
 
 
 def test_criterion_1_constants_against_gamma_oracle():
+    # scipy's Gamma (Cephes) is independent of the library's math.gamma
     def oracle_riesz(d, s):
-        return math.gamma(d / 2 - s) / (math.pi ** (d / 2) * 4 ** s * math.gamma(s))
+        return gamma(d / 2 - s) / (math.pi ** (d / 2) * 4 ** s * gamma(s))
 
     def oracle_hls(d, s):
         b = d - 2 * s
-        return (math.pi ** (b / 2) * math.gamma(d / 2 - b / 2)
-                / math.gamma(d - b / 2)
-                * (math.gamma(d / 2) / math.gamma(d)) ** (-1 + b / d))
+        return (math.pi ** (b / 2) * gamma(d / 2 - b / 2)
+                / gamma(d - b / 2)
+                * (gamma(d / 2) / gamma(d)) ** (-1 + b / d))
 
     d, s = 3, 1.25
     m = 2 - 2 * s / d

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -269,11 +270,13 @@ class TestConfig:
             assert run_cli(command, *bad) == 0
 
     @pytest.mark.parametrize("command, d, s", [("constants", 400, 150),
-                                               ("dichotomy", 400, 199.5)])
+                                               ("dichotomy", 400, 199.5),
+                                               ("constants", 172, 85.5),
+                                               ("dichotomy", 172, 85.5)])
     def test_overflowing_constants_exit_1_before_any_output(self, tmp_path, capsys,
                                                             command, d, s):
-        # 2 < 2s < d holds (and alpha = 1 for dichotomy), but Gamma(200) is
-        # past the double range
+        # 2 < 2s < d holds (and alpha = 1 at s = (d - 1)/2), but Gamma(d) is
+        # past the double range from d = 172
         out = tmp_path / "out"
         assert run_cli(command, "--set", f"model.d={d}", "--set", f"model.s={s}",
                        "--out", str(out)) == 1
@@ -281,6 +284,14 @@ class TestConfig:
         assert captured.out == "" and not out.exists()
         assert "'model.d'/'model.s'" in captured.err and "overflow" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_constants_at_the_last_finite_dimension_exit_0(self, tmp_path, capsys):
+        # Gamma(171) is the last integer Gamma within the double range
+        assert run_cli("constants", "--set", "model.d=171", "--set", "model.s=85",
+                       "--out", str(tmp_path)) == 0
+        res = json.loads((tmp_path / "report.json").read_text())["results"]
+        assert all(math.isfinite(res[k]) and res[k] > 0.0
+                   for k in ("c_ds", "C_hls", "M_star"))
 
 
 class TestConstants:

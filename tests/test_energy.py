@@ -199,6 +199,15 @@ class TestVhlsRatio:
             with pytest.raises(ValueError, match="overflows"):
                 vhls_ratio(u, kernel96, params)
 
+    def test_overflowing_matvec_raises_no_warning(self, params, grid96, kernel96):
+        # omega of a bump of mass 1e160 overflows inside the matvec: the
+        # ValueError comes first, not numpy's RuntimeWarning, which the
+        # suite turns into an error
+        values = np.exp(-0.5 * (grid96.centers / 0.5) ** 2)
+        u = DensityField(grid96, values * (1e160 / mass(DensityField(grid96, values))))
+        with pytest.raises(ValueError, match="overflows"):
+            vhls_ratio(u, kernel96, params)
+
     def test_underflowing_denominator_rejected(self, params, grid96, kernel96):
         # M^(2s/d) ||u||_m^m of a field of mass ~1e-300 rounds to 0: no ratio,
         # not a ZeroDivisionError

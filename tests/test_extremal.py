@@ -507,8 +507,7 @@ class TestMaximizeVhls:
             return vals
 
         monkeypatch.setattr(extremal, "_random_bump_field", huge_first_cell)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="overflows"):
+        with pytest.raises(ValueError, match="overflows"):
             maximize_vhls(grid96, kernel96, params, n_starts=1, seed=0)
 
 

@@ -24,7 +24,7 @@ from aggdiff import (
 )
 from aggdiff import riesz
 from aggdiff.field import _GAUSS_LEGENDRE, _cell_average, dilate
-from aggdiff.special import sphere_surface
+from aggdiff.field import sphere_surface
 from conftest import is_structured, random_bump_field
 
 

@@ -39,7 +39,7 @@ from aggdiff import (
     vhls_ratio,
 )
 from aggdiff import riesz
-from aggdiff.special import sphere_surface
+from aggdiff.field import sphere_surface
 from conftest import S, dense_oracle, is_structured, random_bump_field
 from oracles import angular_kernel_quad, build_weak_interaction_kernel
 

@@ -554,18 +554,37 @@ class TestDichotomyRun:
     @pytest.mark.parametrize("ratio", [0.5, 1.5])
     def test_start_takes_one_matvec(self, params, grid96, kernel96, monkeypatch,
                                     ratio):
-        # F0 and the chord time T* come from one evaluation of the start
+        # from ratio 1 up, F0 and the chord time T* for the 2 T* horizon come
+        # from one evaluation of the start; below it the run's t = 0 row is
+        # the only one.  The entry reads F0 and T* off the run either way.
         calls = []
         apply = RieszKernel.apply
         monkeypatch.setattr(RieszKernel, "apply",
                             lambda self, x: calls.append(1) or apply(self, x))
-        row = SimpleNamespace(lm_norm=1.0)
+        row = SimpleNamespace(lm_norm=1.0, F=-1.0)
         monkeypatch.setattr(solver, "run", lambda *args: SimpleNamespace(
-            status="completed", t_detect=None, diagnostics=[row]))
+            status="completed", t_detect=None, diagnostics=[row],
+            blowup_time_upper_bound=None))
         U = barenblatt_profile(grid96, 100.0, 1.0, params.m)
         entry, _ = dichotomy_run(U, ratio, 150.0, kernel96, params, DICHOTOMY_CONFIG)
-        assert len(calls) == 1
-        assert (entry["blowup_time_upper_bound"] is None) == (ratio < 1.0)
+        assert len(calls) == (0 if ratio < 1.0 else 1)
+        assert entry["F0"] == -1.0 and entry["blowup_time_upper_bound"] is None
+        if ratio >= 1.0:  # the horizon is 2 T*, not config.t_end
+            assert entry["t_end"] != DICHOTOMY_CONFIG.t_end
+
+    def test_subcritical_run_forms_the_energy_once_per_row(self, params, kernel96,
+                                                           dichotomy96, monkeypatch):
+        # below ratio 1 the horizon needs no F(u0): one energy_report per
+        # diagnostics row, the initial and the final one here
+        calls = []
+        report = energy.energy_report
+        counting = lambda *args: calls.append(1) or report(*args)
+        monkeypatch.setattr(energy, "energy_report", counting)
+        monkeypatch.setattr(solver, "energy_report", counting)
+        M_c, steady = dichotomy96["critical"]
+        config = replace(DICHOTOMY_CONFIG, output_every=10 ** 9)
+        _, out = dichotomy_run(steady.U, 0.5, M_c, kernel96, params, config)
+        assert len(calls) == len(out.diagnostics) == 2
 
     @pytest.mark.parametrize("ratio", [1e100, 1e120, 1e150, 1e160])
     def test_start_whose_energy_overflows_is_rejected(self, params, grid96, kernel96,
