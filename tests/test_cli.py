@@ -285,7 +285,7 @@ class TestConfig:
         assert "'model.d'/'model.s'" in captured.err and "overflow" in captured.err
         assert "Traceback" not in captured.err
 
-    def test_constants_at_the_last_finite_dimension_exit_0(self, tmp_path, capsys):
+    def test_constants_at_the_last_finite_dimension_exit_0(self, tmp_path):
         # Gamma(171) is the last integer Gamma within the double range
         assert run_cli("constants", "--set", "model.d=171", "--set", "model.s=85",
                        "--out", str(tmp_path)) == 0
